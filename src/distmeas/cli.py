@@ -15,7 +15,7 @@ from . import io as docio
 from .entangle import entanglement, enumerate_partitions, partition_of
 from .errors import DocumentError, Error
 from .lattice import Subsystem, bottom, build_quale, enumerate_subsystems, subsystem, top
-from .measure import measurement_report, system_output_space
+from .measure import _measure_subsystem, measurement_report, system_output_space
 from .oracle import crosscheck, exhaustive_tables, random_tables
 from .stoch import dirac, kl_divergence
 from .system import unroll, validate
@@ -149,8 +149,8 @@ def cmd_lattice(args) -> int:
     d_out = _parse_output(spec, args.output)
     subs = list(enumerate_subsystems(spec, max_pairs=args.max_edges))
     subs.sort(key=lambda s: (len(s.pairs), _subsystem_key(s)))
-    measurements = {
-        s.effective: measurement_report(spec, s, None, d_out).fine for s in subs}
+    memo: dict = {}
+    measurements = {s.effective: _measure_subsystem(spec, s, d_out, memo) for s in subs}
     lines = ["digraph ei_lattice {", "  rankdir=BT;", '  node [shape=box];']
     for s in subs:
         key = _subsystem_key(s)

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, NotAPartition, NotInImage, NotSurjective
 from .lattice import Subsystem
-from .measure import extend, measure, system_input_space
+from .measure import _measure_subsystem, system_input_space
 from .oracle import ExactBits, FunctionTable, gamma_counts
 from .stoch import (
     Distribution,
@@ -67,8 +67,10 @@ def entanglement(spec: SystemSpec, sub: Subsystem, part: Partition,
     if part.members() != srcs:
         raise NotAPartition(
             f"blocks {part.label()!r} do not partition sources {sorted(srcs)}")
-    whole = measure(extend(spec, sub), d_out)
+    memo: dict = {}
+    whole = _measure_subsystem(spec, sub, d_out, memo)
     in_space = system_input_space(spec)
+    flat = uniform(in_space)
 
     block_marginals = []
     per_block_ei = []
@@ -78,8 +80,8 @@ def entanglement(spec: SystemSpec, sub: Subsystem, part: Partition,
             frozenset(p for p in sub.effective if p[0] in block))
         if block_sub.is_null:
             raise NotAPartition(f"block {block} touches no effective pair")
-        block_measurement = measure(extend(spec, block_sub), d_out)
-        per_block_ei.append(kl_divergence(block_measurement, uniform(in_space)))
+        block_measurement = _measure_subsystem(spec, block_sub, d_out, memo)
+        per_block_ei.append(kl_divergence(block_measurement, flat))
         block_marginals.append((block, marginal(block_measurement, block)))
 
     # product of block measurements, uniform on inputs outside the subsystem
@@ -103,7 +105,7 @@ def entanglement(spec: SystemSpec, sub: Subsystem, part: Partition,
     product = Distribution(in_space, tuple(weights))
 
     gamma = kl_divergence(whole, product)
-    ei_whole = kl_divergence(whole, uniform(in_space))
+    ei_whole = kl_divergence(whole, flat)
     offenders = support_violations(whole, product) if gamma == float("inf") else ()
     return EntanglementReport(
         part, gamma, tuple(per_block_ei), ei_whole,

@@ -116,6 +116,9 @@ def system_from_document(doc: dict) -> SystemSpec:
         source_docs = doc.get("sources", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed system document: {exc}") from None
+    for key, value in (("mechanisms", mech_docs), ("sources", source_docs)):
+        if not isinstance(value, dict):
+            raise DocumentError(f"{key!r} must be a JSON object keyed by occasion id")
 
     alpha = {o.id: o.alphabet for o in occasions}
     mechanisms = {}
@@ -128,6 +131,12 @@ def system_from_document(doc: dict) -> SystemSpec:
         for s in listed + [occ_id]:
             if s not in alpha:
                 raise DocumentError(f"mechanism for {occ_id!r} references unknown occasion {s!r}")
+        if len(set(listed)) != len(listed):
+            raise DocumentError(f"mechanism for {occ_id!r} lists a source twice: {listed}")
+        if not isinstance(table, list) or not all(isinstance(col, list) for col in table):
+            raise DocumentError(
+                f"mechanism for {occ_id!r} needs a table that is a list of columns, "
+                "each a list of rationals")
         listed_space = ProductSpace(tuple((s, alpha[s]) for s in listed))
         if len(table) != listed_space.dim:
             raise DocumentError(
@@ -146,6 +155,8 @@ def system_from_document(doc: dict) -> SystemSpec:
     for occ_id, weights in source_docs.items():
         if occ_id not in alpha:
             raise DocumentError(f"source distribution for unknown occasion {occ_id!r}")
+        if not isinstance(weights, list):
+            raise DocumentError(f"source distribution for {occ_id!r} must be a list of rationals")
         sources[occ_id] = Distribution(
             canonical_space({occ_id: alpha[occ_id]}),
             tuple(_parse_rational(w, f"source {occ_id!r}") for w in weights))

@@ -146,26 +146,44 @@ def _glue_columns(sub_mechs: Sequence[StochasticMatrix],
     return StochasticMatrix(domain, codomain, tuple(cols))
 
 
-def glue_mechanism(spec: SystemSpec, sub: Subsystem, _cache: dict | None = None) -> StochasticMatrix:
+def glue_mechanism(spec: SystemSpec, sub: Subsystem) -> StochasticMatrix:
     """Joint mechanism of a subsystem: marginalize each target's extrinsic
     inputs, tensor the results and pull back along the diagonal."""
     if sub.is_null:
         raise EmptySubsystem("the empty subsystem has no glued mechanism; use the null mechanism")
-    targets = sub.target_ids()
-    sub_mechs = []
-    for l in targets:
-        if _cache is None:
-            sub_mechs.append(occasion_submechanism(spec, sub, l))
-        else:
-            key = (l, frozenset(k for (k, t) in sub.effective if t == l))
-            m = _cache.get(key)
-            if m is None:
-                m = occasion_submechanism(spec, sub, l)
-                _cache[key] = m
-            sub_mechs.append(m)
+    sub_mechs = [occasion_submechanism(spec, sub, l) for l in sub.target_ids()]
     domain = source_space(spec, sub)
     codomain = target_space(spec, sub)
     return _glue_columns(sub_mechs, domain, codomain)
+
+
+def _numerator_blocks(spec: SystemSpec, sub: Subsystem, domain: ProductSpace, memo: dict):
+    """For each target of the subsystem, in id order: the slots of its inside
+    sources in the subsystem's input space, their alphabet sizes, and the
+    integer numerator columns of its submechanism.
+
+    Submechanisms are memoised in memo by (target, inside source ids). Each
+    one's entries are scaled by the LCM of their denominators; the scale is
+    constant along any glued row or column, so it cancels wherever one is
+    normalized.
+    """
+    blocks = []
+    for l in sub.target_ids():
+        key = (l, frozenset(k for (k, t) in sub.effective if t == l))
+        if key not in memo:
+            pairs = frozenset((k, l) for k in key[1])
+            m = occasion_submechanism(spec, Subsystem(pairs, pairs), l)
+            scale = 1
+            for col in m.cols:
+                for v in col:
+                    d = v.denominator
+                    scale = scale // _gcd(scale, d) * d
+            memo[key] = (m.domain.factor_ids, tuple(
+                tuple(v.numerator * (scale // v.denominator) for v in col) for col in m.cols))
+        ids, nums = memo[key]
+        positions = tuple(domain.position(f) for f in ids)
+        blocks.append((positions, tuple(len(domain.factors[p][1]) for p in positions), nums))
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -214,28 +232,7 @@ def build_quale(spec: SystemSpec, max_pairs: int = 16) -> Quale:
         raise BudgetExceeded(
             f"{len(edges)} edges exceed the budget of {max_pairs} "
             f"(2^{len(edges)} subsystems)")
-    int_cache: dict = {}
-
-    def int_submech(target: str, inside: frozenset[str]):
-        """(sorted inside ids, integer numerator columns) of the submechanism."""
-        key = (target, inside)
-        hit = int_cache.get(key)
-        if hit is None:
-            sub = Subsystem(
-                frozenset((k, target) for k in inside),
-                frozenset((k, target) for k in inside))
-            m = occasion_submechanism(spec, sub, target)
-            scale = 1
-            for col in m.cols:
-                for v in col:
-                    d = v.denominator
-                    scale = scale // _gcd(scale, d) * d
-            nums = tuple(
-                tuple(int(v * scale) for v in col) for col in m.cols)
-            hit = (m.domain.factor_ids, nums)
-            int_cache[key] = hit
-        return hit
-
+    memo: dict = {}
     sections = []
     scalar = canonical_space({})
     scalar_section_cols = ((ONE,),)
@@ -247,13 +244,7 @@ def build_quale(spec: SystemSpec, max_pairs: int = 16) -> Quale:
             continue
         domain = source_space(spec, sub)
         codomain = target_space(spec, sub)
-        blocks = []
-        for l in sub.target_ids():
-            inside = frozenset(k for (k, t) in chosen if t == l)
-            ids, nums = int_submech(l, inside)
-            blocks.append((tuple(domain.position(f) for f in ids),
-                           tuple(len(domain.factors[domain.position(f)][1]) for f in ids),
-                           nums))
+        blocks = _numerator_blocks(spec, sub, domain, memo)
         glue_cols = []
         radii = [range(len(a)) for _, a in domain.factors]
         for digits in itertools.product(*radii):
@@ -291,11 +282,7 @@ def restrict(spec: SystemSpec, sec: Section, sub: Subsystem) -> Section:
     if not sub.pairs <= sec.subsystem.pairs:
         raise NotASubsystem(
             f"{sorted(sub.pairs)} is not contained in {sorted(sec.subsystem.pairs)}")
-    big = sec.subsystem
-    m = sec.matrix
-    out_proj = projection(target_space(spec, big), sub.target_ids())
-    in_proj = projection(source_space(spec, big), sub.source_ids())
-    return Section(sub, compose(in_proj, compose(m, dual(out_proj))))
+    return Section(sub, _coordinate_restriction(spec, sec, sub.source_ids(), sub.target_ids()))
 
 
 def _coordinate_restriction(spec: SystemSpec, sec: Section,

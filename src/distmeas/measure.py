@@ -6,15 +6,21 @@ missing outputs are emitted uniformly). A measurement composes the dual of an
 extended mechanism with an output distribution; effective information is the
 relative entropy of a measurement against the measurement in a coarser
 context, with the empty subsystem's uniform measurement as the null context.
+
+extend and measure are the reference semantics. Reports are computed by
+_measure_subsystem, which reads only the glued rows a measurement selects;
+tests pin it to measure(extend(...)) with exact equality.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import ContextNotContained, SpaceMismatch, UnsupportedOutput
 from .lattice import (
     Subsystem,
+    _numerator_blocks,
     bottom,
     glue_mechanism,
     source_space,
@@ -26,6 +32,7 @@ from .stoch import (
     Distribution,
     ProductSpace,
     StochasticMatrix,
+    _restriction_indexer,
     compose,
     dual,
     kl_divergence,
@@ -103,6 +110,58 @@ def measure(mech: ExtendedMechanism, d_out: Distribution) -> Distribution:
     return Distribution(m.domain, tuple(acc))
 
 
+def _measure_subsystem(spec: SystemSpec, sub: Subsystem, d_out: Distribution,
+                       memo: dict) -> Distribution:
+    """measure(extend(spec, sub), d_out) without building any extended matrix.
+
+    The extended mechanism's row at a system output is the glued row at the
+    output's restriction to the subsystem's targets, emitted uniformly over
+    the system inputs outside the subsystem. So the posterior is that glued
+    row normalized, times the uniform distribution on the outside inputs.
+    Glued rows are products of integer submechanism numerators (memo is
+    shared with every other subsystem measured against the same host); the
+    per-target scales cancel in the normalization.
+    """
+    in_space = system_input_space(spec)
+    out_space = system_output_space(spec)
+    if d_out.space != out_space:
+        raise SpaceMismatch("output distribution is not over the system's outputs")
+    if sub.is_null:
+        return uniform(in_space)
+    domain = source_space(spec, sub)
+    blocks = _numerator_blocks(spec, sub, domain, memo)
+    slots = [out_space.position(l) for l in sub.target_ids()]
+    inputs = list(itertools.product(*(range(len(a)) for _, a in domain.factors)))
+    outside = in_space.dim // domain.dim
+    posterior = [ZERO] * domain.dim
+    for i, w in enumerate(d_out.weights):
+        if w == 0:
+            continue
+        symbols = out_space.symbols_at(i)
+        rows = [
+            (positions, radices,
+             [col[out_space.factors[p][1].index(symbols[p])] for col in nums])
+            for (positions, radices, nums), p in zip(blocks, slots)]
+        glued = []
+        for digits in inputs:
+            v = 1
+            for positions, radices, entries in rows:
+                idx = 0
+                for p, r in zip(positions, radices):
+                    idx = idx * r + digits[p]
+                v *= entries[idx]
+            glued.append(v)
+        total = sum(glued)
+        if total == 0:
+            raise UnsupportedOutput(f"output {symbols} is never produced by the mechanism")
+        scale = w / (total * outside)
+        for c, v in enumerate(glued):
+            if v:
+                posterior[c] += v * scale
+    spread = _restriction_indexer(in_space, domain)
+    return Distribution(in_space, tuple(posterior[spread(j)] for j in range(in_space.dim)))
+
+
 @dataclass(frozen=True)
 class MeasurementResult:
     """A fine measurement compared against a coarser context."""
@@ -125,11 +184,12 @@ def measurement_report(spec: SystemSpec, sub: Subsystem,
             raise ContextNotContained(
                 f"context {sorted(context.effective)} is not contained in "
                 f"{sorted(sub.effective)}")
-    fine = measure(extend(spec, sub), d_out)
+    memo: dict = {}
+    fine = _measure_subsystem(spec, sub, d_out, memo)
     if context is None or context.is_null:
         coarse = uniform(system_input_space(spec))
     else:
-        coarse = measure(extend(spec, context), d_out)
+        coarse = _measure_subsystem(spec, context, d_out, memo)
     ei = kl_divergence(fine, coarse)
     offenders = support_violations(fine, coarse) if ei == float("inf") else ()
     return MeasurementResult(sub, context, d_out, fine, coarse, ei, offenders)

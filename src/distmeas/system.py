@@ -343,11 +343,15 @@ def hopfield_rule(weights: Sequence, temperature,
 
     The domain uses positional placeholder ids n0, n1, ...; unroll() reindexes
     them to actual occasion ids. Entries are evaluated in floating point and
-    snapped to rationals with the given denominator, so columns sum to exactly 1.
+    snapped to rationals with the given denominator D, so columns sum to
+    exactly 1. The snapped p(1) is clamped to [1/D, 1 - 1/D], which keeps
+    every entry strictly positive however large |h|/T is.
     """
     temperature = rational(temperature)
     if temperature <= 0:
         raise NonpositiveTemperature(f"temperature {temperature} must be > 0")
+    if snap_denominator < 2:
+        raise InvalidAutomaton(f"snap denominator {snap_denominator} must be >= 2")
     w = [rational(v) for v in weights]
     domain = ProductSpace(tuple((f"n{i}", BINARY) for i in range(len(w))))
     out_space = canonical_space({"out": BINARY})
@@ -360,7 +364,8 @@ def hopfield_rule(weights: Sequence, temperature,
         else:
             e = math.exp(x)
             p1 = e / (1.0 + e)
-        snapped = Fraction(round(p1 * snap_denominator), snap_denominator)
+        numerator = min(max(round(p1 * snap_denominator), 1), snap_denominator - 1)
+        snapped = Fraction(numerator, snap_denominator)
         cols.append((1 - snapped, snapped))
     return matrix_from_columns(domain, out_space, cols)
 

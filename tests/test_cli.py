@@ -57,6 +57,32 @@ def test_validate_missing_file(capsys):
     assert code == 2
 
 
+def _validate_mutated_xor(capsys, tmp_path, mutate):
+    doc = json.loads(open(XOR, encoding="utf-8").read())
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "validate", str(path))
+
+
+def test_validate_duplicate_sources_is_a_document_error(capsys, tmp_path):
+    code, _, err = _validate_mutated_xor(
+        capsys, tmp_path, lambda d: d["mechanisms"]["vZ"].update(sources=["vX", "vX"]))
+    assert code == 2 and err.startswith("error:")
+
+
+def test_validate_scalar_columns_is_a_document_error(capsys, tmp_path):
+    code, _, err = _validate_mutated_xor(
+        capsys, tmp_path, lambda d: d["mechanisms"]["vZ"].update(table=[1, 1, 1, 1]))
+    assert code == 2 and err.startswith("error:")
+
+
+def test_validate_mechanisms_list_is_a_document_error(capsys, tmp_path):
+    code, _, err = _validate_mutated_xor(
+        capsys, tmp_path, lambda d: d.update(mechanisms=[]))
+    assert code == 2 and err.startswith("error:")
+
+
 # -- quale -------------------------------------------------------------------------
 
 def test_quale_xor_has_four_sections(capsys, tmp_path):

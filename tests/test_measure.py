@@ -1,13 +1,15 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from distmeas.errors import ContextNotContained, UnsupportedOutput
-from distmeas.fixtures import single_function_system, two_input_system, xor_system
-from distmeas.lattice import bottom, subsystem, top
+from distmeas.fixtures import and_table, single_function_system, two_input_system, xor_system
+from distmeas.lattice import bottom, enumerate_subsystems, subsystem, top
 from distmeas.measure import (
+    _measure_subsystem,
     effective_information,
     extend,
     measure,
@@ -24,7 +26,9 @@ from distmeas.oracle import (
     single_function_tables,
     slice_count,
 )
-from distmeas.stoch import BINARY, alphabet, dirac, distribution, uniform
+from distmeas.stoch import BINARY, alphabet, dirac, distribution, uniform, with_spaces
+from test_acceptance import _positive_random_system
+from test_lattice import chain_system
 
 F = Fraction
 TOL = 1e-9
@@ -260,3 +264,123 @@ def test_measurement_report_carries_distributions(and_spec):
     assert rep.coarse == uniform(system_input_space(and_spec))
     assert rep.ei_bits == 2.0
     assert rep.infinite_states == ()
+
+
+# -- glued-row measurements against the reference operators --------------------
+
+def _reference_or_error(spec, sub, d_out):
+    try:
+        return measure(extend(spec, sub), d_out)
+    except UnsupportedOutput as exc:
+        return str(exc)
+
+
+def _fast_or_error(spec, sub, d_out, memo):
+    try:
+        return _measure_subsystem(spec, sub, d_out, memo)
+    except UnsupportedOutput as exc:
+        return str(exc)
+
+
+def _output_distributions(spec):
+    """Every Dirac output, a two-output mixture and the uniform output."""
+    out = system_output_space(spec)
+    yield from (dirac(out, a) for a in out.iter_symbols())
+    if out.dim > 1:
+        weights = [0] * out.dim
+        weights[0], weights[-1] = F(1, 3), F(2, 3)
+        yield distribution(out, weights)
+    yield uniform(out)
+
+
+def _assert_rows_match_reference(spec):
+    memo = {}
+    for d_out in _output_distributions(spec):
+        for sub in enumerate_subsystems(spec):
+            assert _fast_or_error(spec, sub, d_out, memo) == \
+                _reference_or_error(spec, sub, d_out), (sorted(sub.pairs), d_out)
+
+
+def test_glued_rows_match_extend_on_fixtures(xor_spec, and_spec):
+    for spec in (xor_spec, and_spec, chain_system()):
+        _assert_rows_match_reference(spec)
+
+
+def test_glued_rows_match_extend_on_positive_random_systems():
+    rng = random.Random(7)
+    for n_sources, n_targets in ((2, 2), (3, 2), (2, 3)):
+        spec = _positive_random_system(
+            rng, [f"s{i}" for i in range(n_sources)], [f"t{i}" for i in range(n_targets)])
+        _assert_rows_match_reference(spec)
+
+
+def test_glued_rows_null_subsystem_is_uniform(xor_spec):
+    padded = subsystem(xor_spec, [("vY", "vX")])  # ineffective only
+    for sub in (bottom(xor_spec), padded):
+        for d_out in _output_distributions(xor_spec):
+            got = _measure_subsystem(xor_spec, sub, d_out, {})
+            assert got == uniform(system_input_space(xor_spec))
+            assert got == measure(extend(xor_spec, sub), d_out)
+
+
+def test_glued_rows_reject_unattained_output_like_measure():
+    # two AND gates reading the same inputs never disagree
+    from distmeas.stoch import canonical_space
+    from distmeas.system import Occasion, SystemSpec
+    and_mech = two_input_system(and_table()).mechanisms["vZ"]
+    spec = SystemSpec(
+        tuple(Occasion(i, BINARY) for i in ("vW", "vX", "vY", "vZ")),
+        frozenset({("vX", "vW"), ("vY", "vW"), ("vX", "vZ"), ("vY", "vZ")}),
+        {"vZ": and_mech, "vW": with_spaces(and_mech, codomain=canonical_space({"vW": BINARY}))},
+        {i: uniform(canonical_space({i: BINARY})) for i in ("vX", "vY")})
+    d_out = dirac(system_output_space(spec), ("1", "0"))
+    with pytest.raises(UnsupportedOutput) as fast:
+        _measure_subsystem(spec, top(spec), d_out, {})
+    with pytest.raises(UnsupportedOutput) as reference:
+        measure(extend(spec, top(spec)), d_out)
+    assert str(fast.value) == str(reference.value)
+    assert "('1', '0')" in str(fast.value)
+    _assert_rows_match_reference(spec)
+
+
+def test_glued_rows_check_the_output_space(xor_spec, and_spec):
+    from distmeas.errors import SpaceMismatch
+    wrong = uniform(system_input_space(and_spec))
+    for sub in (bottom(xor_spec), top(xor_spec)):
+        with pytest.raises(SpaceMismatch):
+            _measure_subsystem(xor_spec, sub, wrong, {})
+
+
+def _measured_by_reference(spec, sub, d_out, memo):
+    return measure(extend(spec, sub), d_out)
+
+
+def test_reports_equal_reference_built_reports(monkeypatch, and_spec):
+    import importlib
+    from distmeas.entangle import entanglement, enumerate_partitions
+    rng = random.Random(11)
+    specs = [and_spec, chain_system(),
+             _positive_random_system(rng, ["s0", "s1", "s2"], ["t0", "t1"])]
+    cases = []
+    for spec in specs:
+        for d_out in _output_distributions(spec):
+            whole = top(spec)
+            cases.append((spec, whole, d_out))
+
+    def reports():
+        out = []
+        for spec, whole, d_out in cases:
+            for part in enumerate_partitions(whole.source_ids()):
+                out.append(entanglement(spec, whole, part, d_out))
+            for sub in enumerate_subsystems(spec):
+                if sub.effective <= whole.effective:
+                    out.append(measurement_report(spec, whole, sub, d_out))
+                out.append(measurement_report(spec, sub, None, d_out))
+        return out
+
+    fast = reports()
+    # the package re-exports a function named measure, so fetch the modules
+    for name in ("distmeas.entangle", "distmeas.measure"):
+        monkeypatch.setattr(importlib.import_module(name), "_measure_subsystem",
+                            _measured_by_reference)
+    assert fast == reports()
