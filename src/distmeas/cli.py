@@ -9,12 +9,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
 
 from . import io as docio
 from .entangle import entanglement, enumerate_partitions, partition_of
 from .errors import DocumentError, Error
-from .lattice import Subsystem, bottom, build_quale, enumerate_subsystems, subsystem, top
+from .lattice import (
+    Subsystem,
+    _quale_numerators,
+    bottom,
+    enumerate_subsystems,
+    subsystem,
+    top,
+)
 from .measure import _measure_subsystem, measurement_report, system_output_space
 from .oracle import crosscheck, exhaustive_tables, random_tables
 from .stoch import dirac, kl_divergence
@@ -86,25 +96,46 @@ def cmd_validate(args) -> int:
     return 0 if not violations else 1
 
 
+def _publish(out: str | None, write) -> None:
+    """Run write(fh) on a temporary file; publish what it wrote only once it
+    has returned, so a failing run writes nothing.
+
+    A regular (or new) file out is replaced by the temporary sibling it was
+    written to. Standard output (out is None) and other kinds of file, such
+    as devices, get a copy of an anonymous temporary file.
+    """
+    target = os.path.realpath(out) if out else None
+    if target is None or (os.path.exists(target) and not os.path.isfile(target)):
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
+            write(fh)
+            fh.seek(0)
+            if target is None:
+                shutil.copyfileobj(fh, sys.stdout)
+            else:
+                with open(out, "w", encoding="utf-8") as dst:
+                    shutil.copyfileobj(fh, dst)
+        return
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
+                                   prefix=f".{os.path.basename(target)}.", suffix=".tmp")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, out) from None
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            write(fh)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open(out, "w") would create
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_quale(args) -> int:
     spec = _load_valid(args.path)
-    quale = build_quale(spec, max_pairs=args.max_edges)
-    sections = []
-    for sec in quale.sections:
-        m = sec.matrix
-        sections.append({
-            "subsystem": [f"{a}-{b}" for a, b in sec.subsystem.sorted_pairs()],
-            "outputs": list(m.domain.factor_ids),
-            "inputs": list(m.codomain.factor_ids),
-            "matrix": [[docio.format_rational(v) for v in col] for col in m.cols],
-        })
-    doc = {"format_version": docio.FORMAT_VERSION, "sections": sections}
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    glued = _quale_numerators(spec, max_pairs=args.max_edges)
+    _publish(args.out, lambda fh: docio.write_quale(fh, glued))
     return 0
 
 

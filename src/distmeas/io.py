@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from .errors import DocumentError
@@ -69,6 +70,49 @@ def format_rational(value: Fraction) -> Any:
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _json_array(items: list[str], indent: int) -> str:
+    """A JSON array of encoded items, laid out as json.dumps(indent=2) lays
+    out an array that opens at the given indent."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (indent + 2)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * indent + "]"
+
+
+def write_quale(fh, glued) -> None:
+    """Write the quale document to fh, one section at a time.
+
+    glued yields (subsystem, output space, input space, rows, row sums) as
+    lattice._quale_numerators does: column i of the section is rows[i] over
+    row_sums[i]. The text is that of json.dumps(doc, indent=2) plus a newline
+    for doc = {"format_version": ..., "sections": [...]}, each section being
+    {"subsystem": ["src-trg", ...], "outputs": [...], "inputs": [...],
+    "matrix": [[format_rational(entry), ...] per column]}, but no more than
+    one section is held at a time.
+    """
+    encode = json.JSONEncoder().encode  # what json.dumps(v) runs, ensure_ascii included
+
+    def strings(values) -> str:
+        return _json_array([encode(v) for v in values], 6)
+
+    fh.write('{\n  "format_version": %d,\n  "sections": [' % FORMAT_VERSION)
+    sep = "\n"
+    for sub, outputs, inputs, rows, row_sums in glued:
+        # entries in lowest terms: an int when the denominator reduces to 1
+        matrix = [
+            _json_array([str(n // g) if (g := gcd(n, t)) == t else f'"{n // g}/{t // g}"'
+                         for n in row], 8)
+            for row, t in zip(rows, row_sums)]
+        fh.write(f'{sep}    {{\n'
+                 f'      "subsystem": {strings(f"{a}-{b}" for a, b in sub.sorted_pairs())},\n'
+                 f'      "outputs": {strings(outputs.factor_ids)},\n'
+                 f'      "inputs": {strings(inputs.factor_ids)},\n'
+                 f'      "matrix": {_json_array(matrix, 6)}\n'
+                 '    }')
+        sep = ",\n"
+    fh.write("\n  ]\n}\n")
 
 
 def _parse_rational(value: Any, where: str) -> Fraction:
@@ -241,12 +285,18 @@ def _rule_from_document(cell, rdoc, nbrs, alphabets):
             raise DocumentError(f"malformed table rule for {cell!r}: {exc}") from None
     if kind == "hopfield":
         try:
-            weights = [_parse_rational(w, f"hopfield weights of {cell!r}") for w in rdoc["weights"]]
+            weight_docs = rdoc["weights"]
             temperature = _parse_rational(rdoc["temperature"], f"hopfield temperature of {cell!r}")
         except KeyError as exc:
             raise DocumentError(f"hopfield rule for {cell!r} missing {exc}") from None
-        snap = int(rdoc.get("snap_denominator", 10 ** 12))
-        return hopfield_rule(weights, temperature, snap)
+        if not isinstance(weight_docs, list):
+            raise DocumentError(f"hopfield weights of {cell!r} must be a list of rationals")
+        weights = [_parse_rational(w, f"hopfield weights of {cell!r}") for w in weight_docs]
+        snap = _parse_rational(rdoc.get("snap_denominator", 10 ** 12),
+                               f"hopfield snap_denominator of {cell!r}")
+        if snap.denominator != 1:
+            raise DocumentError(f"hopfield snap_denominator of {cell!r} must be an integer, not {snap}")
+        return hopfield_rule(weights, temperature, int(snap))
     raise DocumentError(f"unknown rule kind {kind!r} for {cell!r}")
 
 

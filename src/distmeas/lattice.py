@@ -12,9 +12,9 @@ dual of its glued mechanism.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd as _gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -101,13 +101,18 @@ def target_space(spec: SystemSpec, sub: Subsystem) -> ProductSpace:
     return canonical_space({l: spec.alphabet_of(l) for l in sub.target_ids()})
 
 
-def enumerate_subsystems(spec: SystemSpec, max_pairs: int = 16) -> Iterator[Subsystem]:
-    """All subsets of the effective edge set, in binary counting order."""
+def _edges_within_budget(spec: SystemSpec, max_pairs: int) -> list[tuple[str, str]]:
     edges = sorted(spec.edges)
     if len(edges) > max_pairs:
         raise BudgetExceeded(
             f"{len(edges)} edges exceed the budget of {max_pairs} "
             f"(2^{len(edges)} subsystems)")
+    return edges
+
+
+def enumerate_subsystems(spec: SystemSpec, max_pairs: int = 16) -> Iterator[Subsystem]:
+    """All subsets of the effective edge set, in binary counting order."""
+    edges = _edges_within_budget(spec, max_pairs)
     for mask in range(2 ** len(edges)):
         chosen = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
         yield Subsystem(chosen, chosen)
@@ -157,32 +162,48 @@ def glue_mechanism(spec: SystemSpec, sub: Subsystem) -> StochasticMatrix:
     return _glue_columns(sub_mechs, domain, codomain)
 
 
-def _numerator_blocks(spec: SystemSpec, sub: Subsystem, domain: ProductSpace, memo: dict):
-    """For each target of the subsystem, in id order: the slots of its inside
-    sources in the subsystem's input space, their alphabet sizes, and the
-    integer numerator columns of its submechanism.
+def _numerator_blocks(spec: SystemSpec, sub: Subsystem, domain: ProductSpace,
+                      memo: dict) -> list[list[tuple[int, ...]]]:
+    """For each target of the subsystem, in id order: the integer numerator
+    column of its submechanism at each input of the subsystem's input space
+    (domain), in mixed-radix order.
 
-    Submechanisms are memoised in memo by (target, inside source ids). Each
-    one's entries are scaled by the LCM of their denominators; the scale is
-    constant along any glued row or column, so it cancels wherever one is
-    normalized.
+    Submechanisms are memoised in memo by (target, inside source ids), and
+    their columns at every input by (target, inside source ids, domain ids).
+    Each submechanism's entries are scaled by the LCM of their denominators;
+    the scale is constant along any glued row or column, so it cancels
+    wherever one is normalized.
     """
     blocks = []
     for l in sub.target_ids():
-        key = (l, frozenset(k for (k, t) in sub.effective if t == l))
+        inside = frozenset(k for (k, t) in sub.effective if t == l)
+        key = (l, inside, domain.factor_ids)
         if key not in memo:
-            pairs = frozenset((k, l) for k in key[1])
-            m = occasion_submechanism(spec, Subsystem(pairs, pairs), l)
-            scale = 1
-            for col in m.cols:
-                for v in col:
-                    d = v.denominator
-                    scale = scale // _gcd(scale, d) * d
-            memo[key] = (m.domain.factor_ids, tuple(
-                tuple(v.numerator * (scale // v.denominator) for v in col) for col in m.cols))
-        ids, nums = memo[key]
-        positions = tuple(domain.position(f) for f in ids)
-        blocks.append((positions, tuple(len(domain.factors[p][1]) for p in positions), nums))
+            if (l, inside) not in memo:
+                pairs = frozenset((k, l) for k in inside)
+                m = occasion_submechanism(spec, Subsystem(pairs, pairs), l)
+                scale = 1
+                for col in m.cols:
+                    for v in col:
+                        d = v.denominator
+                        scale = scale // _gcd(scale, d) * d
+                memo[l, inside] = (m.domain.factor_ids, tuple(
+                    tuple(v.numerator * (scale // v.denominator) for v in col) for col in m.cols))
+            ids, nums = memo[l, inside]
+            # the submechanism's column index at every input, built factor by
+            # factor (first factor most significant); factors it does not
+            # read add nothing to the index
+            radix = {f: len(a) for f, a in domain.factors}
+            strides, stride = {}, 1
+            for f in reversed(ids):
+                strides[f] = stride
+                stride *= radix[f]
+            idx = [0]
+            for f in domain.factor_ids:
+                offsets = [d * strides.get(f, 0) for d in range(radix[f])]
+                idx = [i + o for i in idx for o in offsets]
+            memo[key] = [nums[i] for i in idx]
+        blocks.append(memo[key])
     return blocks
 
 
@@ -209,67 +230,74 @@ class Quale:
     host: SystemSpec
     sections: tuple[Section, ...]
 
+    @cached_property
+    def _index(self) -> dict[Subsystem, Section]:
+        # the first section wins, as a scan in order would find it
+        return {s.subsystem: s for s in reversed(self.sections)}
+
     def section(self, sub: Subsystem) -> Section:
-        for s in self.sections:
-            if s.subsystem == sub:
-                return s
-        raise NotASubsystem(f"no section for pairs {sorted(sub.pairs)}")
+        try:
+            return self._index[sub]
+        except KeyError:
+            raise NotASubsystem(f"no section for pairs {sorted(sub.pairs)}") from None
 
     def __len__(self) -> int:
         return len(self.sections)
+
+
+def _quale_numerators(spec: SystemSpec, max_pairs: int = 16):
+    """The quale's integer glue kernel, one subsystem at a time.
+
+    Checks the edge budget at once, then returns an iterator over
+    (subsystem, output space A_C, input space S_C, rows, row sums) in binary
+    counting order. rows[i][j] is the integer numerator of the glued
+    mechanism at output i and input j: a product of scaled submechanism
+    entries, one per target. The section over the subsystem is the glued
+    mechanism's dual, whose column i is rows[i] divided by row_sums[i]; the
+    per-target scales cancel in that division. The null subsystem yields
+    ((1,),) over the scalar spaces. Raises NotSurjective, when the iterator
+    reaches it, for a subsystem whose glued mechanism misses an output.
+    """
+    _edges_within_budget(spec, max_pairs)
+    return _glued_rows(spec, enumerate_subsystems(spec, max_pairs))
+
+
+def _glued_rows(spec: SystemSpec, subs: Iterable[Subsystem]):
+    memo: dict = {}
+    scalar = canonical_space({})
+    for sub in subs:
+        if sub.is_null:
+            yield sub, scalar, scalar, ((1,),), (1,)
+            continue
+        domain = source_space(spec, sub)
+        codomain = target_space(spec, sub)
+        # zip(*cols) is one vector over the inputs per output symbol of a
+        # target; later targets are less significant in the output space
+        first, *rest = _numerator_blocks(spec, sub, domain, memo)
+        rows = list(zip(*first))
+        for cols in rest:
+            vecs = list(zip(*cols))
+            rows = [[x * y for x, y in zip(r, v)] for r in rows for v in vecs]
+        row_sums = [sum(r) for r in rows]
+        zero = [codomain.symbols_at(i) for i, t in enumerate(row_sums) if t == 0]
+        if zero:
+            raise NotSurjective(
+                f"subsystem {sub.sorted_pairs()} has a non-surjective glued "
+                f"mechanism (outputs {zero} are never produced)")
+        yield sub, codomain, domain, rows, row_sums
 
 
 def build_quale(spec: SystemSpec, max_pairs: int = 16) -> Quale:
     """Dualize the glued mechanism of every subsystem of the host.
 
     Equivalent to dual(glue_mechanism(...)) per subsystem but computed on
-    integer numerators: the glued column entries are products of scaled
-    submechanism entries, and the dual's row normalization cancels every
-    denominator. Tests pin equality with the operator pipeline.
+    integer numerators (_quale_numerators): the dual's row normalization
+    cancels every denominator. Tests pin equality with the operator pipeline.
     """
-    edges = sorted(spec.edges)
-    if len(edges) > max_pairs:
-        raise BudgetExceeded(
-            f"{len(edges)} edges exceed the budget of {max_pairs} "
-            f"(2^{len(edges)} subsystems)")
-    memo: dict = {}
     sections = []
-    scalar = canonical_space({})
-    scalar_section_cols = ((ONE,),)
-    for mask in range(2 ** len(edges)):
-        chosen = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
-        sub = Subsystem(chosen, chosen)
-        if not chosen:
-            sections.append(Section(sub, StochasticMatrix(scalar, scalar, scalar_section_cols)))
-            continue
-        domain = source_space(spec, sub)
-        codomain = target_space(spec, sub)
-        blocks = _numerator_blocks(spec, sub, domain, memo)
-        glue_cols = []
-        radii = [range(len(a)) for _, a in domain.factors]
-        for digits in itertools.product(*radii):
-            acc = [1]
-            for positions, radices, nums in blocks:
-                idx = 0
-                for p, r in zip(positions, radices):
-                    idx = idx * r + digits[p]
-                col = nums[idx]
-                acc = [a * b for a in acc for b in col]
-            glue_cols.append(acc)
-        n_rows = codomain.dim
-        row_sums = [0] * n_rows
-        for col in glue_cols:
-            for i, v in enumerate(col):
-                row_sums[i] += v
-        zero = [codomain.symbols_at(i) for i, t in enumerate(row_sums) if t == 0]
-        if zero:
-            raise NotSurjective(
-                f"subsystem {sub.sorted_pairs()} has a non-surjective glued "
-                f"mechanism (outputs {zero} are never produced)")
-        section_cols = tuple(
-            tuple(Fraction(col[i], row_sums[i]) for col in glue_cols)
-            for i in range(n_rows))
-        sections.append(Section(sub, _trusted_matrix(codomain, domain, section_cols)))
+    for sub, codomain, domain, rows, row_sums in _quale_numerators(spec, max_pairs):
+        cols = tuple(tuple(Fraction(v, t) for v in row) for row, t in zip(rows, row_sums))
+        sections.append(Section(sub, _trusted_matrix(codomain, domain, cols)))
     return Quale(spec, tuple(sections))
 
 

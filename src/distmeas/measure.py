@@ -14,7 +14,6 @@ tests pin it to measure(extend(...)) with exact equality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import ContextNotContained, SpaceMismatch, UnsupportedOutput
@@ -131,26 +130,16 @@ def _measure_subsystem(spec: SystemSpec, sub: Subsystem, d_out: Distribution,
     domain = source_space(spec, sub)
     blocks = _numerator_blocks(spec, sub, domain, memo)
     slots = [out_space.position(l) for l in sub.target_ids()]
-    inputs = list(itertools.product(*(range(len(a)) for _, a in domain.factors)))
     outside = in_space.dim // domain.dim
     posterior = [ZERO] * domain.dim
     for i, w in enumerate(d_out.weights):
         if w == 0:
             continue
         symbols = out_space.symbols_at(i)
-        rows = [
-            (positions, radices,
-             [col[out_space.factors[p][1].index(symbols[p])] for col in nums])
-            for (positions, radices, nums), p in zip(blocks, slots)]
-        glued = []
-        for digits in inputs:
-            v = 1
-            for positions, radices, entries in rows:
-                idx = 0
-                for p, r in zip(positions, radices):
-                    idx = idx * r + digits[p]
-                v *= entries[idx]
-            glued.append(v)
+        glued = [1] * domain.dim
+        for cols, p in zip(blocks, slots):
+            o = out_space.factors[p][1].index(symbols[p])
+            glued = [v * col[o] for v, col in zip(glued, cols)]
         total = sum(glued)
         if total == 0:
             raise UnsupportedOutput(f"output {symbols} is never produced by the mechanism")

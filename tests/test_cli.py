@@ -1,8 +1,22 @@
 import json
+import random
+
+import pytest
 
 from distmeas.cli import main
-from distmeas.fixtures import data_path, xor_system
-from distmeas.io import load_system, system_from_document, system_to_document
+from distmeas.fixtures import and_system, data_path, xor_system
+from distmeas.io import (
+    format_rational,
+    load_system,
+    save_system,
+    system_from_document,
+    system_to_document,
+)
+from distmeas.lattice import build_quale
+from distmeas.stoch import BINARY, alphabet, canonical_space, lift_function, make_matrix, uniform
+from distmeas.system import Occasion, SystemSpec
+from test_acceptance import _positive_random_system
+from test_lattice import copy_source_system, positive_system
 
 XOR = data_path("xor.json")
 AND = data_path("and.json")
@@ -108,6 +122,120 @@ def test_quale_budget_exceeded(capsys):
     code, out, err = run(capsys, "quale", XOR, "--max-edges", "1")
     assert code == 1
     assert "BudgetExceeded" in err
+    assert out == ""
+
+
+def _reference_quale_text(spec):
+    """The quale document as one json.dumps of the whole tree writes it."""
+    sections = [{
+        "subsystem": [f"{a}-{b}" for a, b in sec.subsystem.sorted_pairs()],
+        "outputs": list(sec.matrix.domain.factor_ids),
+        "inputs": list(sec.matrix.codomain.factor_ids),
+        "matrix": [[format_rational(v) for v in col] for col in sec.matrix.cols],
+    } for sec in build_quale(spec).sections]
+    return json.dumps({"format_version": 1, "sections": sections}, indent=2) + "\n"
+
+
+def _three_symbol_system():
+    """vA (3 symbols) and vB (binary) feed vC (3 symbols) and vD (binary)."""
+    abc, xyz = alphabet("abc"), alphabet("xyz")
+    occs = (Occasion("vA", abc), Occasion("vB", BINARY),
+            Occasion("vC", xyz), Occasion("vD", BINARY))
+    both = canonical_space({"vA": abc, "vB": BINARY})
+    m_c = make_matrix(both, canonical_space({"vC": xyz}), [
+        ["1/2", "1/3", "1/6", "1/4", "1/5", "2/3"],
+        ["1/4", "1/3", "1/2", "1/2", "2/5", "1/6"],
+        ["1/4", "1/3", "1/3", "1/4", "2/5", "1/6"]])
+    m_d = lift_function(canonical_space({"vA": abc}), canonical_space({"vD": BINARY}),
+                        {"a": "0", "b": "1", "c": "1"})
+    edges = {("vA", "vC"), ("vB", "vC"), ("vA", "vD")}
+    return SystemSpec(occs, frozenset(edges), {"vC": m_c, "vD": m_d},
+                      {"vA": uniform(canonical_space({"vA": abc})),
+                       "vB": uniform(canonical_space({"vB": BINARY}))})
+
+
+def _non_ascii_system():
+    doc = json.loads(json.dumps(system_to_document(and_system())).replace("vZ", "v\u03a9"))
+    return system_from_document(doc)
+
+
+QUALE_SYSTEMS = {
+    "xor": xor_system,
+    "and": and_system,
+    "positive": positive_system,
+    "random-3x2": lambda: _positive_random_system(
+        random.Random(41), ["s0", "s1", "s2"], ["t0", "t1"]),
+    "three-symbol": _three_symbol_system,
+    "non-ascii": _non_ascii_system,
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUALE_SYSTEMS))
+def test_quale_streamed_bytes_equal_whole_tree_document(capsys, tmp_path, name):
+    spec = QUALE_SYSTEMS[name]()
+    doc_path = tmp_path / "system.json"
+    save_system(spec, str(doc_path))
+    want = _reference_quale_text(spec)
+    if name == "non-ascii":
+        assert '"v\\u03a9"' in want
+    code, out, err = run(capsys, "quale", str(doc_path))
+    assert (code, err) == (0, "")
+    assert out == want
+    out_file = tmp_path / "quale.json"
+    code, out, err = run(capsys, "quale", str(doc_path), "--out", str(out_file))
+    assert (code, out, err) == (0, "", "")
+    assert out_file.read_bytes() == want.encode("ascii")
+
+
+def _copy_source_document(tmp_path):
+    path = tmp_path / "copy.json"
+    save_system(copy_source_system(), str(path))
+    return str(path)
+
+
+def test_quale_non_surjective_writes_nothing(capsys, tmp_path):
+    doc = _copy_source_document(tmp_path)
+    code, out, err = run(capsys, "quale", doc)
+    assert code == 1 and "NotSurjective" in err and out == ""
+    out_file = tmp_path / "quale.json"
+    code, out, err = run(capsys, "quale", doc, "--out", str(out_file))
+    assert code == 1 and "NotSurjective" in err and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["copy.json"]
+
+
+def test_quale_failure_leaves_existing_out_file_untouched(capsys, tmp_path):
+    doc = _copy_source_document(tmp_path)
+    out_file = tmp_path / "quale.json"
+    out_file.write_bytes(b'{"previous": true}\n')
+    code, out, err = run(capsys, "quale", doc, "--out", str(out_file))
+    assert code == 1 and "NotSurjective" in err and out == ""
+    assert out_file.read_bytes() == b'{"previous": true}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["copy.json", "quale.json"]
+
+
+def test_quale_out_through_a_symlink_replaces_its_target(capsys, tmp_path):
+    target = tmp_path / "real.json"
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, out, err = run(capsys, "quale", XOR, "--out", str(link))
+    assert (code, out, err) == (0, "", "")
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == _reference_quale_text(xor_system())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def test_quale_out_in_a_missing_directory_is_an_io_error(capsys, tmp_path):
+    out_file = tmp_path / "missing" / "quale.json"
+    code, out, err = run(capsys, "quale", XOR, "--out", str(out_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(out_file) in err
+
+
+def test_quale_budget_exceeded_creates_no_out_file(capsys, tmp_path):
+    out_file = tmp_path / "quale.json"
+    code, out, err = run(capsys, "quale", XOR, "--max-edges", "1", "--out", str(out_file))
+    assert code == 1 and "BudgetExceeded" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- ei ----------------------------------------------------------------------------
@@ -267,6 +395,27 @@ def test_unroll_hopfield_document(tmp_path, capsys):
     assert len(spec.occasions) == 4
     from distmeas.system import validate
     assert validate(spec) == []
+
+
+@pytest.mark.parametrize("change", [
+    {"snap_denominator": "lots"},
+    {"snap_denominator": 2.5},
+    {"weights": 5},
+], ids=["snap-not-a-number", "snap-not-an-integer", "weights-not-a-list"])
+def test_unroll_malformed_hopfield_rule_is_a_document_error(tmp_path, capsys, change):
+    rule = {"kind": "hopfield", "weights": ["1", "-1"], "temperature": "1/2", **change}
+    auto = {
+        "format_version": 1,
+        "cells": ["a", "b"],
+        "neighborhoods": {"a": ["a", "b"], "b": ["a", "b"]},
+        "rules": {c: rule for c in "ab"},
+        "window": [0, 1],
+        "initial": {"a": "1", "b": "0"},
+    }
+    path = tmp_path / "hop.json"
+    path.write_text(json.dumps(auto))
+    code, out, err = run(capsys, "unroll", str(path))
+    assert code == 2 and err.startswith("error:") and out == ""
 
 
 # -- oracle-check -------------------------------------------------------------------

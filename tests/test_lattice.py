@@ -16,6 +16,7 @@ from distmeas.fixtures import xor_system
 from distmeas.lattice import (
     Section,
     Subsystem,
+    _quale_numerators,
     bottom,
     build_quale,
     descent_counterexample,
@@ -265,17 +266,21 @@ def test_quale_section_is_dual_of_preimages():
     assert sec.cols[1] == (0, 0, 1)
 
 
-def test_quale_reports_non_surjective_subsystem():
-    # a source copied into two targets: the pair-joint mechanism misses (0,1)
+def copy_source_system():
+    """A source copied into two targets: the pair-joint mechanism misses
+    (0,1), and that subsystem comes last in the quale's order."""
     occs = tuple(Occasion(i, BINARY) for i in ("s", "t1", "t2"))
     ident = lambda trg: lift_function(
         canonical_space({"s": BINARY}), canonical_space({trg: BINARY}),
         {"0": "0", "1": "1"})
-    spec = SystemSpec(occs, frozenset({("s", "t1"), ("s", "t2")}),
+    return SystemSpec(occs, frozenset({("s", "t1"), ("s", "t2")}),
                       {"t1": ident("t1"), "t2": ident("t2")},
                       {"s": uniform(canonical_space({"s": BINARY}))})
+
+
+def test_quale_reports_non_surjective_subsystem():
     with pytest.raises(NotSurjective, match="t1"):
-        build_quale(spec)
+        build_quale(copy_source_system())
 
 
 def test_quale_fast_path_matches_operator_pipeline():
@@ -287,6 +292,19 @@ def test_quale_fast_path_matches_operator_pipeline():
                 continue
             slow = dual(glue_mechanism(spec, sec.subsystem))
             assert sec.matrix == slow
+
+
+def test_quale_numerators_check_the_budget_before_the_first_section(xor_spec):
+    with pytest.raises(BudgetExceeded, match="2 edges exceed the budget of 1"):
+        _quale_numerators(xor_spec, max_pairs=1)  # not iterated
+
+
+def test_quale_section_lookup_finds_every_section_and_only_those(xor_spec):
+    quale = build_quale(xor_spec)
+    assert all(quale.section(sec.subsystem) is sec for sec in quale.sections)
+    padded = subsystem(xor_spec, [("vX", "vZ"), ("vZ", "vX")])
+    with pytest.raises(NotASubsystem, match="no section for pairs"):
+        quale.section(padded)
 
 
 def test_quale_sections_identical_across_ineffective_padding(xor_spec):
