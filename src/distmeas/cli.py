@@ -180,8 +180,7 @@ def cmd_lattice(args) -> int:
     d_out = _parse_output(spec, args.output)
     subs = list(enumerate_subsystems(spec, max_pairs=args.max_edges))
     subs.sort(key=lambda s: (len(s.pairs), _subsystem_key(s)))
-    memo: dict = {}
-    measurements = {s.effective: _measure_subsystem(spec, s, d_out, memo) for s in subs}
+    measurements = {s.effective: _measure_subsystem(spec, s, d_out) for s in subs}
     lines = ["digraph ei_lattice {", "  rankdir=BT;", '  node [shape=box];']
     for s in subs:
         key = _subsystem_key(s)

@@ -67,8 +67,7 @@ def entanglement(spec: SystemSpec, sub: Subsystem, part: Partition,
     if part.members() != srcs:
         raise NotAPartition(
             f"blocks {part.label()!r} do not partition sources {sorted(srcs)}")
-    memo: dict = {}
-    whole = _measure_subsystem(spec, sub, d_out, memo)
+    whole = _measure_subsystem(spec, sub, d_out)
     in_space = system_input_space(spec)
     flat = uniform(in_space)
 
@@ -80,7 +79,7 @@ def entanglement(spec: SystemSpec, sub: Subsystem, part: Partition,
             frozenset(p for p in sub.effective if p[0] in block))
         if block_sub.is_null:
             raise NotAPartition(f"block {block} touches no effective pair")
-        block_measurement = _measure_subsystem(spec, block_sub, d_out, memo)
+        block_measurement = _measure_subsystem(spec, block_sub, d_out)
         per_block_ei.append(kl_divergence(block_measurement, flat))
         block_marginals.append((block, marginal(block_measurement, block)))
 

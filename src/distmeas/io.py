@@ -228,6 +228,9 @@ def automaton_from_document(doc: dict) -> AutomatonSpec:
         raise DocumentError("automaton document must be a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise DocumentError(f"unsupported format_version {doc.get('format_version')!r}")
+    for key in ("alphabets", "neighborhoods", "rules", "initial"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise DocumentError(f"{key!r} must be a JSON object keyed by cell")
     try:
         cells = [str(c) for c in doc["cells"]]
         shared = alphabet(doc.get("alphabet", ["0", "1"]))
@@ -235,12 +238,12 @@ def automaton_from_document(doc: dict) -> AutomatonSpec:
         for c, symbols in doc.get("alphabets", {}).items():
             alphabets[str(c)] = alphabet(symbols)
         neighborhoods = {
-            str(c): [tuple(n) if isinstance(n, list) else str(n) for n in nbrs]
+            str(c): [(str(n[0]), int(n[1])) if isinstance(n, list) else str(n) for n in nbrs]
             for c, nbrs in doc["neighborhoods"].items()}
         window = (int(doc["window"][0]), int(doc["window"][1]))
         rule_docs = doc["rules"]
         init_docs = doc["initial"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed automaton document: {exc}") from None
 
     rules = {}
@@ -253,8 +256,10 @@ def automaton_from_document(doc: dict) -> AutomatonSpec:
     for cell, idoc in init_docs.items():
         if isinstance(idoc, dict):
             weights = idoc.get("distribution")
-            if weights is None:
-                raise DocumentError(f"initial for {cell!r} must be a symbol or distribution")
+            if not isinstance(weights, list):
+                raise DocumentError(f"initial for {cell!r} must be a symbol or a distribution list")
+            if str(cell) not in alphabets:
+                raise DocumentError(f"initial distribution for unknown cell {cell!r}")
             space = canonical_space({"init": alphabets[str(cell)]})
             initial[str(cell)] = Distribution(
                 space, tuple(_parse_rational(w, f"initial {cell!r}") for w in weights))
@@ -281,7 +286,7 @@ def _rule_from_document(cell, rdoc, nbrs, alphabets):
             return {
                 tuple(str(k).split(",")): str(v)
                 for k, v in rdoc["table"].items()}
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise DocumentError(f"malformed table rule for {cell!r}: {exc}") from None
     if kind == "hopfield":
         try:
@@ -319,6 +324,8 @@ def load_distribution(path: str, space) -> Distribution:
     if not isinstance(doc, dict) or "weights" not in doc:
         raise DocumentError(f"{path}: expected an object with a 'weights' list")
     weights = doc["weights"]
+    if not isinstance(weights, list):
+        raise DocumentError(f"{path}: 'weights' must be a list of rationals")
     if len(weights) != space.dim:
         raise DocumentError(f"{path}: {len(weights)} weights for a {space.dim}-state space")
     return Distribution(space, tuple(_parse_rational(w, path) for w in weights))

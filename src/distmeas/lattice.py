@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd as _gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -30,10 +31,10 @@ from .errors import (
 )
 from .stoch import (
     BINARY,
-    ONE,
     ZERO,
     ProductSpace,
     StochasticMatrix,
+    _restriction_indexer,
     _trusted_matrix,
     canonical_space,
     compose,
@@ -130,50 +131,35 @@ def occasion_submechanism(spec: SystemSpec, sub: Subsystem, target: str) -> Stoc
     return compose(mech, dual(projection(mech.domain, inside)))
 
 
-def _glue_columns(sub_mechs: Sequence[StochasticMatrix],
-                  domain: ProductSpace, codomain: ProductSpace) -> StochasticMatrix:
-    """Evaluate (tensor of per-target mechanisms) . diagonal column by column.
-
-    Column s of the composite is the Kronecker product of each target
-    mechanism's column at s's restriction, which avoids materialising the
-    diagonal's exponentially wide codomain.
-    """
-    positions = []  # for each target mechanism, its domain factors' slots in S_C
-    for m in sub_mechs:
-        positions.append(tuple(domain.position(fid) for fid in m.domain.factor_ids))
-    cols = []
-    for s in domain.iter_symbols():
-        acc = [ONE]
-        for m, pos in zip(sub_mechs, positions):
-            col = m.cols[m.domain.index_of(tuple(s[p] for p in pos))]
-            acc = [v * w for v in acc for w in col]
-        cols.append(tuple(acc))
-    return StochasticMatrix(domain, codomain, tuple(cols))
-
-
 def glue_mechanism(spec: SystemSpec, sub: Subsystem) -> StochasticMatrix:
     """Joint mechanism of a subsystem: marginalize each target's extrinsic
-    inputs, tensor the results and pull back along the diagonal."""
+    inputs, tensor the results and pull back along the diagonal.
+
+    Column s is the glue kernel's column at s divided by its sum, which
+    cancels the per-target scales."""
     if sub.is_null:
         raise EmptySubsystem("the empty subsystem has no glued mechanism; use the null mechanism")
-    sub_mechs = [occasion_submechanism(spec, sub, l) for l in sub.target_ids()]
     domain = source_space(spec, sub)
-    codomain = target_space(spec, sub)
-    return _glue_columns(sub_mechs, domain, codomain)
+    cols = []
+    for col in zip(*_glued_rows(_numerator_blocks(spec, sub, domain))):
+        total = sum(col)
+        cols.append(tuple(Fraction(v, total) for v in col))
+    return _trusted_matrix(domain, target_space(spec, sub), tuple(cols))
 
 
-def _numerator_blocks(spec: SystemSpec, sub: Subsystem, domain: ProductSpace,
-                      memo: dict) -> list[list[tuple[int, ...]]]:
+def _numerator_blocks(spec: SystemSpec, sub: Subsystem,
+                      domain: ProductSpace) -> list[list[tuple[int, ...]]]:
     """For each target of the subsystem, in id order: the integer numerator
     column of its submechanism at each input of the subsystem's input space
     (domain), in mixed-radix order.
 
-    Submechanisms are memoised in memo by (target, inside source ids), and
-    their columns at every input by (target, inside source ids, domain ids).
-    Each submechanism's entries are scaled by the LCM of their denominators;
-    the scale is constant along any glued row or column, so it cancels
-    wherever one is normalized.
+    Memoised for the spec's lifetime in spec._glue_memo: submechanisms by
+    (target, inside source ids), their columns at every input by (target,
+    inside source ids, domain ids). Each submechanism's entries are scaled by
+    the LCM of their denominators; the scale is constant along any glued row
+    or column, so it cancels wherever one is normalized.
     """
+    memo = spec._glue_memo
     blocks = []
     for l in sub.target_ids():
         inside = frozenset(k for (k, t) in sub.effective if t == l)
@@ -187,24 +173,33 @@ def _numerator_blocks(spec: SystemSpec, sub: Subsystem, domain: ProductSpace,
                     for v in col:
                         d = v.denominator
                         scale = scale // _gcd(scale, d) * d
-                memo[l, inside] = (m.domain.factor_ids, tuple(
+                memo[l, inside] = (m.domain, tuple(
                     tuple(v.numerator * (scale // v.denominator) for v in col) for col in m.cols))
-            ids, nums = memo[l, inside]
-            # the submechanism's column index at every input, built factor by
-            # factor (first factor most significant); factors it does not
-            # read add nothing to the index
-            radix = {f: len(a) for f, a in domain.factors}
-            strides, stride = {}, 1
-            for f in reversed(ids):
-                strides[f] = stride
-                stride *= radix[f]
-            idx = [0]
-            for f in domain.factor_ids:
-                offsets = [d * strides.get(f, 0) for d in range(radix[f])]
-                idx = [i + o for i in idx for o in offsets]
-            memo[key] = [nums[i] for i in idx]
+            m_domain, nums = memo[l, inside]
+            index = _restriction_indexer(domain, m_domain)
+            memo[key] = [nums[index(j)] for j in range(domain.dim)]
         blocks.append(memo[key])
     return blocks
+
+
+def _glued_rows(blocks: list[list[tuple[int, ...]]],
+                at: Sequence[int] | None = None) -> list[Sequence[int]]:
+    """The glue kernel: integer numerators of a glued mechanism's rows.
+
+    blocks are _numerator_blocks(spec, sub, domain). rows[i][j] is the glued
+    mechanism at output i of A_C and input j of domain (S_C), a product of
+    scaled submechanism entries, one per target. With at (one symbol index
+    per target, in id order) only the row at that output is computed, as the
+    single element of the list.
+    """
+    rows = None
+    for cols, o in zip(blocks, at or repeat(None)):
+        # one vector over the inputs per output symbol of the target; later
+        # targets are less significant in the output space
+        vecs = list(zip(*cols)) if o is None else [[col[o] for col in cols]]
+        rows = vecs if rows is None else [
+            [x * y for x, y in zip(r, v)] for r in rows for v in vecs]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -246,24 +241,22 @@ class Quale:
 
 
 def _quale_numerators(spec: SystemSpec, max_pairs: int = 16):
-    """The quale's integer glue kernel, one subsystem at a time.
+    """The quale's glued rows, one subsystem at a time.
 
     Checks the edge budget at once, then returns an iterator over
     (subsystem, output space A_C, input space S_C, rows, row sums) in binary
-    counting order. rows[i][j] is the integer numerator of the glued
-    mechanism at output i and input j: a product of scaled submechanism
-    entries, one per target. The section over the subsystem is the glued
-    mechanism's dual, whose column i is rows[i] divided by row_sums[i]; the
-    per-target scales cancel in that division. The null subsystem yields
-    ((1,),) over the scalar spaces. Raises NotSurjective, when the iterator
-    reaches it, for a subsystem whose glued mechanism misses an output.
+    counting order, rows being _glued_rows' numerators. The section over the
+    subsystem is the glued mechanism's dual, whose column i is rows[i]
+    divided by row_sums[i]; the per-target scales cancel in that division.
+    The null subsystem yields ((1,),) over the scalar spaces. Raises
+    NotSurjective, when the iterator reaches it, for a subsystem whose glued
+    mechanism misses an output.
     """
     _edges_within_budget(spec, max_pairs)
-    return _glued_rows(spec, enumerate_subsystems(spec, max_pairs))
+    return _quale_rows(spec, enumerate_subsystems(spec, max_pairs))
 
 
-def _glued_rows(spec: SystemSpec, subs: Iterable[Subsystem]):
-    memo: dict = {}
+def _quale_rows(spec: SystemSpec, subs: Iterable[Subsystem]):
     scalar = canonical_space({})
     for sub in subs:
         if sub.is_null:
@@ -271,13 +264,7 @@ def _glued_rows(spec: SystemSpec, subs: Iterable[Subsystem]):
             continue
         domain = source_space(spec, sub)
         codomain = target_space(spec, sub)
-        # zip(*cols) is one vector over the inputs per output symbol of a
-        # target; later targets are less significant in the output space
-        first, *rest = _numerator_blocks(spec, sub, domain, memo)
-        rows = list(zip(*first))
-        for cols in rest:
-            vecs = list(zip(*cols))
-            rows = [[x * y for x, y in zip(r, v)] for r in rows for v in vecs]
+        rows = _glued_rows(_numerator_blocks(spec, sub, domain))
         row_sums = [sum(r) for r in rows]
         zero = [codomain.symbols_at(i) for i, t in enumerate(row_sums) if t == 0]
         if zero:

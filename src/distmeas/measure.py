@@ -8,8 +8,10 @@ relative entropy of a measurement against the measurement in a coarser
 context, with the empty subsystem's uniform measurement as the null context.
 
 extend and measure are the reference semantics. Reports are computed by
-_measure_subsystem, which reads only the glued rows a measurement selects;
-tests pin it to measure(extend(...)) with exact equality.
+_measure_subsystem, which reads from lattice's glue kernel only the glued
+rows a measurement selects; the kernel memoises submechanisms on the spec,
+so every measurement of one spec shares them. Tests pin _measure_subsystem
+to measure(extend(...)) with exact equality.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from .errors import ContextNotContained, SpaceMismatch, UnsupportedOutput
 from .lattice import (
     Subsystem,
+    _glued_rows,
     _numerator_blocks,
     bottom,
     glue_mechanism,
@@ -68,17 +71,13 @@ def null_mechanism(spec: SystemSpec) -> ExtendedMechanism:
     return ExtendedMechanism(bottom(spec), m)
 
 
-def extend(spec: SystemSpec, sub: Subsystem,
-           glued: StochasticMatrix | None = None) -> ExtendedMechanism:
+def extend(spec: SystemSpec, sub: Subsystem) -> ExtendedMechanism:
     """Extend a subsystem's glued mechanism to the whole system."""
     if sub.is_null:
         return ExtendedMechanism(sub, null_mechanism(spec).matrix)
-    if glued is None:
-        glued = glue_mechanism(spec, sub)
+    glued = glue_mechanism(spec, sub)
     in_space = system_input_space(spec)
     out_space = system_output_space(spec)
-    if glued.domain != source_space(spec, sub) or glued.codomain != target_space(spec, sub):
-        raise SpaceMismatch("glued mechanism does not match the subsystem's spaces")
     drop_inputs = projection(in_space, sub.source_ids())
     insert_outputs = dual(projection(out_space, sub.target_ids()))
     return ExtendedMechanism(sub, compose(insert_outputs, compose(glued, drop_inputs)))
@@ -109,17 +108,16 @@ def measure(mech: ExtendedMechanism, d_out: Distribution) -> Distribution:
     return Distribution(m.domain, tuple(acc))
 
 
-def _measure_subsystem(spec: SystemSpec, sub: Subsystem, d_out: Distribution,
-                       memo: dict) -> Distribution:
+def _measure_subsystem(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> Distribution:
     """measure(extend(spec, sub), d_out) without building any extended matrix.
 
     The extended mechanism's row at a system output is the glued row at the
     output's restriction to the subsystem's targets, emitted uniformly over
     the system inputs outside the subsystem. So the posterior is that glued
     row normalized, times the uniform distribution on the outside inputs.
-    Glued rows are products of integer submechanism numerators (memo is
-    shared with every other subsystem measured against the same host); the
-    per-target scales cancel in the normalization.
+    Each glued row comes from lattice's integer glue kernel, whose
+    submechanisms are memoised on the spec; the per-target scales cancel in
+    the normalization.
     """
     in_space = system_input_space(spec)
     out_space = system_output_space(spec)
@@ -128,7 +126,7 @@ def _measure_subsystem(spec: SystemSpec, sub: Subsystem, d_out: Distribution,
     if sub.is_null:
         return uniform(in_space)
     domain = source_space(spec, sub)
-    blocks = _numerator_blocks(spec, sub, domain, memo)
+    blocks = _numerator_blocks(spec, sub, domain)
     slots = [out_space.position(l) for l in sub.target_ids()]
     outside = in_space.dim // domain.dim
     posterior = [ZERO] * domain.dim
@@ -136,10 +134,8 @@ def _measure_subsystem(spec: SystemSpec, sub: Subsystem, d_out: Distribution,
         if w == 0:
             continue
         symbols = out_space.symbols_at(i)
-        glued = [1] * domain.dim
-        for cols, p in zip(blocks, slots):
-            o = out_space.factors[p][1].index(symbols[p])
-            glued = [v * col[o] for v, col in zip(glued, cols)]
+        at = [out_space.factors[p][1].index(symbols[p]) for p in slots]
+        (glued,) = _glued_rows(blocks, at)
         total = sum(glued)
         if total == 0:
             raise UnsupportedOutput(f"output {symbols} is never produced by the mechanism")
@@ -173,12 +169,11 @@ def measurement_report(spec: SystemSpec, sub: Subsystem,
             raise ContextNotContained(
                 f"context {sorted(context.effective)} is not contained in "
                 f"{sorted(sub.effective)}")
-    memo: dict = {}
-    fine = _measure_subsystem(spec, sub, d_out, memo)
+    fine = _measure_subsystem(spec, sub, d_out)
     if context is None or context.is_null:
         coarse = uniform(system_input_space(spec))
     else:
-        coarse = _measure_subsystem(spec, context, d_out, memo)
+        coarse = _measure_subsystem(spec, context, d_out)
     ei = kl_divergence(fine, coarse)
     offenders = support_violations(fine, coarse) if ei == float("inf") else ()
     return MeasurementResult(sub, context, d_out, fine, coarse, ei, offenders)

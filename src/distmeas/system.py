@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -72,6 +73,12 @@ class SystemSpec:
 
     def output_space(self, occ_id: str) -> ProductSpace:
         return canonical_space({occ_id: self.alphabet_of(occ_id)})
+
+    @cached_property
+    def _glue_memo(self) -> dict:
+        # lattice._numerator_blocks' submechanism memo; it lives as long as
+        # the spec, which is never changed after it is built
+        return {}
 
 
 def system(occasions: Sequence[Occasion], edges, mechanisms=None, sources=None) -> SystemSpec:

@@ -285,6 +285,13 @@ def test_ei_distribution_file(capsys, tmp_path):
     assert float(out.strip()) == 0.0
 
 
+def test_ei_distribution_file_needs_a_weights_list(capsys, tmp_path):
+    dist = tmp_path / "w.json"
+    dist.write_text(json.dumps({"weights": 5}))
+    code, out, err = run(capsys, "ei", XOR, "--subsystem", "all", "--output", f"@{dist}")
+    assert code == 2 and err.startswith("error:") and "weights" in err and out == ""
+
+
 # -- gamma -------------------------------------------------------------------------
 
 def test_gamma_xor(capsys):
@@ -413,6 +420,35 @@ def test_unroll_malformed_hopfield_rule_is_a_document_error(tmp_path, capsys, ch
         "initial": {"a": "1", "b": "0"},
     }
     path = tmp_path / "hop.json"
+    path.write_text(json.dumps(auto))
+    code, out, err = run(capsys, "unroll", str(path))
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("change", [
+    {"rules": [1]},
+    {"initial": [1]},
+    {"alphabets": [1]},
+    {"neighborhoods": [1]},
+    {"initial": {"a": {"distribution": 5}, "b": "0"}},
+    {"neighborhoods": {"a": [["a", "x"], "b"], "b": ["a", "b"]}},
+    {"neighborhoods": {"a": [["a"], "b"], "b": ["a", "b"]}},
+    {"initial": {"a": "1", "b": "0", "zz": {"distribution": ["1/2", "1/2"]}}},
+    {"rules": {"a": {"kind": "table", "table": [1]}, "b": {"kind": "life"}}},
+], ids=["rules-not-an-object", "initial-not-an-object", "alphabets-not-an-object",
+        "neighborhoods-not-an-object", "distribution-not-a-list", "lag-not-an-integer",
+        "entry-without-lag", "distribution-of-unknown-cell", "table-not-an-object"])
+def test_unroll_malformed_automaton_document_is_a_document_error(tmp_path, capsys, change):
+    auto = {
+        "format_version": 1,
+        "cells": ["a", "b"],
+        "neighborhoods": {"a": ["a", "b"], "b": ["a", "b"]},
+        "rules": {c: {"kind": "life"} for c in "ab"},
+        "window": [0, 1],
+        "initial": {"a": "1", "b": "0"},
+        **change,
+    }
+    path = tmp_path / "auto.json"
     path.write_text(json.dumps(auto))
     code, out, err = run(capsys, "unroll", str(path))
     assert code == 2 and err.startswith("error:") and out == ""

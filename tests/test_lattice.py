@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -206,28 +207,27 @@ def test_glue_matches_joint_table_oracle():
 
 
 def test_glue_matches_explicit_tensor_diagonal_composition():
-    # shared source: the diagonal must duplicate sx before tensoring
-    spec = positive_system()
-    sub = top(spec)
-    s_c = source_space(spec, sub)
-    blocks = []
-    mechs = []
-    for l in sub.target_ids():
-        m = occasion_submechanism(spec, sub, l)
-        blocks.append(m.domain)
-        mechs.append(m)
-    diag = diagonal(s_c, blocks)
-    renamed = []
-    offset = 0
-    for k, m in enumerate(mechs):
-        n = len(m.domain.factors)
-        renamed.append(with_spaces(
-            m, domain=ProductSpace(diag.codomain.factors[offset:offset + n])))
-        offset += n
-    literal = compose(tensor(renamed[0], renamed[1]), diag)
-    direct = glue_mechanism(spec, sub)
-    assert literal.cols == direct.cols
-    assert literal.domain == direct.domain
+    # shared sources: the diagonal must duplicate them before tensoring;
+    # copy_source_system's pair joint is not surjective and is still returned
+    for spec in (positive_system(), three_target_system(), chain_system(),
+                 copy_source_system()):
+        for sub in enumerate_subsystems(spec):
+            if sub.is_null:
+                continue
+            mechs = [occasion_submechanism(spec, sub, l) for l in sub.target_ids()]
+            diag = diagonal(source_space(spec, sub), [m.domain for m in mechs])
+            renamed = []
+            offset = 0
+            for m in mechs:
+                n = len(m.domain.factors)
+                renamed.append(with_spaces(
+                    m, domain=ProductSpace(diag.codomain.factors[offset:offset + n])))
+                offset += n
+            literal = compose(reduce(tensor, renamed), diag)
+            direct = glue_mechanism(spec, sub)
+            assert literal.cols == direct.cols, sorted(sub.pairs)
+            assert literal.domain == direct.domain
+            assert literal.codomain == direct.codomain
 
 
 def test_glue_ignores_ineffective_pairs(xor_spec):
