@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Fingerprint the CLI's output on a fixed set of runs.
+
+Each run is one `python -m distmeas.cli` child process. Its digest is the
+sha256 of its exit code, standard output, standard error and the file it
+writes (if any), and one `sha256 name` line is printed per run. The runs are
+the four argvs of bench/baseline.json, plus quale, lattice, gamma and ei on
+the bundled xor and and systems, gamma and ei on the hopfield-6 document,
+lattice on the quale-11 document, and two oracle-check runs. The benchmark
+documents are generated by bench/workloads.py at their baseline seeds.
+Every run happens in a temporary directory with relative paths, so the
+digests do not depend on where the repository lives.
+
+    python scripts/output_digests.py                 # print the digests
+    python scripts/output_digests.py --check FILE    # exit 1 unless they equal FILE's
+
+A change that must not alter any printed byte keeps scripts/output_digests.txt
+as it is.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+DATA = os.path.join(ROOT, "src", "distmeas", "data")
+
+
+def runs() -> list[tuple[str, list[str], str | None]]:
+    """(name, argv, path of the file the run writes or None), with the
+    inputs written under the current directory; argv and paths are relative
+    to it."""
+    with open(os.path.join(ROOT, "bench", "baseline.json"), encoding="utf-8") as fh:
+        baseline = json.load(fh)["workloads"]
+    out = []
+    works = {}
+    for name, entry in baseline.items():
+        work = WORKLOADS[name](entry["seed"], os.path.join(".bench_work", f"{name}-{entry['seed']}"))
+        work.write_inputs()
+        works[name] = work
+        out.append((f"baseline:{name}", entry["argv"], work.out_path))
+
+    for host in ("xor", "and"):
+        doc = f"{host}.json"
+        shutil.copy(os.path.join(DATA, doc), doc)
+        out += [
+            (f"{host}:quale", ["quale", doc], None),
+            (f"{host}:quale-out", ["quale", doc, "--out", f"{host}-quale.json"], f"{host}-quale.json"),
+        ]
+        for z in ("0", "1"):
+            out += [
+                (f"{host}:lattice@{z}", ["lattice", doc, "--output", f"vZ={z}"], None),
+                (f"{host}:gamma-all@{z}",
+                 ["gamma", doc, "--all-partitions", "--output", f"vZ={z}"], None),
+            ]
+        out += [
+            (f"{host}:ei-whole@1", ["ei", doc, "--subsystem", "all", "--output", "vZ=1"], None),
+            (f"{host}:ei-context@0",
+             ["ei", doc, "--subsystem", "all", "--context", "vX-vZ", "--output", "vZ=0"], None),
+            (f"{host}:ei-edge@1", ["ei", doc, "--subsystem", "vY-vZ", "--output", "vZ=1"], None),
+        ]
+
+    hop = works["hopfield-6"]
+    out += [
+        ("hopfield-6:gamma-all",
+         ["gamma", hop.doc_path, "--all-partitions", "--output", hop.output_spec()], None),
+        ("hopfield-6:ei-whole",
+         ["ei", hop.doc_path, "--subsystem", "all", "--output", hop.output_spec()], None),
+        ("quale-11:lattice",
+         ["lattice", works["quale-11"].doc_path, "--output", "t0=0,t1=0,t2=0,t3=0",
+          "--dot", "quale-11-lattice.dot"], "quale-11-lattice.dot"),
+        ("oracle-check:exhaustive",
+         ["oracle-check", "--exhaustive", "2x2x2", "--exhaustive", "2x3x2"], None),
+        ("oracle-check:random",
+         ["oracle-check", "--random", "12", "--seed", "3", "--dims", "3x2x3"], None),
+    ]
+    return out
+
+
+def digest(argv: list[str], out_path: str | None, workdir: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "distmeas.cli", *argv], cwd=workdir,
+                          env=env, capture_output=True, check=False)
+    h = hashlib.sha256()
+    parts = [str(proc.returncode).encode(), proc.stdout, proc.stderr]
+    if out_path is not None and os.path.exists(os.path.join(workdir, out_path)):
+        with open(os.path.join(workdir, out_path), "rb") as fh:
+            parts.append(fh.read())
+    for part in parts:
+        h.update(b"%d:" % len(part))
+        h.update(part)
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with the digests in FILE instead of printing them")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as workdir:
+        cwd = os.getcwd()
+        os.chdir(workdir)
+        try:
+            planned = runs()
+        finally:
+            os.chdir(cwd)
+        lines = [f"{digest(a, p, workdir)} {name}" for name, a, p in planned]
+
+    if args.check is None:
+        print("\n".join(lines))
+        return 0
+    with open(args.check, encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    differ = sorted(set(want) ^ set(lines))
+    for line in differ:
+        print(f"{'expected' if line in want else 'got':8} {line}", file=sys.stderr)
+    if differ:
+        print(f"error: the outputs differ from {args.check}", file=sys.stderr)
+        return 1
+    print(f"{len(lines)} runs match {args.check}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -146,6 +146,14 @@ def system_to_document(spec: SystemSpec) -> dict:
     }
 
 
+def _reject_dashed_ids(ids, what: str) -> None:
+    # subsystem keys such as vX-vZ join a pair's ids with '-'
+    for i in ids:
+        if "-" in i:
+            raise DocumentError(
+                f"{what} id {i!r} must not contain '-', which separates the ids of a pair")
+
+
 def system_from_document(doc: dict) -> SystemSpec:
     if not isinstance(doc, dict):
         raise DocumentError("system document must be a JSON object")
@@ -160,6 +168,7 @@ def system_from_document(doc: dict) -> SystemSpec:
         source_docs = doc.get("sources", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed system document: {exc}") from None
+    _reject_dashed_ids((o.id for o in occasions), "occasion")
     for key, value in (("mechanisms", mech_docs), ("sources", source_docs)):
         if not isinstance(value, dict):
             raise DocumentError(f"{key!r} must be a JSON object keyed by occasion id")
@@ -245,6 +254,7 @@ def automaton_from_document(doc: dict) -> AutomatonSpec:
         init_docs = doc["initial"]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed automaton document: {exc}") from None
+    _reject_dashed_ids(cells, "cell")
 
     rules = {}
     for cell, rdoc in rule_docs.items():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from math import gcd as _gcd
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -153,11 +153,14 @@ def _numerator_blocks(spec: SystemSpec, sub: Subsystem,
     column of its submechanism at each input of the subsystem's input space
     (domain), in mixed-radix order.
 
-    Memoised for the spec's lifetime in spec._glue_memo: submechanisms by
-    (target, inside source ids), their columns at every input by (target,
-    inside source ids, domain ids). Each submechanism's entries are scaled by
-    the LCM of their denominators; the scale is constant along any glued row
-    or column, so it cancels wherever one is normalized.
+    Submechanisms are marginalised by summing scaled integer numerators
+    (_submechanism_numerators), so each carries one common denominator per
+    target, which cancels wherever a glued row or column is normalized.
+    occasion_submechanism is the reference they are pinned to.
+
+    Memoised for the spec's lifetime in spec._glue_memo: scaled full
+    mechanisms by target id, submechanisms by (target, inside source ids),
+    their columns at every input by (target, inside source ids, domain ids).
     """
     memo = spec._glue_memo
     blocks = []
@@ -166,20 +169,39 @@ def _numerator_blocks(spec: SystemSpec, sub: Subsystem,
         key = (l, inside, domain.factor_ids)
         if key not in memo:
             if (l, inside) not in memo:
-                pairs = frozenset((k, l) for k in inside)
-                m = occasion_submechanism(spec, Subsystem(pairs, pairs), l)
-                scale = 1
-                for col in m.cols:
-                    for v in col:
-                        d = v.denominator
-                        scale = scale // _gcd(scale, d) * d
-                memo[l, inside] = (m.domain, tuple(
-                    tuple(v.numerator * (scale // v.denominator) for v in col) for col in m.cols))
+                memo[l, inside] = _submechanism_numerators(spec, l, inside)
             m_domain, nums = memo[l, inside]
             index = _restriction_indexer(domain, m_domain)
             memo[key] = [nums[index(j)] for j in range(domain.dim)]
         blocks.append(memo[key])
     return blocks
+
+
+def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[str]):
+    """(domain, integer numerator columns) of the target's submechanism with
+    only the inside sources kept.
+
+    A submechanism averages the inputs outside the subsystem out uniformly,
+    so over integers it is a sum: with the target's full mechanism scaled
+    once by the LCM of its denominators, the numerator at (output, inside
+    input) is the sum of the full numerators over the outside inputs. The
+    common denominator left out is LCM x |outside inputs|.
+    """
+    memo = spec._glue_memo
+    if target not in memo:
+        mech = spec.mechanisms[target]
+        scale = lcm(*(v.denominator for col in mech.cols for v in col))
+        memo[target] = (mech.domain, tuple(
+            tuple(v.numerator * (scale // v.denominator) for v in col) for col in mech.cols))
+    full_domain, full = memo[target]
+    domain = full_domain.subspace(inside)
+    index = _restriction_indexer(full_domain, domain)
+    sums = [[0] * len(full[0]) for _ in range(domain.dim)]
+    for j, col in enumerate(full):
+        acc = sums[index(j)]
+        for o, v in enumerate(col):
+            acc[o] += v
+    return domain, tuple(map(tuple, sums))
 
 
 def _glued_rows(blocks: list[list[tuple[int, ...]]],

@@ -97,6 +97,19 @@ def test_validate_mechanisms_list_is_a_document_error(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["ei", "--subsystem", "all", "--output", "vZ=1"],
+], ids=["validate", "ei"])
+def test_dashed_occasion_id_is_a_document_error(capsys, tmp_path, argv):
+    # subsystem keys join a pair's ids with '-', so v-X-vZ would be ambiguous
+    path = tmp_path / "dashed.json"
+    path.write_text(open(XOR, encoding="utf-8").read().replace('"vX"', '"v-X"'))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'v-X'" in err
+
+
 # -- quale -------------------------------------------------------------------------
 
 def test_quale_xor_has_four_sections(capsys, tmp_path):
@@ -423,6 +436,24 @@ def test_unroll_malformed_hopfield_rule_is_a_document_error(tmp_path, capsys, ch
     path.write_text(json.dumps(auto))
     code, out, err = run(capsys, "unroll", str(path))
     assert code == 2 and err.startswith("error:") and out == ""
+
+
+def test_unroll_dashed_cell_id_is_a_document_error(tmp_path, capsys):
+    # the cell id becomes the occasion ids a-1@0 and a-1@1
+    auto = {
+        "format_version": 1,
+        "cells": ["a-1", "b"],
+        "neighborhoods": {"a-1": ["a-1", "b"], "b": ["a-1", "b"]},
+        "rules": {c: {"kind": "hopfield", "weights": ["1", "-1"], "temperature": "1/2"}
+                  for c in ("a-1", "b")},
+        "window": [0, 1],
+        "initial": {"a-1": "1", "b": "0"},
+    }
+    path = tmp_path / "dashed.json"
+    path.write_text(json.dumps(auto))
+    code, out, err = run(capsys, "unroll", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'a-1'" in err
 
 
 @pytest.mark.parametrize("change", [

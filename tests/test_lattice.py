@@ -1,5 +1,8 @@
+import random
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -17,6 +20,7 @@ from distmeas.fixtures import xor_system
 from distmeas.lattice import (
     Section,
     Subsystem,
+    _numerator_blocks,
     _quale_numerators,
     bottom,
     build_quale,
@@ -47,7 +51,15 @@ from distmeas.stoch import (
     uniform,
     with_spaces,
 )
-from distmeas.system import Occasion, SystemSpec
+from distmeas.system import (
+    Occasion,
+    SystemSpec,
+    automaton,
+    hopfield_rule,
+    hopfield_weights,
+    unroll,
+)
+from test_acceptance import _positive_random_system
 
 F = Fraction
 
@@ -230,6 +242,44 @@ def test_glue_matches_explicit_tensor_diagonal_composition():
             assert literal.codomain == direct.codomain
 
 
+def hopfield_ring(attractor=(1, 0, 1, 1)):
+    """Fully connected Hopfield units unrolled over one step; every entry is
+    snapped to a multiple of 1/10^12."""
+    cells = [f"n{k}" for k in range(len(attractor))]
+    weights = hopfield_weights([attractor])
+    rules = {c: hopfield_rule([row[k] for row in weights], "1/2") for k, c in enumerate(cells)}
+    return unroll(automaton(
+        cells=cells, neighborhoods={c: list(cells) for c in cells}, rules=rules,
+        window=(0, 1), initial={c: str(b) for c, b in zip(cells, attractor)}))
+
+
+def test_integer_marginal_equals_occasion_submechanism(xor_spec, and_spec):
+    # the kernel's submechanism numerators over LCM x |outside inputs| are the
+    # reference submechanism, at every (target, inside sources) of each host
+    rng = random.Random(31)
+    hosts = [xor_spec, and_spec, positive_system(), chain_system(), three_target_system(),
+             copy_source_system(), hopfield_ring()]
+    hosts += [_positive_random_system(rng, [f"s{i}" for i in range(n)], ["t0", "t1"])
+              for n in (1, 2, 3)]
+    largest = 0
+    for spec in hosts:
+        for l, mech in spec.mechanisms.items():
+            scale = lcm(*(v.denominator for col in mech.cols for v in col))
+            largest = max(largest, scale)
+            sources = spec.sources_of(l)
+            for size in range(1, len(sources) + 1):
+                for inside in combinations(sources, size):
+                    pairs = frozenset((k, l) for k in inside)
+                    sub = Subsystem(pairs, pairs)
+                    ref = occasion_submechanism(spec, sub, l)
+                    assert source_space(spec, sub) == ref.domain
+                    (block,) = _numerator_blocks(spec, sub, ref.domain)
+                    denom = scale * (mech.domain.dim // ref.domain.dim)
+                    got = tuple(tuple(F(v, denom) for v in col) for col in block)
+                    assert got == ref.cols, (l, inside)
+    assert largest == 10 ** 12  # the Hopfield ring's snap denominator
+
+
 def test_glue_ignores_ineffective_pairs(xor_spec):
     plain = subsystem(xor_spec, [("vX", "vZ")])
     padded = subsystem(xor_spec, [("vX", "vZ"), ("vZ", "vY"), ("vY", "vX")])
@@ -284,14 +334,14 @@ def test_quale_reports_non_surjective_subsystem():
 
 
 def test_quale_fast_path_matches_operator_pipeline():
-    # build_quale's integer path must equal dual(glue_mechanism(...)) exactly
+    # build_quale's integer path must equal the dual of the independently
+    # built joint table exactly (glue_mechanism reads the same kernel)
     for spec in (positive_system(), chain_system(), xor_system()):
         quale = build_quale(spec)
         for sec in quale.sections:
             if sec.subsystem.is_null:
                 continue
-            slow = dual(glue_mechanism(spec, sec.subsystem))
-            assert sec.matrix == slow
+            assert sec.matrix == dual(joint_table_oracle(spec, sec.subsystem))
 
 
 def test_quale_numerators_check_the_budget_before_the_first_section(xor_spec):
