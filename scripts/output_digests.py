@@ -6,8 +6,12 @@ sha256 of its exit code, standard output, standard error and the file it
 writes (if any), and one `sha256 name` line is printed per run. The runs are
 the four argvs of bench/baseline.json, plus quale, lattice, gamma and ei on
 the bundled xor and and systems, gamma and ei on the hopfield-6 document,
-lattice on the quale-11 document, and two oracle-check runs. The benchmark
-documents are generated by bench/workloads.py at their baseline seeds.
+lattice on the quale-11 document, two oracle-check runs, gamma and ei on a
+proper multi-target subsystem of the lattice-8 document (its blocks and its
+context read fewer sources than it does, and it reads fewer than the
+system), and gamma over every partition of a 5-cell Hopfield ring. The
+benchmark documents are generated by bench/workloads.py at their baseline
+seeds.
 Every run happens in a temporary directory with relative paths, so the
 digests do not depend on where the repository lives.
 
@@ -32,7 +36,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, hopfield_attractor, hopfield_document  # noqa: E402
 
 DATA = os.path.join(ROOT, "src", "distmeas", "data")
 
@@ -85,6 +89,21 @@ def runs() -> list[tuple[str, list[str], str | None]]:
         ("oracle-check:random",
          ["oracle-check", "--random", "12", "--seed", "3", "--dims", "3x2x3"], None),
     ]
+
+    lat = works["lattice-8"]
+    # targets t0, t2, t3 read sources s1, s2 of s0, s1, s2
+    part = ["--subsystem", "s1-t2,s1-t3,s2-t0,s2-t3", "--output", lat.OUTPUT]
+    out += [
+        ("lattice-8:gamma-all-sub", ["gamma", lat.doc_path, "--all-partitions", *part], None),
+        ("lattice-8:ei-sub-context", ["ei", lat.doc_path, *part, "--context", "s2-t3"], None),
+    ]
+
+    seed = 99
+    with open("hopfield-5.json", "w", encoding="utf-8") as fh:
+        json.dump(hopfield_document(seed, 5, 2), fh, indent=2)
+    attractor = ",".join(f"n{k}@1={b}" for k, b in enumerate(hopfield_attractor(seed, 5, 2)))
+    out.append(("hopfield-5:gamma-all",
+                ["gamma", "hopfield-5.json", "--all-partitions", "--output", attractor], None))
     return out
 
 
