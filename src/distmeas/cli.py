@@ -25,9 +25,9 @@ from .lattice import (
     subsystem,
     top,
 )
-from .measure import _measure_subsystem, measurement_report, system_output_space
+from .measure import _divergence, _posterior, measurement_report, system_output_space
 from .oracle import crosscheck, exhaustive_tables, random_tables
-from .stoch import dirac, kl_divergence
+from .stoch import dirac
 from .system import unroll, validate
 
 
@@ -163,9 +163,11 @@ def cmd_gamma(args) -> int:
             [blk.split(",") for blk in args.partition.split("|")])]
     else:
         raise DocumentError("need --partition or --all-partitions")
+    # every report is computed before anything is printed, so a failing run
+    # writes nothing to stdout
+    reports = [entanglement(spec, sub, part, d_out) for part in parts]
     print(f"{'partition':24} {'gamma':>13} {'ei_whole':>13} {'sum_blocks':>13} {'gap':>13}")
-    for part in parts:
-        rep = entanglement(spec, sub, part, d_out)
+    for part, rep in zip(parts, reports):
         blocks_sum = sum(rep.per_block_ei)
         print(f"{part.label():24} {_bits(rep.gamma_bits):>13} {_bits(rep.ei_whole):>13} "
               f"{_bits(blocks_sum):>13} {_bits(rep.additivity_gap):>13}")
@@ -180,7 +182,7 @@ def cmd_lattice(args) -> int:
     d_out = _parse_output(spec, args.output)
     subs = list(enumerate_subsystems(spec, max_pairs=args.max_edges))
     subs.sort(key=lambda s: (len(s.pairs), _subsystem_key(s)))
-    measurements = {s.effective: _measure_subsystem(spec, s, d_out) for s in subs}
+    measurements = {s.effective: _posterior(spec, s, d_out) for s in subs}
     lines = ["digraph ei_lattice {", "  rankdir=BT;", '  node [shape=box];']
     for s in subs:
         key = _subsystem_key(s)
@@ -192,7 +194,7 @@ def cmd_lattice(args) -> int:
             if e in s.pairs:
                 continue
             bigger = Subsystem(s.pairs | {e}, s.effective | {e})
-            ei = kl_divergence(measurements[bigger.effective], measurements[s.effective])
+            ei = _divergence(measurements[bigger.effective], (measurements[s.effective],))
             arrows.append((_subsystem_key(s), _subsystem_key(bigger), ei))
     arrows.sort(key=lambda a: (a[0], a[1]))
     for src, dst, ei in arrows:

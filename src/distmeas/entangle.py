@@ -4,25 +4,21 @@ two-input closed forms, rectangularity, and product decomposition.
 Entanglement compares the measurement performed by a subsystem with the
 tensor product of the measurements its blocks perform independently; it is
 zero exactly when the measurement splits into independent submeasurements.
+It is computed on the subsystem's own inputs S_C, as a sum of one memoised
+term per block, so a subsystem's partitions share their block terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, NotAPartition, NotInImage, NotSurjective
 from .lattice import Subsystem
-from .measure import _measure_subsystem, system_input_space
+from .measure import _divergence, _infinite_states, _measurements, _posterior
 from .oracle import ExactBits, FunctionTable, gamma_counts
-from .stoch import (
-    Distribution,
-    kl_divergence,
-    marginal,
-    support_violations,
-    uniform,
-)
+from .stoch import Distribution, _restriction_indexer
 from .system import SystemSpec
 
 
@@ -62,53 +58,70 @@ class EntanglementReport:
 def entanglement(spec: SystemSpec, sub: Subsystem, part: Partition,
                  d_out: Distribution) -> EntanglementReport:
     """Divergence of the subsystem's measurement from the product of its
-    blocks' measurements, plus per-block precision and the additivity gap."""
+    blocks' measurements, plus per-block precision and the additivity gap.
+
+    With p the subsystem's posterior on S_C and p_k block k's,
+    gamma = sum_x p log2 p - sum_k sum_x p(x) log2 p_k(x|_k): one memoised
+    term per block (_block_terms), the whole source set being the block
+    whose term is sum_x p log2 p. A sum within rounding of 0 is recomputed
+    state by state, which gives exactly 0.0 when p is the product.
+    """
     srcs = set(sub.source_ids())
     if part.members() != srcs:
         raise NotAPartition(
             f"blocks {part.label()!r} do not partition sources {sorted(srcs)}")
-    whole = _measure_subsystem(spec, sub, d_out)
-    in_space = system_input_space(spec)
-    flat = uniform(in_space)
-
-    block_marginals = []
+    ei_whole, gamma = _block_terms(spec, sub, sub.source_ids(), d_out)
     per_block_ei = []
     for block in part.blocks:
-        block_sub = Subsystem(
-            frozenset(p for p in sub.effective if p[0] in block),
-            frozenset(p for p in sub.effective if p[0] in block))
-        if block_sub.is_null:
-            raise NotAPartition(f"block {block} touches no effective pair")
-        block_measurement = _measure_subsystem(spec, block_sub, d_out)
-        per_block_ei.append(kl_divergence(block_measurement, flat))
-        block_marginals.append((block, marginal(block_measurement, block)))
-
-    # product of block measurements, uniform on inputs outside the subsystem
-    outside = [fid for fid in in_space.factor_ids if fid not in srcs]
-    outside_weight = Fraction(1)
-    for fid in outside:
-        outside_weight /= len(in_space.alphabet_of(fid))
-    lookup = []
-    for block, dist in block_marginals:
-        pos = [in_space.position(f) for f in dist.space.factor_ids]
-        lookup.append((dist, pos))
-    weights = []
-    for i in range(in_space.dim):
-        syms = in_space.symbols_at(i)
-        w = outside_weight
-        for dist, pos in lookup:
-            w *= dist.weights[dist.space.index_of(tuple(syms[p] for p in pos))]
-            if w == 0:
-                break
-        weights.append(w)
-    product = Distribution(in_space, tuple(weights))
-
-    gamma = kl_divergence(whole, product)
-    ei_whole = kl_divergence(whole, flat)
-    offenders = support_violations(whole, product) if gamma == float("inf") else ()
+        ei, cross = _block_terms(spec, sub, block, d_out)
+        per_block_ei.append(ei)
+        gamma -= cross
+    offenders = ()
+    if abs(gamma) < _ROUNDING or gamma == math.inf:
+        whole = _posterior(spec, sub, d_out)
+        blocks = [_posterior(spec, _block_subsystem(sub, block), d_out) for block in part.blocks]
+        gamma = _divergence(whole, blocks)
+        if gamma == math.inf:
+            offenders = _infinite_states(spec, whole, blocks)
     return EntanglementReport(
         part, gamma, tuple(per_block_ei), ei_whole,
         ei_whole - sum(per_block_ei), offenders)
+
+
+# below this a block sum may be rounding error around an exact zero
+_ROUNDING = 1e-9
+
+
+def _block_subsystem(sub: Subsystem, block: Sequence[str]) -> Subsystem:
+    pairs = frozenset(p for p in sub.effective if p[0] in block)
+    return Subsystem(pairs, pairs)
+
+
+def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
+                 d_out: Distribution) -> tuple[float, float]:
+    """(ei of block k's own measurement p_k, sum_x p(x) log2 p_k(x|_k)) for
+    one block of sub's sources, p being sub's measurement; the cross term
+    is -inf where p has weight and p_k has none. Memoised per output by
+    (sub's effective pairs, block)."""
+    memo = _measurements(spec, d_out)
+    key = (sub.effective, block)
+    terms = memo.get(key)
+    if terms is None:
+        p = _posterior(spec, sub, d_out)
+        pk = _posterior(spec, _block_subsystem(sub, block), d_out)
+        logs = [math.log2(w.numerator) - math.log2(w.denominator) if w else None
+                for w in pk.weights]
+        restrict = _restriction_indexer(p.space, pk.space)
+        cross = 0.0
+        for i, w in enumerate(p.weights):
+            if w:
+                log = logs[restrict(i)]
+                if log is None:
+                    cross = -math.inf
+                    break
+                cross += float(w) * log
+        terms = memo[key] = (_divergence(pk), cross)
+    return terms
 
 
 def gamma_closed_form_two_source(g: FunctionTable, z: str) -> ExactBits:

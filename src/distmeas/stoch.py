@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -76,7 +77,7 @@ class ProductSpace:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate factor ids in {ids}")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         d = 1
         for _, a in self.factors:
@@ -146,27 +147,20 @@ def _restriction_indexer(src: ProductSpace, dst: ProductSpace) -> Callable[[int]
     """Map a joint index of src to the joint index of its restriction to dst.
 
     dst's factors must all occur in src (same alphabets); dst's own order wins.
+    The map is a lookup in a table of all of src's indices, built at once.
     """
-    positions = []
-    for fid, a in dst.factors:
-        p = src.position(fid)
-        if src.factors[p][1] != a:
+    strides = {}
+    stride = 1
+    for fid, a in reversed(dst.factors):
+        if src.factors[src.position(fid)][1] != a:
             raise SpaceMismatch(f"factor {fid!r} has different alphabets")
-        positions.append(p)
-    radices = [len(a) for _, a in src.factors]
-
-    def restrict(index: int) -> int:
-        digits = []
-        for r in reversed(radices):
-            index, d = divmod(index, r)
-            digits.append(d)
-        digits.reverse()
-        out = 0
-        for p, (_, a) in zip(positions, dst.factors):
-            out = out * len(a) + digits[p]
-        return out
-
-    return restrict
+        strides[fid] = stride
+        stride *= len(a)
+    table = [0]
+    for fid, a in src.factors:  # the first factor is the most significant
+        s = strides.get(fid, 0)
+        table = [t + d * s for t in table for d in range(len(a))]
+    return table.__getitem__
 
 
 @dataclass(frozen=True)
@@ -289,6 +283,16 @@ def _trusted_matrix(domain: ProductSpace, codomain: ProductSpace,
     object.__setattr__(m, "codomain", codomain)
     object.__setattr__(m, "cols", cols)
     return m
+
+
+def _trusted_distribution(space_: ProductSpace,
+                          weights: tuple[Fraction, ...]) -> Distribution:
+    """Construct without re-validating, like _trusted_matrix: only for
+    weights that sum to 1 by construction (normalized integer rows)."""
+    d = object.__new__(Distribution)
+    object.__setattr__(d, "space", space_)
+    object.__setattr__(d, "weights", weights)
+    return d
 
 
 def _as_symbol_tuple(value) -> tuple[str, ...]:

@@ -331,6 +331,15 @@ def test_gamma_all_partitions(capsys):
     assert len(body) == 2  # Bell(2) partitions of {vX, vY}
 
 
+@pytest.mark.parametrize("partition", ["vX|vY", "vX,vY|"])
+def test_gamma_bad_partition_prints_nothing(capsys, partition):
+    # vY is not a source of the subsystem, and "" is no occasion
+    code, out, err = run(capsys, "gamma", XOR, "--subsystem", "vX-vZ",
+                         "--partition", partition, "--output", "vZ=0")
+    assert code == 1 and err.startswith("error:") and "NotAPartition" in err
+    assert out == ""
+
+
 # -- lattice -----------------------------------------------------------------------
 
 def test_lattice_xor_diamond(capsys):

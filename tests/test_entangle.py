@@ -1,6 +1,10 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distmeas.entangle import (
     Partition,
@@ -16,12 +20,31 @@ from distmeas.errors import (
     NotAPartition,
     NotInImage,
     NotSurjective,
+    UnsupportedOutput,
 )
 from distmeas.fixtures import and_table, two_input_system, xor_table
-from distmeas.lattice import top
-from distmeas.measure import system_output_space
+from distmeas.lattice import Subsystem, enumerate_subsystems, source_space, subsystem, top
+from distmeas.measure import (
+    _posterior,
+    _spread,
+    extend,
+    measure,
+    system_input_space,
+    system_output_space,
+)
 from distmeas.oracle import FunctionTable, exhaustive_tables, gamma_counts, random_tables
-from distmeas.stoch import BINARY, alphabet, dirac
+from distmeas.stoch import (
+    BINARY,
+    Distribution,
+    _restriction_indexer,
+    alphabet,
+    canonical_space,
+    dirac,
+    kl_divergence,
+    marginal,
+    support_violations,
+    uniform,
+)
 
 TOL = 1e-9
 XY_PARTITION = partition_of([["vX"], ["vY"]])
@@ -296,3 +319,130 @@ def test_partition_counts_match_bell_numbers():
 def test_partition_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_partitions([f"v{i}" for i in range(9)], max_sources=8))
+
+
+# -- block terms against the whole-space reference --------------------------------
+
+def _whole_space_pair(spec, sub, part, d_out, measured):
+    """measure(extend(sub)) and the product of its blocks' measurements times
+    the uniform distribution outside S_C, both on the whole system."""
+    def reference(s):
+        if s.effective not in measured:
+            measured[s.effective] = measure(extend(spec, s), d_out)
+        return measured[s.effective]
+
+    whole = reference(sub)
+    space = whole.space
+    weights = [Fraction(1, space.dim // source_space(spec, sub).dim)] * space.dim
+    for block in part.blocks:
+        pairs = frozenset(p for p in sub.effective if p[0] in block)
+        m = marginal(reference(Subsystem(pairs, pairs)), block)
+        restrict = _restriction_indexer(space, m.space)
+        weights = [w * m.weights[restrict(j)] for j, w in enumerate(weights)]
+    return whole, Distribution(space, tuple(weights))
+
+
+def _assert_gamma_matches_reference(spec, subs):
+    from test_measure import _output_distributions
+    for d_out in _output_distributions(spec):
+        measured = {}
+        for sub in subs:
+            try:
+                measured[sub.effective] = measure(extend(spec, sub), d_out)
+            except UnsupportedOutput:
+                continue
+            ei_whole = kl_divergence(measured[sub.effective], uniform(system_input_space(spec)))
+            for part in enumerate_partitions(sub.source_ids()):
+                rep = entanglement(spec, sub, part, d_out)
+                whole, product = _whole_space_pair(spec, sub, part, d_out, measured)
+                if whole == product:
+                    assert rep.gamma_bits == 0.0, (sorted(sub.pairs), part.label())
+                assert abs(rep.gamma_bits - kl_divergence(whole, product)) <= 1e-12
+                assert abs(rep.ei_whole - ei_whole) <= 1e-12
+                assert rep.infinite_states == ()
+
+
+def test_block_terms_match_whole_space_gamma_on_fixtures():
+    from test_measure import _kernel_hosts
+    for spec in _kernel_hosts():
+        _assert_gamma_matches_reference(spec, list(enumerate_subsystems(spec)))
+
+
+def test_block_terms_match_whole_space_gamma_on_hopfield_ring():
+    from test_lattice import hopfield_ring
+    spec = hopfield_ring((1, 0, 1, 1, 0))
+    out = system_output_space(spec)
+    attractor = dirac(out, ("1", "0", "1", "1", "0"))
+    measured = {}
+    parts = list(enumerate_partitions(top(spec).source_ids()))
+    assert len(parts) == 52
+    for part in parts:
+        rep = entanglement(spec, top(spec), part, attractor)
+        whole, product = _whole_space_pair(spec, top(spec), part, attractor, measured)
+        assert abs(rep.gamma_bits - kl_divergence(whole, product)) <= 1e-12
+        assert (rep.gamma_bits == 0.0) == (len(part.blocks) == 1)
+
+
+def test_gamma_is_exactly_zero_on_independent_blocks():
+    # two unconnected gates: the whole measurement is the product of the
+    # gates' measurements, while a plain sum of block terms may round
+    from test_acceptance import _block_system
+    rng = random.Random(3)
+    for _ in range(20):
+        spec = _block_system(rng, 3)
+        out = system_output_space(spec)
+        for d_out in (dirac(out, a) for a in out.iter_symbols()):
+            for part in enumerate_partitions(top(spec).source_ids()):
+                assert entanglement(spec, top(spec), part, d_out).gamma_bits == 0.0
+
+
+def test_infinite_gamma_names_whole_system_states(monkeypatch):
+    # no measurement of a real host has one (a block's posterior is positive
+    # wherever the whole posterior is), so plant a block measurement that
+    # rules out s0 = 1 on a subsystem whose sources s0, s1 leave out s2
+    import distmeas.entangle as entangle_module
+    from test_acceptance import _positive_random_system
+    spec = _positive_random_system(random.Random(5), ["s0", "s1", "s2"], ["t0"])
+    sub = subsystem(spec, [("s0", "t0"), ("s1", "t0")])
+    d_out = dirac(system_output_space(spec), ("1",))
+    split = partition_of([["s0"], ["s1"]])
+    planted = dirac(canonical_space({"s0": BINARY}), ("0",))
+
+    def posterior(spec_, sub_, d_out_):
+        return planted if sub_.source_ids() == ("s0",) else _posterior(spec_, sub_, d_out_)
+
+    monkeypatch.setattr(entangle_module, "_posterior", posterior)
+    rep = entanglement(spec, sub, split, d_out)
+    assert rep.gamma_bits == math.inf
+    whole = _spread(spec, _posterior(spec, sub, d_out))
+    in_space = system_input_space(spec)
+    s1 = _posterior(spec, subsystem(spec, [("s1", "t0")]), d_out)
+    product = Distribution(in_space, tuple(
+        planted.weight((x0,)) * s1.weight((x1,)) / 2 for x0, x1, _ in in_space.iter_symbols()))
+    assert rep.infinite_states == support_violations(whole, product)
+    assert rep.infinite_states == tuple(x for x in in_space.iter_symbols() if x[0] == "1")
+
+
+# -- the additivity identity ------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_sources=st.integers(2, 3), z=st.sampled_from("01"))
+def test_single_target_additivity_gap_is_gamma(seed, n_sources, z):
+    # with one target, a block's measurement is the marginal of the whole
+    # measurement, so ei_whole - sum of block ei is the entanglement
+    from test_acceptance import _positive_random_system
+    spec = _positive_random_system(
+        random.Random(seed), [f"s{i}" for i in range(n_sources)], ["t0"])
+    d_out = dirac(system_output_space(spec), (z,))
+    for part in enumerate_partitions(top(spec).source_ids()):
+        rep = entanglement(spec, top(spec), part, d_out)
+        assert abs(rep.additivity_gap - rep.gamma_bits) <= 1e-12
+
+
+def test_two_target_additivity_gap_is_not_gamma():
+    from test_acceptance import _positive_random_system
+    spec = _positive_random_system(random.Random(0), ["s0", "s1"], ["t0", "t1"])
+    d_out = dirac(system_output_space(spec), ("0", "0"))
+    rep = entanglement(spec, top(spec), partition_of([["s0"], ["s1"]]), d_out)
+    assert abs(rep.gamma_bits - 0.0516383510621) <= 1e-9
+    assert abs(rep.additivity_gap - 0.0830447390787) <= 1e-9

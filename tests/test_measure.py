@@ -1,15 +1,24 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from distmeas.errors import ContextNotContained, UnsupportedOutput
-from distmeas.fixtures import and_table, single_function_system, two_input_system, xor_system
-from distmeas.lattice import bottom, enumerate_subsystems, subsystem, top
+from distmeas.fixtures import (
+    and_system,
+    and_table,
+    single_function_system,
+    two_input_system,
+    xor_system,
+)
+from distmeas.lattice import bottom, enumerate_subsystems, source_space, subsystem, top
 from distmeas.measure import (
-    _measure_subsystem,
+    MeasurementResult,
+    _posterior,
+    _spread,
     effective_information,
     extend,
     measure,
@@ -26,9 +35,18 @@ from distmeas.oracle import (
     single_function_tables,
     slice_count,
 )
-from distmeas.stoch import BINARY, alphabet, dirac, distribution, uniform, with_spaces
+from distmeas.stoch import (
+    BINARY,
+    alphabet,
+    dirac,
+    distribution,
+    kl_divergence,
+    marginal,
+    uniform,
+    with_spaces,
+)
 from test_acceptance import _positive_random_system
-from test_lattice import chain_system, copy_source_system
+from test_lattice import chain_system, copy_source_system, positive_system, three_target_system
 
 F = Fraction
 TOL = 1e-9
@@ -268,6 +286,11 @@ def test_measurement_report_carries_distributions(and_spec):
 
 # -- glued-row measurements against the reference operators --------------------
 
+def _measured(spec, sub, d_out):
+    # the kernel's posterior on S_C, times the uniform distribution outside
+    return _spread(spec, _posterior(spec, sub, d_out))
+
+
 def _reference_or_error(spec, sub, d_out):
     try:
         return measure(extend(spec, sub), d_out)
@@ -277,7 +300,7 @@ def _reference_or_error(spec, sub, d_out):
 
 def _fast_or_error(spec, sub, d_out):
     try:
-        return _measure_subsystem(spec, sub, d_out)
+        return _measured(spec, sub, d_out)
     except UnsupportedOutput as exc:
         return str(exc)
 
@@ -318,7 +341,7 @@ def test_glued_rows_null_subsystem_is_uniform(xor_spec):
     padded = subsystem(xor_spec, [("vY", "vX")])  # ineffective only
     for sub in (bottom(xor_spec), padded):
         for d_out in _output_distributions(xor_spec):
-            got = _measure_subsystem(xor_spec, sub, d_out)
+            got = _measured(xor_spec, sub, d_out)
             assert got == uniform(system_input_space(xor_spec))
             assert got == measure(extend(xor_spec, sub), d_out)
 
@@ -335,7 +358,7 @@ def test_glued_rows_reject_unattained_output_like_measure():
         {i: uniform(canonical_space({i: BINARY})) for i in ("vX", "vY")})
     d_out = dirac(system_output_space(spec), ("1", "0"))
     with pytest.raises(UnsupportedOutput) as fast:
-        _measure_subsystem(spec, top(spec), d_out)
+        _measured(spec, top(spec), d_out)
     with pytest.raises(UnsupportedOutput) as reference:
         measure(extend(spec, top(spec)), d_out)
     assert str(fast.value) == str(reference.value)
@@ -348,42 +371,96 @@ def test_glued_rows_check_the_output_space(xor_spec, and_spec):
     wrong = uniform(system_input_space(and_spec))
     for sub in (bottom(xor_spec), top(xor_spec)):
         with pytest.raises(SpaceMismatch):
-            _measure_subsystem(xor_spec, sub, wrong)
+            _measured(xor_spec, sub, wrong)
 
 
-def _measured_by_reference(spec, sub, d_out):
-    return measure(extend(spec, sub), d_out)
+def _posterior_by_reference(spec, sub, d_out):
+    return marginal(measure(extend(spec, sub), d_out), sub.source_ids())
 
 
-def test_reports_equal_reference_built_reports(monkeypatch, and_spec):
+def _kernel_hosts():
+    rng = random.Random(7)
+    hosts = [xor_system(), and_system(), chain_system(), positive_system(),
+             three_target_system(), copy_source_system()]
+    for n_sources, n_targets in ((2, 2), (3, 2), (2, 3)):
+        hosts.append(_positive_random_system(
+            rng, [f"s{i}" for i in range(n_sources)], [f"t{i}" for i in range(n_targets)]))
+    return hosts
+
+
+def test_posterior_on_own_inputs_is_the_reference():
+    # the kernel's posterior lives on S_C; times the uniform distribution on
+    # the inputs outside C it is measure(extend(...)) exactly
+    for spec in _kernel_hosts():
+        for d_out in _output_distributions(spec):
+            for sub in enumerate_subsystems(spec):
+                try:
+                    want = measure(extend(spec, sub), d_out)
+                except UnsupportedOutput as exc:
+                    with pytest.raises(UnsupportedOutput, match=re.escape(str(exc))):
+                        _posterior(spec, sub, d_out)
+                    continue
+                got = _posterior(spec, sub, d_out)
+                assert got.space == source_space(spec, sub)
+                assert got == marginal(want, sub.source_ids()), sorted(sub.pairs)
+                assert _spread(spec, got) == want, sorted(sub.pairs)
+
+
+def test_effective_information_is_the_reports_ei():
+    for spec in _kernel_hosts():
+        subs = list(enumerate_subsystems(spec))
+        for d_out in _output_distributions(spec):
+            for sub in subs:
+                for context in [None] + [c for c in subs if c.effective <= sub.effective]:
+                    try:
+                        rep = measurement_report(spec, sub, context, d_out)
+                    except UnsupportedOutput:
+                        continue
+                    assert effective_information(spec, sub, context, d_out) == rep.ei_bits
+
+
+def test_reports_equal_reference_built_reports(monkeypatch):
     import importlib
     from distmeas.entangle import entanglement, enumerate_partitions
-    rng = random.Random(11)
-    specs = [and_spec, chain_system(),
-             _positive_random_system(rng, ["s0", "s1", "s2"], ["t0", "t1"])]
-    cases = []
-    for spec in specs:
-        for d_out in _output_distributions(spec):
-            whole = top(spec)
-            cases.append((spec, whole, d_out))
 
     def reports():
+        # fresh specs, so that a pass reads nothing another pass memoised
+        rng = random.Random(11)
+        specs = [and_system(), chain_system(), three_target_system(),
+                 _positive_random_system(rng, ["s0", "s1", "s2"], ["t0", "t1"])]
         out = []
-        for spec, whole, d_out in cases:
-            for part in enumerate_partitions(whole.source_ids()):
-                out.append(entanglement(spec, whole, part, d_out))
-            for sub in enumerate_subsystems(spec):
-                if sub.effective <= whole.effective:
+        for spec in specs:
+            whole = top(spec)
+            for d_out in _output_distributions(spec):
+                for sub in enumerate_subsystems(spec):
+                    for part in enumerate_partitions(sub.source_ids()):
+                        out.append(entanglement(spec, sub, part, d_out))
                     out.append(measurement_report(spec, whole, sub, d_out))
-                out.append(measurement_report(spec, sub, None, d_out))
+                    out.append(measurement_report(spec, sub, None, d_out))
+                    out.append(effective_information(spec, whole, sub, d_out))
         return out
 
     fast = reports()
+    # the reference is slow, so memoise it for one pass, which keeps its specs
+    # and (in its measurement reports) its outputs alive
+    measured = {}
+
+    def by_reference(spec, sub, d_out):
+        key = (id(spec), sub.effective, id(d_out))
+        if key not in measured:
+            measured[key] = _posterior_by_reference(spec, sub, d_out)
+        return measured[key]
+
     # the package re-exports a function named measure, so fetch the modules
     for name in ("distmeas.entangle", "distmeas.measure"):
-        monkeypatch.setattr(importlib.import_module(name), "_measure_subsystem",
-                            _measured_by_reference)
-    assert fast == reports()
+        monkeypatch.setattr(importlib.import_module(name), "_posterior", by_reference)
+    reference = reports()
+    assert fast == reference
+    # both passes share the divergence on S_C; the reference reports' fine and
+    # coarse are measure(extend(...)), so pin it to the whole-system KL
+    for rep in reference:
+        if isinstance(rep, MeasurementResult):
+            assert abs(rep.ei_bits - kl_divergence(rep.fine, rep.coarse)) <= 1e-12
 
 
 def test_measurements_read_their_own_specs_submechanisms():
