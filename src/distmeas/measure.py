@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
 from typing import Sequence
 
 from .errors import ContextNotContained, SpaceMismatch, UnsupportedOutput
@@ -168,7 +167,7 @@ def _glued_posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> D
             raise UnsupportedOutput(f"output {symbols} is never produced by the mechanism")
         rows.append((w, glued, total))
     # sum_rows w * glued / total, over one common denominator
-    denominator = lcm(*(w.denominator * total for w, _, total in rows))
+    denominator = math.lcm(*(w.denominator * total for w, _, total in rows))
     numerators = [0] * domain.dim
     for w, glued, total in rows:
         scale = w.numerator * (denominator // (w.denominator * total))
@@ -199,7 +198,7 @@ def _divergence(p: Distribution, factors: Sequence[Distribution] = ()) -> float:
     p and q agree add exactly 0, so equal distributions give exactly 0.0.
     """
     lookups = [(f.weights, _restriction_indexer(p.space, f.space)) for f in factors]
-    rest = p.space.dim // prod(f.space.dim for f in factors)
+    rest = p.space.dim // math.prod(f.space.dim for f in factors)
     total = 0.0
     for i, pw in enumerate(p.weights):
         a, b = pw.numerator, pw.denominator
