@@ -9,7 +9,9 @@ the bundled xor and and systems, gamma and ei on the hopfield-6 document,
 lattice on the quale-11 document, two oracle-check runs, gamma and ei on a
 proper multi-target subsystem of the lattice-8 document (its blocks and its
 context read fewer sources than it does, and it reads fewer than the
-system), and gamma over every partition of a 5-cell Hopfield ring. The
+system), gamma over every partition of a 5-cell Hopfield ring, lattice on
+the lattice-8 document at a mixed output, and lattice on a fully connected
+12-edge bipartite document (4 sources, 3 targets). The
 benchmark documents are generated by bench/workloads.py at their baseline
 seeds.
 Every run happens in a temporary directory with relative paths, so the
@@ -36,7 +38,12 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
-from workloads import WORKLOADS, hopfield_attractor, hopfield_document  # noqa: E402
+from workloads import (  # noqa: E402
+    WORKLOADS,
+    bipartite_document,
+    hopfield_attractor,
+    hopfield_document,
+)
 
 DATA = os.path.join(ROOT, "src", "distmeas", "data")
 
@@ -104,6 +111,17 @@ def runs() -> list[tuple[str, list[str], str | None]]:
     attractor = ",".join(f"n{k}@1={b}" for k, b in enumerate(hopfield_attractor(seed, 5, 2)))
     out.append(("hopfield-5:gamma-all",
                 ["gamma", "hopfield-5.json", "--all-partitions", "--output", attractor], None))
+
+    # a mixed output: every subsystem's posterior sums three glued rows
+    with open("mixed.json", "w", encoding="utf-8") as fh:
+        json.dump({"weights": ["1/2"] + ["0"] * 4 + ["1/3"] + ["0"] * 9 + ["1/6"]}, fh)
+    out.append(("lattice-8:lattice-mixed",
+                ["lattice", lat.doc_path, "--output", "@mixed.json"], None))
+    with open("bipartite-12.json", "w", encoding="utf-8") as fh:
+        json.dump(bipartite_document(99, 4, 3, {}), fh, indent=2)
+    out.append(("bipartite-12:lattice",
+                ["lattice", "bipartite-12.json", "--output", "t0=0,t1=1,t2=0"], None))
+
     return out
 
 
