@@ -19,20 +19,25 @@ from .entangle import entanglement, enumerate_partitions, partition_of
 from .errors import DocumentError, Error
 from .lattice import (
     Subsystem,
+    _edges_within_budget,
     _quale_numerators,
     bottom,
     enumerate_subsystems,
     subsystem,
     top,
 )
-from .measure import _divergence, _posterior, measurement_report, system_output_space
+from .measure import _divergence, _glued_posterior, measurement_report, system_output_space
 from .oracle import crosscheck, exhaustive_tables, random_tables
 from .stoch import dirac
 from .system import unroll, validate
 
 
 def _bits(x: float) -> str:
-    return "inf" if x == float("inf") else f"{x:.9f}"
+    if x == float("inf"):
+        return "inf"
+    text = f"{x:.9f}"
+    # a value that rounds to zero prints unsigned, from either side of it
+    return "0.000000000" if text == "-0.000000000" else text
 
 
 def _parse_subsystem(spec, text: str) -> Subsystem:
@@ -72,12 +77,6 @@ def _parse_output(spec, text: str):
             f"output must assign exactly the target occasions {out_space.factor_ids}; "
             f"missing {sorted(missing)}, unknown {sorted(extra)}")
     return dirac(out_space, tuple(assignments[f] for f in out_space.factor_ids))
-
-
-def _subsystem_key(sub: Subsystem) -> str:
-    if not sub.pairs:
-        return "null"
-    return ",".join(f"{a}-{b}" for a, b in sub.sorted_pairs())
 
 
 def _load_valid(path: str):
@@ -178,35 +177,44 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    """Write the Hasse diagram one line at a time: every node in (size, key)
+    order, then each node's out-arrows, the nodes in key order and each
+    one's arrows in the order of their destinations' keys. Node keys are
+    unique, so that is the order of all arrows sorted by (source, destination)
+    key. Subsystems are indexed by the bitmask of their edges (bit i for the
+    i-th edge in sorted order), so that an arrow adds one bit."""
     spec = _load_valid(args.path)
     d_out = _parse_output(spec, args.output)
-    subs = list(enumerate_subsystems(spec, max_pairs=args.max_edges))
-    subs.sort(key=lambda s: (len(s.pairs), _subsystem_key(s)))
-    measurements = {s.effective: _posterior(spec, s, d_out) for s in subs}
-    lines = ["digraph ei_lattice {", "  rankdir=BT;", '  node [shape=box];']
-    for s in subs:
-        key = _subsystem_key(s)
-        lines.append(f'  "{key}" [label="{key}"];')
-    edges = sorted(spec.edges)
-    arrows = []
-    for s in subs:
-        for e in edges:
-            if e in s.pairs:
-                continue
-            bigger = Subsystem(s.pairs | {e}, s.effective | {e})
-            ei = _divergence(measurements[bigger.effective], (measurements[s.effective],))
-            arrows.append((_subsystem_key(s), _subsystem_key(bigger), ei))
-    arrows.sort(key=lambda a: (a[0], a[1]))
-    for src, dst, ei in arrows:
-        label = "inf" if ei == float("inf") else f"{ei:.5f}"
-        lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
-    lines.append("}")
-    text = "\n".join(lines)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    edges = _edges_within_budget(spec, args.max_edges)
+    # each subsystem is measured once, so the posteriors skip _posterior's memo
+    posteriors = [_glued_posterior(spec, s, d_out)
+                  for s in enumerate_subsystems(spec, args.max_edges)]
+    names = [f"{a}-{b}" for a, b in edges]
+    # the key of a mask is the key of the mask without its highest edge, plus
+    # that edge, which sorts after the rest
+    keys = ["null"]
+    for mask in range(1, len(posteriors)):
+        top_bit = mask.bit_length() - 1
+        rest = mask ^ (1 << top_bit)
+        keys.append(keys[rest] + "," + names[top_bit] if rest else names[top_bit])
+    by_key = sorted(range(len(keys)), key=keys.__getitem__)
+    nodes = sorted(by_key, key=lambda m: m.bit_count())  # stable: keys within a size
+
+    def write(fh):
+        fh.write('digraph ei_lattice {\n  rankdir=BT;\n  node [shape=box];\n')
+        for m in nodes:
+            fh.write(f'  "{keys[m]}" [label="{keys[m]}"];\n')
+        for m in by_key:
+            src = keys[m]
+            smaller = (posteriors[m],)
+            bigger = [m | 1 << i for i in range(len(edges)) if not m >> i & 1]
+            for b in sorted(bigger, key=keys.__getitem__):
+                ei = _divergence(spec, posteriors[b], smaller)
+                label = "inf" if ei == float("inf") else f"{ei:.5f}"
+                fh.write(f'  "{src}" -> "{keys[b]}" [label="{label}"];\n')
+        fh.write("}\n")
+
+    _publish(args.dot, write)
     return 0
 
 

@@ -16,9 +16,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, NotAPartition, NotInImage, NotSurjective
 from .lattice import Subsystem
-from .measure import _divergence, _infinite_states, _measurements, _posterior
+from .measure import _divergence, _infinite_states, _measurements, _posterior, _restriction
 from .oracle import ExactBits, FunctionTable, gamma_counts
-from .stoch import Distribution, _restriction_indexer
+from .stoch import Distribution
 from .system import SystemSpec
 
 
@@ -47,6 +47,15 @@ def partition_of(blocks: Iterable[Iterable[str]]) -> Partition:
 
 @dataclass(frozen=True)
 class EntanglementReport:
+    """gamma over one partition, with the ei of the whole and of each block.
+
+    infinite_states names the system input states where the whole
+    measurement has weight and the product of the blocks' has none. It is
+    empty for every valid input: a block's posterior averages the same
+    nonnegative mechanism entries as the whole one, so it is positive
+    wherever that one is, and gamma_bits is finite.
+    """
+
     partition: Partition
     gamma_bits: float
     per_block_ei: tuple[float, ...]
@@ -80,7 +89,7 @@ def entanglement(spec: SystemSpec, sub: Subsystem, part: Partition,
     if abs(gamma) < _ROUNDING or gamma == math.inf:
         whole = _posterior(spec, sub, d_out)
         blocks = [_posterior(spec, _block_subsystem(sub, block), d_out) for block in part.blocks]
-        gamma = _divergence(whole, blocks)
+        gamma = _divergence(spec, whole, blocks)
         if gamma == math.inf:
             offenders = _infinite_states(spec, whole, blocks)
     return EntanglementReport(
@@ -109,18 +118,17 @@ def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
     if terms is None:
         p = _posterior(spec, sub, d_out)
         pk = _posterior(spec, _block_subsystem(sub, block), d_out)
-        logs = [math.log2(w.numerator) - math.log2(w.denominator) if w else None
-                for w in pk.weights]
-        restrict = _restriction_indexer(p.space, pk.space)
+        logs = [math.log2(n) - math.log2(d) if n else None
+                for n, d in zip(pk.numerators, pk.denominators)]
         cross = 0.0
-        for i, w in enumerate(p.weights):
-            if w:
-                log = logs[restrict(i)]
+        for a, b, j in zip(p.numerators, p.denominators, _restriction(spec, p.space, pk.space)):
+            if a:
+                log = logs[j]
                 if log is None:
                     cross = -math.inf
                     break
-                cross += float(w) * log
-        terms = memo[key] = (_divergence(pk), cross)
+                cross += a / b * log
+        terms = memo[key] = (_divergence(spec, pk), cross)
     return terms
 
 

@@ -34,7 +34,7 @@ from .stoch import (
     ZERO,
     ProductSpace,
     StochasticMatrix,
-    _restriction_indexer,
+    _restriction_table,
     _trusted_matrix,
     canonical_space,
     compose,
@@ -95,7 +95,13 @@ def bottom(spec: SystemSpec) -> Subsystem:
 
 
 def source_space(spec: SystemSpec, sub: Subsystem) -> ProductSpace:
-    return canonical_space({k: spec.alphabet_of(k) for k in sub.source_ids()})
+    """S_C, one shared space per source set: memoised in spec._glue_memo by
+    the source ids."""
+    ids = sub.source_ids()
+    space = spec._glue_memo.get(ids)
+    if space is None:
+        space = spec._glue_memo[ids] = canonical_space({k: spec.alphabet_of(k) for k in ids})
+    return space
 
 
 def target_space(spec: SystemSpec, sub: Subsystem) -> ProductSpace:
@@ -171,8 +177,7 @@ def _numerator_blocks(spec: SystemSpec, sub: Subsystem,
             if (l, inside) not in memo:
                 memo[l, inside] = _submechanism_numerators(spec, l, inside)
             m_domain, nums = memo[l, inside]
-            index = _restriction_indexer(domain, m_domain)
-            memo[key] = [nums[index(j)] for j in range(domain.dim)]
+            memo[key] = [nums[j] for j in _restriction_table(domain, m_domain)]
         blocks.append(memo[key])
     return blocks
 
@@ -195,10 +200,9 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
             tuple(v.numerator * (scale // v.denominator) for v in col) for col in mech.cols))
     full_domain, full = memo[target]
     domain = full_domain.subspace(inside)
-    index = _restriction_indexer(full_domain, domain)
     sums = [[0] * len(full[0]) for _ in range(domain.dim)]
-    for j, col in enumerate(full):
-        acc = sums[index(j)]
+    for j, col in zip(_restriction_table(full_domain, domain), full):
+        acc = sums[j]
         for o, v in enumerate(col):
             acc[o] += v
     return domain, tuple(map(tuple, sums))

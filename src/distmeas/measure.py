@@ -9,21 +9,25 @@ context, with the empty subsystem's uniform measurement as the null context.
 
 extend and measure are the reference semantics. Reports read a subsystem's
 posterior on its own inputs S_C instead (_posterior): the glued rows the
-output selects, read from lattice's integer glue kernel and normalized. The
-extended measurement is that posterior times the uniform distribution on the
-inputs outside C, a factor both sides of every divergence share, so each
-divergence is computed on S_C alone (_divergence), with a context D within C
+output selects, read from lattice's integer glue kernel and normalized. It is
+kept as an integer record (_Record): the space S_C and, for each of its
+states, the numerator and denominator of the posterior weight in lowest
+terms, which are the ints a Fraction of that weight would hold. The extended
+measurement is that posterior times the uniform distribution on the inputs
+outside C, a factor both sides of every divergence share, so each divergence
+is computed on S_C alone (_divergence), with a context D within C
 contributing m_D(x|_D) / |S_C - S_D|. Posteriors are memoised on the spec
-per output. Tests pin the posterior times the uniform factor to
-measure(extend(...)) with exact equality.
+per output, and the maps restricting one space's states to another's by
+their factor ids. Only the public results (MeasurementResult) hold Fraction
+distributions, built by _spread. Tests pin the posterior times the uniform
+factor to measure(extend(...)) with exact equality.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ContextNotContained, SpaceMismatch, UnsupportedOutput
 from .lattice import (
@@ -37,13 +41,11 @@ from .lattice import (
     top,
 )
 from .stoch import (
-    ONE,
     ZERO,
     Distribution,
     ProductSpace,
     StochasticMatrix,
-    _restriction_indexer,
-    _trusted_distribution,
+    _restriction_table,
     compose,
     dual,
     projection,
@@ -115,21 +117,43 @@ def measure(mech: ExtendedMechanism, d_out: Distribution) -> Distribution:
     return Distribution(m.domain, tuple(acc))
 
 
+class _Record(NamedTuple):
+    """A measurement on a subsystem's own inputs S_C, in integers: state i of
+    space has weight numerators[i] / denominators[i], in lowest terms."""
+
+    space: ProductSpace
+    numerators: tuple[int, ...]
+    denominators: tuple[int, ...]
+
+
 def _measurements(spec: SystemSpec, d_out: Distribution) -> dict:
     """The spec's memo of what is measured at d_out: posteriors by effective
     pairs (_posterior) and entangle's block terms.
 
     It is keyed by d_out's identity, not its value, so that a lookup never
     hashes the distribution's Fractions. The entry keeps d_out alive, so the
-    identity cannot be reused while the entry exists.
+    identity cannot be reused while the entry exists. Raises SpaceMismatch,
+    and makes no entry, unless d_out is over the system's outputs.
     """
     entry = spec._glue_memo.get(id(d_out))
     if entry is None:
+        if d_out.space != system_output_space(spec):
+            raise SpaceMismatch("output distribution is not over the system's outputs")
         entry = spec._glue_memo[id(d_out)] = (d_out, {})
     return entry[1]
 
 
-def _posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> Distribution:
+def _restriction(spec: SystemSpec, src: ProductSpace, dst: ProductSpace) -> list[int]:
+    """_restriction_table(src, dst), memoised on the spec by the two spaces'
+    factor ids (a spec gives each id one alphabet)."""
+    key = (src.factor_ids, dst.factor_ids)
+    table = spec._glue_memo.get(key)
+    if table is None:
+        table = spec._glue_memo[key] = _restriction_table(src, dst)
+    return table
+
+
+def _posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> _Record:
     """The subsystem's measurement at d_out, on its own input space S_C.
 
     measure(extend(spec, sub), d_out) is this posterior times the uniform
@@ -146,13 +170,16 @@ def _posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> Distrib
     return posterior
 
 
-def _glued_posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> Distribution:
-    out_space = system_output_space(spec)
-    if d_out.space != out_space:
-        raise SpaceMismatch("output distribution is not over the system's outputs")
+def _glued_posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> _Record:
+    """_posterior without its memo, for callers that measure each subsystem
+    once. d_out must be over the system's outputs (_measurements checks it).
+
+    The rows of a mixed output are summed over one common denominator, and
+    each state's weight is then reduced to lowest terms by one gcd."""
+    out_space = d_out.space
     domain = source_space(spec, sub)
     if sub.is_null:
-        return _trusted_distribution(domain, (ONE,))
+        return _Record(domain, (1,), (1,))
     blocks = _numerator_blocks(spec, sub, domain)
     slots = [out_space.position(l) for l in sub.target_ids()]
     rows = []
@@ -172,66 +199,78 @@ def _glued_posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> D
     for w, glued, total in rows:
         scale = w.numerator * (denominator // (w.denominator * total))
         numerators = [n + scale * v for n, v in zip(numerators, glued)]
-    return _trusted_distribution(domain, tuple(Fraction(n, denominator) for n in numerators))
+    gcds = [math.gcd(n, denominator) for n in numerators]
+    return _Record(domain, tuple(n // g for n, g in zip(numerators, gcds)),
+                   tuple(denominator // g for g in gcds))
 
 
-def _spread(spec: SystemSpec, posterior: Distribution) -> Distribution:
+def _spread(spec: SystemSpec, posterior: _Record) -> Distribution:
     """A posterior on S_C times the uniform distribution on the rest of the
-    system's inputs."""
+    system's inputs, as a Fraction distribution."""
     in_space = system_input_space(spec)
     outside = in_space.dim // posterior.space.dim
-    weights = [w / outside for w in posterior.weights]
-    restrict = _restriction_indexer(in_space, posterior.space)
-    return Distribution(in_space, tuple(weights[restrict(j)] for j in range(in_space.dim)))
+    weights = [Fraction(n, d * outside)
+               for n, d in zip(posterior.numerators, posterior.denominators)]
+    restrict = _restriction(spec, in_space, posterior.space)
+    return Distribution(in_space, tuple(weights[i] for i in restrict))
 
 
-def _divergence(p: Distribution, factors: Sequence[Distribution] = ()) -> float:
+def _divergence(spec: SystemSpec, p: _Record, factors: Sequence[_Record] = ()) -> float:
     """Relative entropy in bits of a posterior p on S_C from q, the product of
-    factors (distributions on disjoint subspaces of S_C) times the uniform
+    factors (posteriors on disjoint subspaces of S_C) times the uniform
     distribution on the rest of S_C; +inf where p has weight and q has none.
 
     Both sides of a divergence between extended measurements share the
     uniform factor outside S_C, so this equals their divergence on the whole
     system. The factors are the one measurement of a context D within C, so
     that q(x) = m_D(x|_D) / |S_C - S_D|; none for the null context, where q is
-    uniform on S_C; or the measurements of a partition's blocks. States where
+    uniform on S_C; or the measurements of a partition's blocks.
+
+    p and the factors are integer records (_Record), so the ratio p(x) / q(x)
+    is the exact ratio of two ints, whose log2s are taken apart. States where
     p and q agree add exactly 0, so equal distributions give exactly 0.0.
     """
-    lookups = [(f.weights, _restriction_indexer(p.space, f.space)) for f in factors]
-    rest = p.space.dim // math.prod(f.space.dim for f in factors)
+    dim = p.space.dim
+    rest = dim // math.prod(f.space.dim for f in factors)
+    qn, qd = [1] * dim, [rest] * dim  # q(x) = qn[x] / qd[x], over p's states
+    for f in factors:
+        fn, fd = f.numerators, f.denominators
+        restrict = _restriction(spec, p.space, f.space)
+        qn = [v * fn[j] for v, j in zip(qn, restrict)]
+        qd = [v * fd[j] for v, j in zip(qd, restrict)]
     total = 0.0
-    for i, pw in enumerate(p.weights):
-        a, b = pw.numerator, pw.denominator
-        if not a:
-            continue
-        num, den = a * rest, b  # of p(x) / q(x)
-        for weights, restrict in lookups:
-            qw = weights[restrict(i)]
-            num *= qw.denominator
-            den *= qw.numerator
-        if not den:
-            return math.inf
-        if num != den:
-            total += a / b * (math.log2(num) - math.log2(den))
+    for a, b, n, d in zip(p.numerators, p.denominators, qn, qd):
+        if a:
+            if not n:
+                return math.inf
+            num, den = a * d, b * n  # of p(x) / q(x)
+            if num != den:
+                total += a / b * (math.log2(num) - math.log2(den))
     return total
 
 
-def _infinite_states(spec: SystemSpec, p: Distribution,
-                     factors: Sequence[Distribution]) -> tuple[tuple[str, ...], ...]:
+def _infinite_states(spec: SystemSpec, p: _Record,
+                     factors: Sequence[_Record]) -> tuple[tuple[str, ...], ...]:
     """The system input states where the extended p has weight and the
     extended product of factors has none, in the order support_violations
-    gives them: the sources of an infinite _divergence(p, factors)."""
-    lookups = [(f.weights, _restriction_indexer(p.space, f.space)) for f in factors]
-    bad = {i for i, pw in enumerate(p.weights)
-           if pw and any(weights[restrict(i)] == 0 for weights, restrict in lookups)}
+    gives them: the sources of an infinite _divergence(spec, p, factors)."""
+    lookups = [(f.numerators, _restriction(spec, p.space, f.space)) for f in factors]
+    bad = {i for i, a in enumerate(p.numerators)
+           if a and any(not fn[restrict[i]] for fn, restrict in lookups)}
     in_space = system_input_space(spec)
-    restrict = _restriction_indexer(in_space, p.space)
-    return tuple(in_space.symbols_at(j) for j in range(in_space.dim) if restrict(j) in bad)
+    restrict = _restriction(spec, in_space, p.space)
+    return tuple(in_space.symbols_at(j) for j, i in enumerate(restrict) if i in bad)
 
 
 @dataclass(frozen=True)
 class MeasurementResult:
-    """A fine measurement compared against a coarser context."""
+    """A fine measurement compared against a coarser context.
+
+    infinite_states names the system input states where fine has weight and
+    coarse has none. It is empty for every valid input: a context's posterior
+    averages the same nonnegative mechanism entries as the finer one, so it
+    is positive wherever that one is, and ei_bits is finite.
+    """
 
     subsystem: Subsystem
     context: Subsystem | None
@@ -243,7 +282,7 @@ class MeasurementResult:
 
 
 def _fine_and_coarse(spec: SystemSpec, sub: Subsystem, context: Subsystem | None,
-                     d_out: Distribution) -> tuple[Distribution, Distribution]:
+                     d_out: Distribution) -> tuple[_Record, _Record]:
     if context is not None and not context.is_null:
         if not context.effective <= sub.effective:
             raise ContextNotContained(
@@ -258,7 +297,7 @@ def measurement_report(spec: SystemSpec, sub: Subsystem,
                        d_out: Distribution) -> MeasurementResult:
     """Measurements of subsystem and context at d_out plus their divergence."""
     fine, coarse = _fine_and_coarse(spec, sub, context, d_out)
-    ei = _divergence(fine, (coarse,))
+    ei = _divergence(spec, fine, (coarse,))
     offenders = _infinite_states(spec, fine, (coarse,)) if ei == math.inf else ()
     return MeasurementResult(sub, context, d_out, _spread(spec, fine), _spread(spec, coarse),
                              ei, offenders)
@@ -269,4 +308,4 @@ def effective_information(spec: SystemSpec, sub: Subsystem,
                           d_out: Distribution) -> float:
     """Bits of precision the subsystem's measurement adds over the context's."""
     fine, coarse = _fine_and_coarse(spec, sub, context, d_out)
-    return _divergence(fine, (coarse,))
+    return _divergence(spec, fine, (coarse,))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     FactorCollision,
@@ -84,7 +84,7 @@ class ProductSpace:
             d *= len(a)
         return d
 
-    @property
+    @cached_property
     def factor_ids(self) -> tuple[str, ...]:
         return tuple(fid for fid, _ in self.factors)
 
@@ -143,11 +143,10 @@ def canonical_space(factors: Mapping[str, Alphabet] | Iterable[tuple[str, Alphab
     return ProductSpace(tuple(sorted(items, key=lambda f: f[0])))
 
 
-def _restriction_indexer(src: ProductSpace, dst: ProductSpace) -> Callable[[int], int]:
-    """Map a joint index of src to the joint index of its restriction to dst.
+def _restriction_table(src: ProductSpace, dst: ProductSpace) -> list[int]:
+    """For each joint index of src, the joint index of its restriction to dst.
 
     dst's factors must all occur in src (same alphabets); dst's own order wins.
-    The map is a lookup in a table of all of src's indices, built at once.
     """
     strides = {}
     stride = 1
@@ -160,7 +159,7 @@ def _restriction_indexer(src: ProductSpace, dst: ProductSpace) -> Callable[[int]
     for fid, a in src.factors:  # the first factor is the most significant
         s = strides.get(fid, 0)
         table = [t + d * s for t in table for d in range(len(a))]
-    return table.__getitem__
+    return table
 
 
 @dataclass(frozen=True)
@@ -285,16 +284,6 @@ def _trusted_matrix(domain: ProductSpace, codomain: ProductSpace,
     return m
 
 
-def _trusted_distribution(space_: ProductSpace,
-                          weights: tuple[Fraction, ...]) -> Distribution:
-    """Construct without re-validating, like _trusted_matrix: only for
-    weights that sum to 1 by construction (normalized integer rows)."""
-    d = object.__new__(Distribution)
-    object.__setattr__(d, "space", space_)
-    object.__setattr__(d, "weights", weights)
-    return d
-
-
 def _as_symbol_tuple(value) -> tuple[str, ...]:
     if isinstance(value, tuple):
         return tuple(str(v) for v in value)
@@ -398,10 +387,10 @@ def dual(m: StochasticMatrix) -> StochasticMatrix:
 def projection(space_: ProductSpace, kept_ids: Iterable[str]) -> StochasticMatrix:
     """Deterministic map sending each joint Dirac to its kept sub-Dirac."""
     sub = space_.subspace(kept_ids)
-    restrict = _restriction_indexer(space_, sub)
+    restrict = _restriction_table(space_, sub)
     n = sub.dim
     cols = tuple(
-        tuple(ONE if i == restrict(j) else ZERO for i in range(n))
+        tuple(ONE if i == restrict[j] else ZERO for i in range(n))
         for j in range(space_.dim))
     return StochasticMatrix(space_, sub, cols)
 
@@ -413,7 +402,7 @@ def diagonal(source: ProductSpace, targets: Sequence[ProductSpace]) -> Stochasti
     alphabet. If the concatenated blocks would repeat a factor id, every
     block's ids are qualified with the block position ("0.x", "1.x", ...).
     """
-    restricts = [_restriction_indexer(source, t) for t in targets]
+    restricts = [_restriction_table(source, t) for t in targets]
     all_ids = [fid for t in targets for fid in t.factor_ids]
     if len(set(all_ids)) != len(all_ids):
         blocks = [
@@ -428,7 +417,7 @@ def diagonal(source: ProductSpace, targets: Sequence[ProductSpace]) -> Stochasti
     for j in range(source.dim):
         idx = 0
         for restrict, d in zip(restricts, dims):
-            idx = idx * d + restrict(j)
+            idx = idx * d + restrict[j]
         cols.append(tuple(ONE if i == idx else ZERO for i in range(n)))
     return StochasticMatrix(source, codomain, tuple(cols))
 
@@ -446,11 +435,11 @@ def with_spaces(m: StochasticMatrix, domain: ProductSpace | None = None,
 
 def marginal(d: Distribution, kept_ids: Iterable[str]) -> Distribution:
     sub = d.space.subspace(kept_ids)
-    restrict = _restriction_indexer(d.space, sub)
+    restrict = _restriction_table(d.space, sub)
     acc = [ZERO] * sub.dim
     for i, w in enumerate(d.weights):
         if w != 0:
-            acc[restrict(i)] += w
+            acc[restrict[i]] += w
     return Distribution(sub, tuple(acc))
 
 

@@ -76,9 +76,10 @@ class SystemSpec:
 
     @cached_property
     def _glue_memo(self) -> dict:
-        # lattice._numerator_blocks' submechanisms, and measure's posteriors
-        # and entangle's block terms per output; it lives as long as the
-        # spec, which is never changed after it is built
+        # lattice._numerator_blocks' submechanisms and source_space's spaces,
+        # measure's restriction maps, and measure's posteriors and entangle's
+        # block terms per output; it lives as long as the spec, which is
+        # never changed after it is built
         return {}
 
 

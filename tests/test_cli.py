@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -12,11 +15,24 @@ from distmeas.io import (
     system_from_document,
     system_to_document,
 )
-from distmeas.lattice import build_quale
-from distmeas.stoch import BINARY, alphabet, canonical_space, lift_function, make_matrix, uniform
+from distmeas.errors import UnsupportedOutput
+from distmeas.lattice import build_quale, enumerate_subsystems, subsystem, top
+from distmeas.measure import extend, measure, system_output_space
+from distmeas.stoch import (
+    BINARY,
+    alphabet,
+    canonical_space,
+    dirac,
+    distribution,
+    kl_divergence,
+    lift_function,
+    make_matrix,
+    uniform,
+)
 from distmeas.system import Occasion, SystemSpec
 from test_acceptance import _positive_random_system
-from test_lattice import copy_source_system, positive_system
+from test_lattice import chain_system, copy_source_system, positive_system, three_target_system
+from test_measure import double_and_system
 
 XOR = data_path("xor.json")
 AND = data_path("and.json")
@@ -331,6 +347,21 @@ def test_gamma_all_partitions(capsys):
     assert len(body) == 2  # Bell(2) partitions of {vX, vY}
 
 
+def test_gamma_gap_that_rounds_to_zero_prints_unsigned(capsys, tmp_path, monkeypatch):
+    # gamma is 0 on this subsystem's measurement, and the gap ei_whole minus
+    # the block eis comes out of the float subtraction as a tiny negative
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "bench"))
+    from workloads import WORKLOADS
+    work = WORKLOADS["lattice-8"](99, str(tmp_path))
+    work.write_inputs()
+    code, out, _ = run(capsys, "gamma", work.doc_path,
+                       "--subsystem", "s0-t2,s1-t3,s2-t0,s2-t1,s2-t3",
+                       "--partition", "s0|s1,s2", "--output", "t0=0,t1=0,t2=0,t3=0")
+    assert code == 0
+    label, gamma, _, _, gap = out.splitlines()[1].split()
+    assert (label, gamma, gap) == ("s0|s1,s2", "0.000000000", "0.000000000")
+
+
 @pytest.mark.parametrize("partition", ["vX|vY", "vX,vY|"])
 def test_gamma_bad_partition_prints_nothing(capsys, partition):
     # vY is not a source of the subsystem, and "" is no occasion
@@ -380,6 +411,89 @@ def test_lattice_and_opposing_diagonals_differ_by_gamma(capsys):
     up_y = labels[("vX-vZ", "vX-vZ,vY-vZ")]   # add vY edge in X context
     low_y = labels[("null", "vY-vZ")]          # add vY edge in null context
     assert abs((up_y - low_y) - gamma) < 2e-5  # labels carry 5 decimals
+
+
+LATTICE_HOSTS = {
+    "and": and_system,
+    "xor": xor_system,
+    "chain": chain_system,
+    "three-target": three_target_system,
+    "random-3x2": lambda: _positive_random_system(
+        random.Random(13), ["s0", "s1", "s2"], ["t0", "t1"]),
+}
+DOT_NODE = re.compile(r'^  "([^"]*)" \[label="\1"\];$')
+DOT_ARROW = re.compile(r'^  "([^"]*)" -> "([^"]*)" \[label="([^"]*)"\];$')
+
+
+def _key(sub):
+    return ",".join(f"{a}-{b}" for a, b in sorted(sub.pairs)) or "null"
+
+
+@pytest.mark.parametrize("output", ["dirac", "mixed"])
+@pytest.mark.parametrize("host", sorted(LATTICE_HOSTS))
+def test_lattice_labels_match_reference(capsys, tmp_path, host, output):
+    spec = LATTICE_HOSTS[host]()
+    doc = tmp_path / "host.json"
+    save_system(spec, str(doc))
+    out_space = system_output_space(spec)
+    produced = []
+    for a in out_space.iter_symbols():
+        try:
+            measure(extend(spec, top(spec)), dirac(out_space, a))
+        except UnsupportedOutput:
+            continue
+        produced.append(a)
+    if output == "dirac":
+        d_out = dirac(out_space, produced[0])
+        arg = ",".join(f"{fid}={sym}" for fid, sym in zip(out_space.factor_ids, produced[0]))
+    else:
+        weights = [0] * out_space.dim
+        weights[out_space.index_of(produced[0])] = Fraction(1, 3)
+        weights[out_space.index_of(produced[-1])] += Fraction(2, 3)
+        d_out = distribution(out_space, weights)
+        (tmp_path / "dist.json").write_text(json.dumps({"weights": [str(w) for w in weights]}))
+        arg = "@" + str(tmp_path / "dist.json")
+    code, out, err = run(capsys, "lattice", str(doc), "--output", arg)
+    assert (code, err) == (0, "")
+
+    lines = out.splitlines()
+    assert lines[:3] == ["digraph ei_lattice {", "  rankdir=BT;", "  node [shape=box];"]
+    assert lines[-1] == "}"
+    nodes = [m.group(1) for m in map(DOT_NODE.match, lines) if m]
+    arrows = [m.groups() for m in map(DOT_ARROW.match, lines) if m]
+    assert len(nodes) + len(arrows) == len(lines) - 4
+    subs = {_key(s): s for s in enumerate_subsystems(spec)}
+    assert nodes == sorted(subs, key=lambda k: (len(subs[k].pairs), k))
+    covers = [(_key(s), _key(b)) for s in subs.values() for b in subs.values()
+              if s.pairs < b.pairs and len(b.pairs) == len(s.pairs) + 1]
+    assert [(src, dst) for src, dst, _ in arrows] == sorted(covers)
+
+    measured = {k: measure(extend(spec, s), d_out) for k, s in subs.items()}
+    for src, dst, label in arrows:
+        want = kl_divergence(measured[dst], measured[src])
+        # labels carry five decimals
+        assert abs(float(label) - want) <= 0.5e-5 + 1e-12, (src, dst, label, want)
+
+
+@pytest.mark.parametrize("case", ["budget", "unproduced-output"])
+def test_lattice_failure_writes_nothing(capsys, tmp_path, case):
+    if case == "budget":
+        argv = ["lattice", XOR, "--max-edges", "1", "--output", "vZ=0"]
+        error = "BudgetExceeded"
+    else:
+        doc = tmp_path / "double-and.json"
+        save_system(double_and_system(), str(doc))
+        argv = ["lattice", str(doc), "--output", "vW=1,vZ=0"]
+        error = "UnsupportedOutput"
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error:") and error in err and out == ""
+    dot = tmp_path / "lattice.dot"
+    dot.write_bytes(b"digraph previous {}\n")
+    code, out, err = run(capsys, *argv, "--dot", str(dot))
+    assert code == 1 and err.startswith("error:") and error in err and out == ""
+    assert dot.read_bytes() == b"digraph previous {}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + ["lattice.dot"])
 
 
 # -- unroll ------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from distmeas.oracle import FunctionTable, exhaustive_tables, gamma_counts, rand
 from distmeas.stoch import (
     BINARY,
     Distribution,
-    _restriction_indexer,
+    _restriction_table,
     alphabet,
     canonical_space,
     dirac,
@@ -337,8 +337,8 @@ def _whole_space_pair(spec, sub, part, d_out, measured):
     for block in part.blocks:
         pairs = frozenset(p for p in sub.effective if p[0] in block)
         m = marginal(reference(Subsystem(pairs, pairs)), block)
-        restrict = _restriction_indexer(space, m.space)
-        weights = [w * m.weights[restrict(j)] for j, w in enumerate(weights)]
+        restrict = _restriction_table(space, m.space)
+        weights = [w * m.weights[j] for j, w in zip(restrict, weights)]
     return whole, Distribution(space, tuple(weights))
 
 
@@ -393,6 +393,7 @@ def test_infinite_gamma_names_whole_system_states(monkeypatch):
     # rules out s0 = 1 on a subsystem whose sources s0, s1 leave out s2
     import distmeas.entangle as entangle_module
     from test_acceptance import _positive_random_system
+    from test_measure import _distribution, _record
     spec = _positive_random_system(random.Random(5), ["s0", "s1", "s2"], ["t0"])
     sub = subsystem(spec, [("s0", "t0"), ("s1", "t0")])
     d_out = dirac(system_output_space(spec), ("1",))
@@ -400,14 +401,16 @@ def test_infinite_gamma_names_whole_system_states(monkeypatch):
     planted = dirac(canonical_space({"s0": BINARY}), ("0",))
 
     def posterior(spec_, sub_, d_out_):
-        return planted if sub_.source_ids() == ("s0",) else _posterior(spec_, sub_, d_out_)
+        if sub_.source_ids() == ("s0",):
+            return _record(planted)
+        return _posterior(spec_, sub_, d_out_)
 
     monkeypatch.setattr(entangle_module, "_posterior", posterior)
     rep = entanglement(spec, sub, split, d_out)
     assert rep.gamma_bits == math.inf
     whole = _spread(spec, _posterior(spec, sub, d_out))
     in_space = system_input_space(spec)
-    s1 = _posterior(spec, subsystem(spec, [("s1", "t0")]), d_out)
+    s1 = _distribution(_posterior(spec, subsystem(spec, [("s1", "t0")]), d_out))
     product = Distribution(in_space, tuple(
         planted.weight((x0,)) * s1.weight((x1,)) / 2 for x0, x1, _ in in_space.iter_symbols()))
     assert rep.infinite_states == support_violations(whole, product)

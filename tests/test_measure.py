@@ -17,6 +17,7 @@ from distmeas.lattice import bottom, enumerate_subsystems, source_space, subsyst
 from distmeas.measure import (
     MeasurementResult,
     _posterior,
+    _Record,
     _spread,
     effective_information,
     extend,
@@ -36,6 +37,7 @@ from distmeas.oracle import (
 )
 from distmeas.stoch import (
     BINARY,
+    Distribution,
     alphabet,
     dirac,
     distribution,
@@ -285,6 +287,16 @@ def test_measurement_report_carries_distributions(and_spec):
 
 # -- glued-row measurements against the reference operators --------------------
 
+def _record(d):
+    """A Fraction distribution as the integer record a posterior is kept in."""
+    return _Record(d.space, tuple(w.numerator for w in d.weights),
+                   tuple(w.denominator for w in d.weights))
+
+
+def _distribution(record):
+    return Distribution(record.space, tuple(map(F, record.numerators, record.denominators)))
+
+
 def _measured(spec, sub, d_out):
     # the kernel's posterior on S_C, times the uniform distribution outside
     return _spread(spec, _posterior(spec, sub, d_out))
@@ -325,7 +337,7 @@ def _assert_rows_match_reference(spec):
             if not isinstance(want, str):
                 got = _posterior(spec, sub, d_out)
                 assert got.space == source_space(spec, sub)
-                assert got == marginal(want, sub.source_ids()), (sorted(sub.pairs), d_out)
+                assert got == _record(marginal(want, sub.source_ids())), (sorted(sub.pairs), d_out)
 
 
 def test_glued_rows_match_extend_on_fixtures(xor_spec, and_spec):
@@ -352,16 +364,21 @@ def test_glued_rows_null_subsystem_is_uniform(xor_spec):
             assert got == measure(extend(xor_spec, sub), d_out)
 
 
-def test_glued_rows_reject_unattained_output_like_measure():
-    # two AND gates reading the same inputs never disagree
+def double_and_system():
+    """Two AND gates vW and vZ reading the same inputs, which never disagree:
+    the output vW=1, vZ=0 is never produced."""
     from distmeas.stoch import canonical_space
     from distmeas.system import Occasion, SystemSpec
     and_mech = two_input_system(and_table()).mechanisms["vZ"]
-    spec = SystemSpec(
+    return SystemSpec(
         tuple(Occasion(i, BINARY) for i in ("vW", "vX", "vY", "vZ")),
         frozenset({("vX", "vW"), ("vY", "vW"), ("vX", "vZ"), ("vY", "vZ")}),
         {"vZ": and_mech, "vW": with_spaces(and_mech, codomain=canonical_space({"vW": BINARY}))},
         {i: uniform(canonical_space({i: BINARY})) for i in ("vX", "vY")})
+
+
+def test_glued_rows_reject_unattained_output_like_measure():
+    spec = double_and_system()
     d_out = dirac(system_output_space(spec), ("1", "0"))
     with pytest.raises(UnsupportedOutput) as fast:
         _measured(spec, top(spec), d_out)
@@ -381,7 +398,7 @@ def test_glued_rows_check_the_output_space(xor_spec, and_spec):
 
 
 def _posterior_by_reference(spec, sub, d_out):
-    return marginal(measure(extend(spec, sub), d_out), sub.source_ids())
+    return _record(marginal(measure(extend(spec, sub), d_out), sub.source_ids()))
 
 
 def _kernel_hosts():
