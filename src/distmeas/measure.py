@@ -22,6 +22,7 @@ their factor ids. Only the public results (MeasurementResult) hold Fraction
 distributions, built by _spread. Tests pin the posterior times the uniform
 factor to measure(extend(...)) with exact equality.
 """
+
 from __future__ import annotations
 
 import math

@@ -16,7 +16,7 @@ from distmeas.io import (
     system_to_document,
 )
 from distmeas.errors import UnsupportedOutput
-from distmeas.lattice import build_quale, enumerate_subsystems, subsystem, top
+from distmeas.lattice import build_quale, enumerate_subsystems, top
 from distmeas.measure import extend, measure, system_output_space
 from distmeas.stoch import (
     BINARY,
