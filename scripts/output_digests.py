@@ -10,10 +10,11 @@ lattice on the quale-11 document, two oracle-check runs, gamma and ei on a
 proper multi-target subsystem of the lattice-8 document (its blocks and its
 context read fewer sources than it does, and it reads fewer than the
 system), gamma over every partition of a 5-cell Hopfield ring, lattice on
-the lattice-8 document at a mixed output, and lattice on a fully connected
-12-edge bipartite document (4 sources, 3 targets). The
-benchmark documents are generated by bench/workloads.py at their baseline
-seeds.
+the lattice-8 document at a mixed output, lattice on a fully connected
+12-edge bipartite document (4 sources, 3 targets), and validate and
+quale --out on a document of mixed alphabet sizes whose mechanisms list
+their sources out of order (mixed_radix_document). The benchmark documents
+are generated by bench/workloads.py at their baseline seeds.
 Every run happens in a temporary directory with relative paths, so the
 digests do not depend on where the repository lives.
 
@@ -122,7 +123,38 @@ def runs() -> list[tuple[str, list[str], str | None]]:
     out.append(("bipartite-12:lattice",
                 ["lattice", "bipartite-12.json", "--output", "t0=0,t1=1,t2=0"], None))
 
+    with open("mixed-radix.json", "w", encoding="utf-8") as fh:
+        json.dump(mixed_radix_document(), fh, indent=2)
+    out += [
+        ("mixed-radix:validate", ["validate", "mixed-radix.json"], None),
+        ("mixed-radix:quale-out",
+         ["quale", "mixed-radix.json", "--out", "mixed-radix-quale.json"], "mixed-radix-quale.json"),
+    ]
+
     return out
+
+
+def mixed_radix_document() -> dict:
+    """Sources a, b, c with alphabets of sizes 2, 3 and 4 feed y (a, b) and z
+    (a, b, c), whose mechanisms list their sources out of id order. Entries
+    are written as n/d strings, JSON and string integers, decimals and with
+    leading zeros. The column patterns' periods do not divide the tables'
+    widths, so a wrong column order changes the quale."""
+    sizes = {"a": 2, "b": 3, "c": 4, "y": 2, "z": 3}
+    y_cols = [["0.25", "3/4"], [1, 0], ["01/2", "0.5"], ["1", "0"]]
+    z_cols = [["1/2", "0.25", "01/4"], [1, 0, 0], ["0.5", "002/6", "1/6"],
+              ["1/3", "1/3", "1/3"], [0, "0003/4", "0.25"]]
+    return {
+        "format_version": 1,
+        "occasions": [{"id": i, "alphabet": [str(s) for s in range(n)]} for i, n in sizes.items()],
+        "edges": [["a", "y"], ["b", "y"], ["a", "z"], ["b", "z"], ["c", "z"]],
+        "mechanisms": {
+            "y": {"sources": ["b", "a"], "table": [y_cols[j % 4] for j in range(6)]},
+            "z": {"sources": ["c", "a", "b"], "table": [z_cols[j % 5] for j in range(24)]},
+        },
+        "sources": {"a": ["0.5", "1/2"], "b": ["1/3", "01/3", "2/6"],
+                    "c": ["0.25", 0, "3/4", "0"]},
+    }
 
 
 def digest(argv: list[str], out_path: str | None, workdir: str) -> str:
