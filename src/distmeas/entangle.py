@@ -112,7 +112,7 @@ def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
     one block of sub's sources, p being sub's measurement; the cross term
     is -inf where p has weight and p_k has none. Memoised per output by
     (sub's effective pairs, block)."""
-    memo = _measurements(spec, d_out)
+    memo = _measurements(spec, d_out).memo
     key = (sub.effective, block)
     terms = memo.get(key)
     if terms is None:

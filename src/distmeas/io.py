@@ -41,6 +41,7 @@ the cell's own position in its neighborhood as the self slot.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Any
@@ -49,9 +50,10 @@ from .errors import DocumentError
 from .stoch import (
     Distribution,
     ProductSpace,
+    StochasticMatrix,
+    _restriction_table,
     alphabet,
     canonical_space,
-    matrix_from_columns,
     rational,
 )
 from .system import (
@@ -115,11 +117,24 @@ def write_quale(fh, glued) -> None:
     fh.write("\n  ]\n}\n")
 
 
-def _parse_rational(value: Any, where: str) -> Fraction:
+# "n" or "n/d" in ASCII digits, as documents write probabilities
+_PLAIN_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_rational(value: Any, where: str, *args) -> Fraction:
+    """rational(value), with a DocumentError naming where.format(*args) in
+    place of its errors; the text is formatted only for an error."""
     try:
+        if type(value) is str and (plain := _PLAIN_RATIONAL.fullmatch(value)):
+            n, d = plain.groups()
+            if d is None:
+                return Fraction(int(n))
+            if d := int(d):
+                return Fraction(int(n), d)
         return rational(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise DocumentError(f"bad rational {value!r} in {where}: {exc}") from None
+        raise DocumentError(
+            f"bad rational {value!r} in {where.format(*args)}: {exc}") from None
 
 
 def system_to_document(spec: SystemSpec) -> dict:
@@ -196,13 +211,13 @@ def system_from_document(doc: dict) -> SystemSpec:
                 f"mechanism for {occ_id!r} has {len(table)} columns, expected {listed_space.dim}")
         canonical = canonical_space({s: alpha[s] for s in listed})
         cols = [None] * canonical.dim
+        # listed column j is canonical column to_canonical[j]
+        to_canonical = _restriction_table(listed_space, canonical)
         for j, col in enumerate(table):
-            joint = listed_space.symbols_at(j)
-            by_id = dict(zip(listed_space.factor_ids, joint))
-            cj = canonical.index_of(tuple(by_id[f] for f in canonical.factor_ids))
-            cols[cj] = [_parse_rational(v, f"mechanism {occ_id!r} column {j}") for v in col]
-        mechanisms[occ_id] = matrix_from_columns(
-            canonical, canonical_space({occ_id: alpha[occ_id]}), cols)
+            cols[to_canonical[j]] = tuple(
+                _parse_rational(v, "mechanism {!r} column {}", occ_id, j) for v in col)
+        mechanisms[occ_id] = StochasticMatrix(
+            canonical, canonical_space({occ_id: alpha[occ_id]}), tuple(cols))
 
     sources = {}
     for occ_id, weights in source_docs.items():
@@ -212,7 +227,7 @@ def system_from_document(doc: dict) -> SystemSpec:
             raise DocumentError(f"source distribution for {occ_id!r} must be a list of rationals")
         sources[occ_id] = Distribution(
             canonical_space({occ_id: alpha[occ_id]}),
-            tuple(_parse_rational(w, f"source {occ_id!r}") for w in weights))
+            tuple(_parse_rational(w, "source {!r}", occ_id) for w in weights))
 
     return SystemSpec(occasions, frozenset(edge_list), mechanisms, sources)
 
@@ -272,7 +287,7 @@ def automaton_from_document(doc: dict) -> AutomatonSpec:
                 raise DocumentError(f"initial distribution for unknown cell {cell!r}")
             space = canonical_space({"init": alphabets[str(cell)]})
             initial[str(cell)] = Distribution(
-                space, tuple(_parse_rational(w, f"initial {cell!r}") for w in weights))
+                space, tuple(_parse_rational(w, "initial {!r}", cell) for w in weights))
         else:
             initial[str(cell)] = str(idoc)
 
@@ -301,14 +316,14 @@ def _rule_from_document(cell, rdoc, nbrs, alphabets):
     if kind == "hopfield":
         try:
             weight_docs = rdoc["weights"]
-            temperature = _parse_rational(rdoc["temperature"], f"hopfield temperature of {cell!r}")
+            temperature = _parse_rational(rdoc["temperature"], "hopfield temperature of {!r}", cell)
         except KeyError as exc:
             raise DocumentError(f"hopfield rule for {cell!r} missing {exc}") from None
         if not isinstance(weight_docs, list):
             raise DocumentError(f"hopfield weights of {cell!r} must be a list of rationals")
-        weights = [_parse_rational(w, f"hopfield weights of {cell!r}") for w in weight_docs]
+        weights = [_parse_rational(w, "hopfield weights of {!r}", cell) for w in weight_docs]
         snap = _parse_rational(rdoc.get("snap_denominator", 10 ** 12),
-                               f"hopfield snap_denominator of {cell!r}")
+                               "hopfield snap_denominator of {!r}", cell)
         if snap.denominator != 1:
             raise DocumentError(f"hopfield snap_denominator of {cell!r} must be an integer, not {snap}")
         return hopfield_rule(weights, temperature, int(snap))
@@ -338,4 +353,4 @@ def load_distribution(path: str, space) -> Distribution:
         raise DocumentError(f"{path}: 'weights' must be a list of rationals")
     if len(weights) != space.dim:
         raise DocumentError(f"{path}: {len(weights)} weights for a {space.dim}-state space")
-    return Distribution(space, tuple(_parse_rational(w, path) for w in weights))
+    return Distribution(space, tuple(_parse_rational(w, "{}", path) for w in weights))

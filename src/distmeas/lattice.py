@@ -94,18 +94,24 @@ def bottom(spec: SystemSpec) -> Subsystem:
     return Subsystem(frozenset(), frozenset())
 
 
-def source_space(spec: SystemSpec, sub: Subsystem) -> ProductSpace:
-    """S_C, one shared space per source set: memoised in spec._glue_memo by
-    the source ids."""
-    ids = sub.source_ids()
+def _occasion_space(spec: SystemSpec, ids: tuple[str, ...]) -> ProductSpace:
+    """The canonical space over the occasions ids, one shared space per id
+    tuple: memoised in spec._glue_memo by the ids (a spec gives each id one
+    alphabet)."""
     space = spec._glue_memo.get(ids)
     if space is None:
         space = spec._glue_memo[ids] = canonical_space({k: spec.alphabet_of(k) for k in ids})
     return space
 
 
+def source_space(spec: SystemSpec, sub: Subsystem) -> ProductSpace:
+    """S_C, one shared space per source set."""
+    return _occasion_space(spec, sub.source_ids())
+
+
 def target_space(spec: SystemSpec, sub: Subsystem) -> ProductSpace:
-    return canonical_space({l: spec.alphabet_of(l) for l in sub.target_ids()})
+    """A_C, one shared space per target set."""
+    return _occasion_space(spec, sub.target_ids())
 
 
 def _edges_within_budget(spec: SystemSpec, max_pairs: int) -> list[tuple[str, str]]:

@@ -16,11 +16,12 @@ terms, which are the ints a Fraction of that weight would hold. The extended
 measurement is that posterior times the uniform distribution on the inputs
 outside C, a factor both sides of every divergence share, so each divergence
 is computed on S_C alone (_divergence), with a context D within C
-contributing m_D(x|_D) / |S_C - S_D|. Posteriors are memoised on the spec
-per output, and the maps restricting one space's states to another's by
-their factor ids. Only the public results (MeasurementResult) hold Fraction
-distributions, built by _spread. Tests pin the posterior times the uniform
-factor to measure(extend(...)) with exact equality.
+contributing m_D(x|_D) / |S_C - S_D|. An output's support and the
+posteriors at it are memoised on the spec per output, and so are the maps
+restricting one space's states to another's by their factor ids. Only the
+public results (MeasurementResult) hold Fraction distributions, built by
+_spread. Tests pin the posterior times the uniform factor to
+measure(extend(...)) with exact equality.
 """
 
 from __future__ import annotations
@@ -127,9 +128,21 @@ class _Record(NamedTuple):
     denominators: tuple[int, ...]
 
 
-def _measurements(spec: SystemSpec, d_out: Distribution) -> dict:
-    """The spec's memo of what is measured at d_out: posteriors by effective
-    pairs (_posterior) and entangle's block terms.
+class _Output(NamedTuple):
+    """What is measured at one output distribution d_out.
+
+    support lists the outputs d_out gives weight, in state order, as pairs
+    of (weight, symbol index of every system target, in id order). memo
+    holds posteriors by effective pairs (_posterior) and entangle's block
+    terms."""
+
+    d_out: Distribution
+    support: list[tuple[Fraction, tuple[int, ...]]]
+    memo: dict
+
+
+def _measurements(spec: SystemSpec, d_out: Distribution) -> _Output:
+    """The spec's entry for what is measured at d_out.
 
     It is keyed by d_out's identity, not its value, so that a lookup never
     hashes the distribution's Fractions. The entry keeps d_out alive, so the
@@ -138,10 +151,14 @@ def _measurements(spec: SystemSpec, d_out: Distribution) -> dict:
     """
     entry = spec._glue_memo.get(id(d_out))
     if entry is None:
-        if d_out.space != system_output_space(spec):
+        out_space = system_output_space(spec)
+        if d_out.space != out_space:
             raise SpaceMismatch("output distribution is not over the system's outputs")
-        entry = spec._glue_memo[id(d_out)] = (d_out, {})
-    return entry[1]
+        support = [
+            (w, tuple(a.index(s) for (_, a), s in zip(out_space.factors, out_space.symbols_at(i))))
+            for i, w in enumerate(d_out.weights) if w]
+        entry = spec._glue_memo[id(d_out)] = _Output(d_out, support, {})
+    return entry
 
 
 def _restriction(spec: SystemSpec, src: ProductSpace, dst: ProductSpace) -> list[int]:
@@ -164,7 +181,7 @@ def _posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> _Record
     subsystem's posterior is the point mass on the scalar space. Memoised
     per output (_measurements).
     """
-    memo = _measurements(spec, d_out)
+    memo = _measurements(spec, d_out).memo
     posterior = memo.get(sub.effective)
     if posterior is None:
         posterior = memo[sub.effective] = _glued_posterior(spec, sub, d_out)
@@ -172,26 +189,26 @@ def _posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> _Record
 
 
 def _glued_posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> _Record:
-    """_posterior without its memo, for callers that measure each subsystem
-    once. d_out must be over the system's outputs (_measurements checks it).
+    """_posterior without its memo of posteriors, for callers that measure
+    each subsystem once.
 
-    The rows of a mixed output are summed over one common denominator, and
-    each state's weight is then reduced to lowest terms by one gcd."""
-    out_space = d_out.space
+    Each output in d_out's support (_measurements) selects the glued row at
+    the subsystem's targets' symbols. The rows of a mixed output are summed
+    over one common denominator, and each state's weight is then reduced to
+    lowest terms by one gcd."""
     domain = source_space(spec, sub)
     if sub.is_null:
         return _Record(domain, (1,), (1,))
+    out_space = d_out.space
+    support = _measurements(spec, d_out).support
     blocks = _numerator_blocks(spec, sub, domain)
     slots = [out_space.position(l) for l in sub.target_ids()]
     rows = []
-    for i, w in enumerate(d_out.weights):
-        if w == 0:
-            continue
-        symbols = out_space.symbols_at(i)
-        at = [out_space.factors[p][1].index(symbols[p]) for p in slots]
-        (glued,) = _glued_rows(blocks, at)
+    for w, symbol_indices in support:
+        (glued,) = _glued_rows(blocks, [symbol_indices[p] for p in slots])
         total = sum(glued)
         if total == 0:
+            symbols = tuple(a.symbols[k] for (_, a), k in zip(out_space.factors, symbol_indices))
             raise UnsupportedOutput(f"output {symbols} is never produced by the mechanism")
         rows.append((w, glued, total))
     # sum_rows w * glued / total, over one common denominator

@@ -162,6 +162,26 @@ def _restriction_table(src: ProductSpace, dst: ProductSpace) -> list[int]:
     return table
 
 
+def _check_unit_sum(values: Sequence[Fraction], negative: str, bad_sum: str, *where) -> None:
+    """Raise NonStochastic unless values are nonnegative and add up to exactly 1.
+
+    The check runs in integers: each sign is read from the numerator, and the
+    numerators scaled to the LCM of the denominators must add up to that LCM.
+    The message is the template negative formatted with the first negative
+    value, or bad_sum with the sum; where are the templates' further fields.
+    """
+    denominators = [v.denominator for v in values]
+    lcd = math.lcm(*denominators)
+    total = 0
+    for v, d in zip(values, denominators):
+        n = v.numerator
+        if n < 0:
+            raise NonStochastic(negative.format(v, *where))
+        total += n * (lcd // d)
+    if total != lcd:
+        raise NonStochastic(bad_sum.format(Fraction(total, lcd), *where))
+
+
 @dataclass(frozen=True)
 class StochasticMatrix:
     """Column-stochastic map between product spaces.
@@ -181,13 +201,8 @@ class StochasticMatrix:
             if len(col) != self.codomain.dim:
                 raise NonStochastic(
                     f"column {j} has {len(col)} rows, expected {self.codomain.dim}")
-            total = ZERO
-            for v in col:
-                if v < 0:
-                    raise NonStochastic(f"negative entry {v} in column {j}")
-                total += v
-            if total != 1:
-                raise NonStochastic(f"column {j} sums to {total}, not 1")
+            _check_unit_sum(col, "negative entry {0} in column {1}",
+                            "column {1} sums to {0}, not 1", j)
 
     def entry(self, row: int, col: int) -> Fraction:
         return self.cols[col][row]
@@ -211,13 +226,7 @@ class Distribution:
         if len(self.weights) != self.space.dim:
             raise NonStochastic(
                 f"expected {self.space.dim} weights, got {len(self.weights)}")
-        total = ZERO
-        for w in self.weights:
-            if w < 0:
-                raise NonStochastic(f"negative weight {w}")
-            total += w
-        if total != 1:
-            raise NonStochastic(f"weights sum to {total}, not 1")
+        _check_unit_sum(self.weights, "negative weight {0}", "weights sum to {0}, not 1")
 
     def weight(self, symbols: Sequence[str]) -> Fraction:
         return self.weights[self.space.index_of(symbols)]

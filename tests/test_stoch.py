@@ -375,6 +375,34 @@ def test_distribution_must_sum_to_one():
         distribution(X, ["1/2", "1/3"])
 
 
+F = Fraction
+X3 = space(("x", alphabet("abc")))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StochasticMatrix(X, X3, ((F(1, 3),) * 3, (F(3, 2), F(-1, 2), F(0)))),
+     "negative entry -1/2 in column 1"),
+    (lambda: StochasticMatrix(X, X3, ((F(1, 3),) * 3, (F(1, 2), F(1, 3), F(1, 4)))),
+     "column 1 sums to 13/12, not 1"),
+    (lambda: StochasticMatrix(X, X3, ((F(1),) * 3, (F(1), F(0), F(0)))),
+     "column 0 sums to 3, not 1"),
+    (lambda: StochasticMatrix(X, X3, ((F(1), F(0), F(0)),)),
+     "expected 2 columns, got 1"),
+    (lambda: StochasticMatrix(X, X3, ((F(1), F(0), F(0)), (F(1), F(0)))),
+     "column 1 has 2 rows, expected 3"),
+    (lambda: Distribution(X3, (F(3, 2), F(-1, 2), F(0))), "negative weight -1/2"),
+    (lambda: Distribution(X3, (F(1, 2), F(1, 3), F(1, 12))), "weights sum to 11/12, not 1"),
+    (lambda: Distribution(X3, (F(0),) * 3), "weights sum to 0, not 1"),
+    (lambda: Distribution(X3, (F(1), F(0))), "expected 3 weights, got 2"),
+], ids=["matrix-negative", "matrix-sum", "matrix-integer-sum", "matrix-columns",
+        "matrix-rows", "distribution-negative", "distribution-sum",
+        "distribution-zero-sum", "distribution-length"])
+def test_non_stochastic_messages(build, message):
+    with pytest.raises(NonStochastic) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_kl_self_is_zero():
     p = distribution(X, ["1/3", "2/3"])
     assert kl_divergence(p, p) == 0.0
