@@ -361,13 +361,18 @@ def hopfield_rule(weights: Sequence, temperature,
         raise NonpositiveTemperature(f"temperature {temperature} must be > 0")
     if snap_denominator < 2:
         raise InvalidAutomaton(f"snap denominator {snap_denominator} must be >= 2")
+    if snap_denominator > 10 ** 308:
+        raise InvalidAutomaton("snap denominator must not exceed 10^308: p(1) is scaled "
+                               "by it in floating point")
     w = [rational(v) for v in weights]
     domain = ProductSpace(tuple((f"n{i}", BINARY) for i in range(len(w))))
     out_space = canonical_space({"out": BINARY})
     cols = []
     for joint in domain.iter_symbols():
         h = sum((wj for wj, s in zip(w, joint) if s == "1"), Fraction(0))
-        x = float(h / temperature)
+        # e^-1000 is 0.0 in floats, so bounding |x| there changes no entry
+        # and keeps float() from overflowing
+        x = float(min(max(h / temperature, -1000), 1000))
         if x >= 0:
             p1 = 1.0 / (1.0 + math.exp(-x))
         else:

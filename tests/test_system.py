@@ -251,17 +251,26 @@ def test_hopfield_columns_sum_exactly_one():
 
 
 def test_hopfield_strong_field_stays_strictly_positive():
-    # |h|/T = 40 rounds p(1) to 0 or 1 before clamping to [1/D, 1 - 1/D]
-    m = hopfield_rule(["40", "-40"], "1")
-    for col in m.cols:
-        assert all(v > 0 for v in col) and sum(col) == 1
-    assert m.cols[1] == (1 - Fraction(1, 10 ** 12), Fraction(1, 10 ** 12))
-    assert m.cols[2] == (Fraction(1, 10 ** 12), 1 - Fraction(1, 10 ** 12))
+    # |h|/T = 40 rounds p(1) to 0 or 1 before clamping to [1/D, 1 - 1/D];
+    # 10^999 is beyond the float range
+    for field in ("40", "1e999"):
+        m = hopfield_rule([field, "-" + field], "1")
+        for col in m.cols:
+            assert all(v > 0 for v in col) and sum(col) == 1
+        assert m.cols[1] == (1 - Fraction(1, 10 ** 12), Fraction(1, 10 ** 12))
+        assert m.cols[2] == (Fraction(1, 10 ** 12), 1 - Fraction(1, 10 ** 12))
 
 
 def test_hopfield_snap_denominator_must_leave_room():
     with pytest.raises(InvalidAutomaton):
         hopfield_rule([1], 1, snap_denominator=1)
+
+
+def test_hopfield_snap_denominator_must_fit_a_float():
+    m = hopfield_rule([1], 1, snap_denominator=10 ** 308)
+    assert all(sum(col) == 1 and min(col) > 0 for col in m.cols)
+    with pytest.raises(InvalidAutomaton):
+        hopfield_rule([1], 1, snap_denominator=10 ** 308 + 1)
 
 
 def test_hopfield_temperature_must_be_positive():
