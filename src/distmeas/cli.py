@@ -222,7 +222,7 @@ def cmd_unroll(args) -> int:
     with open(args.path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, too many digits
             raise DocumentError(f"{args.path}: invalid JSON: {exc}") from None
     if args.steps is not None:
         if args.steps < 1:

@@ -121,20 +121,23 @@ def write_quale(fh, glued) -> None:
 _PLAIN_RATIONAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_rational(value: Any, where: str, *args) -> Fraction:
-    """rational(value), with a DocumentError naming where.format(*args) in
-    place of its errors; the text is formatted only for an error."""
+def _parse_rational(value: Any, where: str) -> Fraction:
+    """rational(value), with a DocumentError naming where in place of its
+    errors. A value whose numerator or denominator has more digits than
+    str() may print (sys.get_int_max_str_digits; "1e5000" has them) is
+    refused here, not in the message or the output that would print it."""
     try:
         if type(value) is str and (plain := _PLAIN_RATIONAL.fullmatch(value)):
-            n, d = plain.groups()
+            n, d = plain.groups()  # int() refuses too many digits itself
             if d is None:
                 return Fraction(int(n))
             if d := int(d):
                 return Fraction(int(n), d)
-        return rational(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise DocumentError(
-            f"bad rational {value!r} in {where.format(*args)}: {exc}") from None
+        fraction = rational(value)
+        str(fraction)  # ValueError past the digit limit
+        return fraction
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise DocumentError(f"bad rational {value!r} in {where}: {exc}") from None
 
 
 def system_to_document(spec: SystemSpec) -> dict:
@@ -214,8 +217,8 @@ def system_from_document(doc: dict) -> SystemSpec:
         # listed column j is canonical column to_canonical[j]
         to_canonical = _restriction_table(listed_space, canonical)
         for j, col in enumerate(table):
-            cols[to_canonical[j]] = tuple(
-                _parse_rational(v, "mechanism {!r} column {}", occ_id, j) for v in col)
+            where = f"mechanism {occ_id!r} column {j}"
+            cols[to_canonical[j]] = tuple(_parse_rational(v, where) for v in col)
         mechanisms[occ_id] = StochasticMatrix(
             canonical, canonical_space({occ_id: alpha[occ_id]}), tuple(cols))
 
@@ -227,7 +230,7 @@ def system_from_document(doc: dict) -> SystemSpec:
             raise DocumentError(f"source distribution for {occ_id!r} must be a list of rationals")
         sources[occ_id] = Distribution(
             canonical_space({occ_id: alpha[occ_id]}),
-            tuple(_parse_rational(w, "source {!r}", occ_id) for w in weights))
+            tuple(_parse_rational(w, f"source {occ_id!r}") for w in weights))
 
     return SystemSpec(occasions, frozenset(edge_list), mechanisms, sources)
 
@@ -236,7 +239,7 @@ def load_system(path: str) -> SystemSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, too many digits
             raise DocumentError(f"{path}: invalid JSON: {exc}") from None
     return system_from_document(doc)
 
@@ -267,7 +270,7 @@ def automaton_from_document(doc: dict) -> AutomatonSpec:
         window = (int(doc["window"][0]), int(doc["window"][1]))
         rule_docs = doc["rules"]
         init_docs = doc["initial"]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"malformed automaton document: {exc}") from None
     _reject_dashed_ids(cells, "cell")
 
@@ -287,7 +290,7 @@ def automaton_from_document(doc: dict) -> AutomatonSpec:
                 raise DocumentError(f"initial distribution for unknown cell {cell!r}")
             space = canonical_space({"init": alphabets[str(cell)]})
             initial[str(cell)] = Distribution(
-                space, tuple(_parse_rational(w, "initial {!r}", cell) for w in weights))
+                space, tuple(_parse_rational(w, f"initial {cell!r}") for w in weights))
         else:
             initial[str(cell)] = str(idoc)
 
@@ -316,14 +319,14 @@ def _rule_from_document(cell, rdoc, nbrs, alphabets):
     if kind == "hopfield":
         try:
             weight_docs = rdoc["weights"]
-            temperature = _parse_rational(rdoc["temperature"], "hopfield temperature of {!r}", cell)
+            temperature = _parse_rational(rdoc["temperature"], f"hopfield temperature of {cell!r}")
         except KeyError as exc:
             raise DocumentError(f"hopfield rule for {cell!r} missing {exc}") from None
         if not isinstance(weight_docs, list):
             raise DocumentError(f"hopfield weights of {cell!r} must be a list of rationals")
-        weights = [_parse_rational(w, "hopfield weights of {!r}", cell) for w in weight_docs]
+        weights = [_parse_rational(w, f"hopfield weights of {cell!r}") for w in weight_docs]
         snap = _parse_rational(rdoc.get("snap_denominator", 10 ** 12),
-                               "hopfield snap_denominator of {!r}", cell)
+                               f"hopfield snap_denominator of {cell!r}")
         if snap.denominator != 1:
             raise DocumentError(f"hopfield snap_denominator of {cell!r} must be an integer, not {snap}")
         return hopfield_rule(weights, temperature, int(snap))
@@ -334,7 +337,7 @@ def load_automaton(path: str) -> AutomatonSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, too many digits
             raise DocumentError(f"{path}: invalid JSON: {exc}") from None
     return automaton_from_document(doc)
 
@@ -344,7 +347,7 @@ def load_distribution(path: str, space) -> Distribution:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, too many digits
             raise DocumentError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "weights" not in doc:
         raise DocumentError(f"{path}: expected an object with a 'weights' list")
@@ -353,4 +356,4 @@ def load_distribution(path: str, space) -> Distribution:
         raise DocumentError(f"{path}: 'weights' must be a list of rationals")
     if len(weights) != space.dim:
         raise DocumentError(f"{path}: {len(weights)} weights for a {space.dim}-state space")
-    return Distribution(space, tuple(_parse_rational(w, "{}", path) for w in weights))
+    return Distribution(space, tuple(_parse_rational(w, path) for w in weights))

@@ -154,9 +154,7 @@ def _measurements(spec: SystemSpec, d_out: Distribution) -> _Output:
         out_space = system_output_space(spec)
         if d_out.space != out_space:
             raise SpaceMismatch("output distribution is not over the system's outputs")
-        support = [
-            (w, tuple(a.index(s) for (_, a), s in zip(out_space.factors, out_space.symbols_at(i))))
-            for i, w in enumerate(d_out.weights) if w]
+        support = [(w, out_space.digits_at(i)) for i, w in enumerate(d_out.weights) if w]
         entry = spec._glue_memo[id(d_out)] = _Output(d_out, support, {})
     return entry
 

@@ -104,6 +104,14 @@ class ProductSpace:
             idx = idx * len(a) + a.index(s)
         return idx
 
+    def digits_at(self, index: int) -> tuple[int, ...]:
+        """The symbol index in each factor of the joint index."""
+        out: list[int] = []
+        for fid, a in reversed(self.factors):
+            index, r = divmod(index, len(a))
+            out.append(r)
+        return tuple(reversed(out))
+
     def symbols_at(self, index: int) -> tuple[str, ...]:
         out: list[str] = []
         for fid, a in reversed(self.factors):

@@ -52,14 +52,17 @@ RATIONAL_TEXT = st.one_of(
 @example("1e3")
 @example("1_000")
 @example("\u0663/4")
+@example("1e5000")
+@example("1e-5000")
 def test_parse_rational_agrees_with_fraction(text):
     try:
         want = Fraction(text)
+        str(want)  # a document may not hold what cannot be printed
     except (ValueError, ZeroDivisionError):
         with pytest.raises(DocumentError, match="bad rational"):
-            _parse_rational(text, "column {}", 0)
+            _parse_rational(text, "column 0")
     else:
-        got = _parse_rational(text, "column {}", 0)
+        got = _parse_rational(text, "column 0")
         assert type(got) is Fraction and got == want
 
 
@@ -69,10 +72,12 @@ def test_parse_rational_agrees_with_fraction(text):
               "Invalid literal for Fraction: '1/2/3'"),
     (None, "bad rational None in mechanism 'vZ' column 3: "
            "argument should be a string or a Rational instance"),
+    (float("inf"), "bad rational inf in mechanism 'vZ' column 3: "
+                   "cannot convert Infinity to integer ratio"),
 ])
 def test_parse_rational_error_names_its_location(value, message):
     with pytest.raises(DocumentError) as exc:
-        _parse_rational(value, "mechanism {!r} column {}", "vZ", 3)
+        _parse_rational(value, "mechanism 'vZ' column 3")
     assert str(exc.value) == message
 
 
@@ -140,8 +145,8 @@ def _at(doc, path):
 
 
 SWAPPED = [None, True, 2.5, -1, "x", "", [], {}, ["1/2"], {"kind": "life"}]
-CORRUPT = ["1/0", "-1/2", "1/2/3", "0x1", "", " ", "1e999", "nan", "inf", "٣/4", "1_0",
-           "3/2", "0.1", 7, -0.5, None, "0" * 30 + "1/" + "0" * 30 + "2"]
+CORRUPT = ["1/0", "-1/2", "1/2/3", "0x1", "", " ", "1e999", "1e5000", "nan", "inf", "٣/4",
+           "1_0", "3/2", "0.1", 7, -0.5, float("inf"), None, "0" * 30 + "1/" + "0" * 30 + "2"]
 
 
 @st.composite
@@ -170,13 +175,13 @@ def mutated(draw, doc):
     return doc
 
 
-def _assert_clean_exit(command, doc):
-    """Run the CLI command on doc: it must exit 0, 1 or 2, and a failure
-    must report one error, without a traceback."""
+def _assert_clean_exit(command, content: bytes):
+    """Run the CLI command on a file of content: it must exit 0, 1 or 2, and
+    a failure must report one error, without a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        with open(path, "wb") as fh:
+            fh.write(content)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([command, path])
@@ -194,10 +199,17 @@ def test_mutated_system_documents_fail_cleanly(name, data):
         doc = data.draw(mutated(json.load(fh)))
     # quale loads, validates and glues every subsystem; validate itself
     # lists a loadable document's violations one per line, not as errors
-    _assert_clean_exit("quale", doc)
+    _assert_clean_exit("quale", json.dumps(doc).encode())
 
 
 @settings(deadline=None, max_examples=150)
 @given(doc=mutated(AUTOMATON))
 def test_mutated_automaton_documents_fail_cleanly(doc):
-    _assert_clean_exit("unroll", doc)
+    _assert_clean_exit("unroll", json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("command", ["quale", "unroll"])
+@pytest.mark.parametrize("content", [b"\xff", b"[" + b"1" * 5000 + b"]"],
+                         ids=["not-utf-8", "5000-digit-integer"])
+def test_unreadable_json_fails_cleanly(command, content):
+    _assert_clean_exit(command, content)
