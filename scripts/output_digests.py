@@ -11,9 +11,11 @@ proper multi-target subsystem of the lattice-8 document (its blocks and its
 context read fewer sources than it does, and it reads fewer than the
 system), gamma over every partition of a 5-cell Hopfield ring, lattice on
 the lattice-8 document at a mixed output, lattice on a fully connected
-12-edge bipartite document (4 sources, 3 targets), and validate and
+12-edge bipartite document (4 sources, 3 targets), validate and
 quale --out on a document of mixed alphabet sizes whose mechanisms list
-their sources out of order (mixed_radix_document). The benchmark documents
+their sources out of order (mixed_radix_document), unroll of a three-cell
+hopfield/life/table automaton document with and without --steps, and unroll
+and ei --output @ of a file that is not UTF-8. The benchmark documents
 are generated by bench/workloads.py at their baseline seeds.
 Every run happens in a temporary directory with relative paths, so the
 digests do not depend on where the repository lives.
@@ -131,7 +133,37 @@ def runs() -> list[tuple[str, list[str], str | None]]:
          ["quale", "mixed-radix.json", "--out", "mixed-radix-quale.json"], "mixed-radix-quale.json"),
     ]
 
+    with open("automaton.json", "w", encoding="utf-8") as fh:
+        json.dump(automaton_document(), fh, indent=2)
+    with open("not-utf-8.json", "wb") as fh:
+        fh.write(b"\xff")
+    out += [
+        ("automaton:unroll", ["unroll", "automaton.json"], None),
+        ("automaton:unroll-steps", ["unroll", "automaton.json", "--steps", "3"], None),
+        ("not-utf-8:unroll", ["unroll", "not-utf-8.json"], None),
+        ("not-utf-8:ei-output",
+         ["ei", "xor.json", "--subsystem", "all", "--output", "@not-utf-8.json"], None),
+    ]
+
     return out
+
+
+def automaton_document() -> dict:
+    """Cells a (hopfield), b (life) and c (table, reading b one step back)
+    over two time steps, with a fixed and a distributed initial state."""
+    return {
+        "format_version": 1,
+        "cells": ["a", "b", "c"],
+        "alphabet": ["0", "1"],
+        "neighborhoods": {"a": ["a", "b"], "b": ["a", "b", "c"], "c": [["b", 1], "c"]},
+        "rules": {
+            "a": {"kind": "hopfield", "weights": ["1", "-1/2"], "temperature": "1/2"},
+            "b": {"kind": "life"},
+            "c": {"kind": "table", "table": {"0,0": "0", "0,1": "1", "1,0": "1", "1,1": "0"}},
+        },
+        "window": [0, 1],
+        "initial": {"a": "1", "b": {"distribution": ["1/3", "2/3"]}, "c": "0"},
+    }
 
 
 def mixed_radix_document() -> dict:
