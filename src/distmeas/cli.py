@@ -26,15 +26,13 @@ from .lattice import (
     subsystem,
     top,
 )
-from .measure import _divergence, _glued_posterior, measurement_report, system_output_space
+from .measure import _divergence, _glued_posterior, effective_information, system_output_space
 from .oracle import crosscheck, exhaustive_tables, random_tables
 from .stoch import dirac
 from .system import unroll, validate
 
 
 def _bits(x: float) -> str:
-    if x == float("inf"):
-        return "inf"
     text = f"{x:.9f}"
     # a value that rounds to zero prints unsigned, from either side of it
     return "0.000000000" if text == "-0.000000000" else text
@@ -143,11 +141,7 @@ def cmd_ei(args) -> int:
     sub = _parse_subsystem(spec, args.subsystem)
     context = _parse_subsystem(spec, args.context)
     d_out = _parse_output(spec, args.output)
-    report = measurement_report(spec, sub, context, d_out)
-    print(_bits(report.ei_bits))
-    if report.infinite_states:
-        print(f"infinite divergence at states {list(report.infinite_states)}",
-              file=sys.stderr)
+    print(_bits(effective_information(spec, sub, context, d_out)))
     return 0
 
 
@@ -210,8 +204,7 @@ def cmd_lattice(args) -> int:
             bigger = [m | 1 << i for i in range(len(edges)) if not m >> i & 1]
             for b in sorted(bigger, key=keys.__getitem__):
                 ei = _divergence(spec, posteriors[b], smaller)
-                label = "inf" if ei == float("inf") else f"{ei:.5f}"
-                fh.write(f'  "{src}" -> "{keys[b]}" [label="{label}"];\n')
+                fh.write(f'  "{src}" -> "{keys[b]}" [label="{ei:.5f}"];\n')
         fh.write("}\n")
 
     _publish(args.dot, write)
@@ -219,11 +212,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_unroll(args) -> int:
-    with open(args.path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, too many digits
-            raise DocumentError(f"{args.path}: invalid JSON: {exc}") from None
+    doc = docio._read_json(args.path)
     if args.steps is not None:
         if args.steps < 1:
             raise DocumentError("--steps must be >= 1")
@@ -329,7 +318,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DocumentError, OSError, json.JSONDecodeError) as exc:
+    except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Error as exc:

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, NotAPartition, NotInImage, NotSurjective
 from .lattice import Subsystem
-from .measure import _divergence, _infinite_states, _measurements, _posterior, _restriction
+from .measure import _divergence, _measurements, _posterior, _restriction
 from .oracle import ExactBits, FunctionTable, gamma_counts
 from .stoch import Distribution
 from .system import SystemSpec
@@ -47,21 +47,13 @@ def partition_of(blocks: Iterable[Iterable[str]]) -> Partition:
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """gamma over one partition, with the ei of the whole and of each block.
-
-    infinite_states names the system input states where the whole
-    measurement has weight and the product of the blocks' has none. It is
-    empty for every valid input: a block's posterior averages the same
-    nonnegative mechanism entries as the whole one, so it is positive
-    wherever that one is, and gamma_bits is finite.
-    """
+    """gamma over one partition, with the ei of the whole and of each block."""
 
     partition: Partition
     gamma_bits: float
     per_block_ei: tuple[float, ...]
     ei_whole: float
     additivity_gap: float
-    infinite_states: tuple[tuple[str, ...], ...] = ()
 
 
 def entanglement(spec: SystemSpec, sub: Subsystem, part: Partition,
@@ -85,16 +77,12 @@ def entanglement(spec: SystemSpec, sub: Subsystem, part: Partition,
         ei, cross = _block_terms(spec, sub, block, d_out)
         per_block_ei.append(ei)
         gamma -= cross
-    offenders = ()
-    if abs(gamma) < _ROUNDING or gamma == math.inf:
+    if abs(gamma) < _ROUNDING:
         whole = _posterior(spec, sub, d_out)
         blocks = [_posterior(spec, _block_subsystem(sub, block), d_out) for block in part.blocks]
         gamma = _divergence(spec, whole, blocks)
-        if gamma == math.inf:
-            offenders = _infinite_states(spec, whole, blocks)
     return EntanglementReport(
-        part, gamma, tuple(per_block_ei), ei_whole,
-        ei_whole - sum(per_block_ei), offenders)
+        part, gamma, tuple(per_block_ei), ei_whole, ei_whole - sum(per_block_ei))
 
 
 # below this a block sum may be rounding error around an exact zero
@@ -109,9 +97,9 @@ def _block_subsystem(sub: Subsystem, block: Sequence[str]) -> Subsystem:
 def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
                  d_out: Distribution) -> tuple[float, float]:
     """(ei of block k's own measurement p_k, sum_x p(x) log2 p_k(x|_k)) for
-    one block of sub's sources, p being sub's measurement; the cross term
-    is -inf where p has weight and p_k has none. Memoised per output by
-    (sub's effective pairs, block)."""
+    one block of sub's sources, p being sub's measurement. p_k averages the
+    same nonnegative mechanism entries as p, so it has weight wherever p
+    does. Memoised per output by (sub's effective pairs, block)."""
     memo = _measurements(spec, d_out).memo
     key = (sub.effective, block)
     terms = memo.get(key)
@@ -120,14 +108,9 @@ def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
         pk = _posterior(spec, _block_subsystem(sub, block), d_out)
         logs = [math.log2(n) - math.log2(d) if n else None
                 for n, d in zip(pk.numerators, pk.denominators)]
-        cross = 0.0
-        for a, b, j in zip(p.numerators, p.denominators, _restriction(spec, p.space, pk.space)):
-            if a:
-                log = logs[j]
-                if log is None:
-                    cross = -math.inf
-                    break
-                cross += a / b * log
+        restrict = _restriction(spec, p.space, pk.space)
+        cross = sum(a / b * logs[j] for a, b, j in zip(p.numerators, p.denominators, restrict)
+                    if a)
         terms = memo[key] = (_divergence(spec, pk), cross)
     return terms
 

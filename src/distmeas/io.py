@@ -235,13 +235,17 @@ def system_from_document(doc: dict) -> SystemSpec:
     return SystemSpec(occasions, frozenset(edge_list), mechanisms, sources)
 
 
-def load_system(path: str) -> SystemSpec:
+def _read_json(path: str) -> Any:
+    """The JSON value in the file at path, read as UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, too many digits
             raise DocumentError(f"{path}: invalid JSON: {exc}") from None
-    return system_from_document(doc)
+
+
+def load_system(path: str) -> SystemSpec:
+    return system_from_document(_read_json(path))
 
 
 def save_system(spec: SystemSpec, path: str) -> None:
@@ -333,22 +337,9 @@ def _rule_from_document(cell, rdoc, nbrs, alphabets):
     raise DocumentError(f"unknown rule kind {kind!r} for {cell!r}")
 
 
-def load_automaton(path: str) -> AutomatonSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, too many digits
-            raise DocumentError(f"{path}: invalid JSON: {exc}") from None
-    return automaton_from_document(doc)
-
-
 def load_distribution(path: str, space) -> Distribution:
     """Read {"weights": [...]} over the given space, mixed-radix order."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, too many digits
-            raise DocumentError(f"{path}: invalid JSON: {exc}") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "weights" not in doc:
         raise DocumentError(f"{path}: expected an object with a 'weights' list")
     weights = doc["weights"]

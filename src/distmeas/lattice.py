@@ -170,9 +170,10 @@ def _numerator_blocks(spec: SystemSpec, sub: Subsystem,
     target, which cancels wherever a glued row or column is normalized.
     occasion_submechanism is the reference they are pinned to.
 
-    Memoised for the spec's lifetime in spec._glue_memo: scaled full
-    mechanisms by target id, submechanisms by (target, inside source ids),
-    their columns at every input by (target, inside source ids, domain ids).
+    Memoised for the spec's lifetime in spec._glue_memo: submechanisms by
+    (target, inside source ids), the scaled full mechanism being the one
+    with every source inside, and their columns at every input by (target,
+    inside source ids, domain ids).
     """
     memo = spec._glue_memo
     blocks = []
@@ -196,18 +197,23 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
     so over integers it is a sum: with the target's full mechanism scaled
     once by the LCM of its denominators, the numerator at (output, inside
     input) is the sum of the full numerators over the outside inputs. The
-    common denominator left out is LCM x |outside inputs|.
+    common denominator left out is LCM x |outside inputs|. With every
+    source inside, that is the scaled full mechanism itself, memoised under
+    (target, every source id) as _numerator_blocks memoises the others.
     """
+    mech = spec.mechanisms[target]
+    key = (target, frozenset(mech.domain.factor_ids))
     memo = spec._glue_memo
-    if target not in memo:
-        mech = spec.mechanisms[target]
+    if key not in memo:
         scale = lcm(*(v.denominator for col in mech.cols for v in col))
-        memo[target] = (mech.domain, tuple(
+        memo[key] = (mech.domain, tuple(
             tuple(v.numerator * (scale // v.denominator) for v in col) for col in mech.cols))
-    full_domain, full = memo[target]
-    domain = full_domain.subspace(inside)
+    if inside == key[1]:
+        return memo[key]
+    full = memo[key][1]
+    domain = mech.domain.subspace(inside)
     sums = [[0] * len(full[0]) for _ in range(domain.dim)]
-    for j, col in zip(_restriction_table(full_domain, domain), full):
+    for j, col in zip(_restriction_table(mech.domain, domain), full):
         acc = sums[j]
         for o, v in enumerate(col):
             acc[o] += v

@@ -234,7 +234,8 @@ def _spread(spec: SystemSpec, posterior: _Record) -> Distribution:
 def _divergence(spec: SystemSpec, p: _Record, factors: Sequence[_Record] = ()) -> float:
     """Relative entropy in bits of a posterior p on S_C from q, the product of
     factors (posteriors on disjoint subspaces of S_C) times the uniform
-    distribution on the rest of S_C; +inf where p has weight and q has none.
+    distribution on the rest of S_C. Each factor averages the same
+    nonnegative mechanism entries as p, so q has weight wherever p does.
 
     Both sides of a divergence between extended measurements share the
     uniform factor outside S_C, so this equals their divergence on the whole
@@ -257,36 +258,15 @@ def _divergence(spec: SystemSpec, p: _Record, factors: Sequence[_Record] = ()) -
     total = 0.0
     for a, b, n, d in zip(p.numerators, p.denominators, qn, qd):
         if a:
-            if not n:
-                return math.inf
             num, den = a * d, b * n  # of p(x) / q(x)
             if num != den:
                 total += a / b * (math.log2(num) - math.log2(den))
     return total
 
 
-def _infinite_states(spec: SystemSpec, p: _Record,
-                     factors: Sequence[_Record]) -> tuple[tuple[str, ...], ...]:
-    """The system input states where the extended p has weight and the
-    extended product of factors has none, in the order support_violations
-    gives them: the sources of an infinite _divergence(spec, p, factors)."""
-    lookups = [(f.numerators, _restriction(spec, p.space, f.space)) for f in factors]
-    bad = {i for i, a in enumerate(p.numerators)
-           if a and any(not fn[restrict[i]] for fn, restrict in lookups)}
-    in_space = system_input_space(spec)
-    restrict = _restriction(spec, in_space, p.space)
-    return tuple(in_space.symbols_at(j) for j, i in enumerate(restrict) if i in bad)
-
-
 @dataclass(frozen=True)
 class MeasurementResult:
-    """A fine measurement compared against a coarser context.
-
-    infinite_states names the system input states where fine has weight and
-    coarse has none. It is empty for every valid input: a context's posterior
-    averages the same nonnegative mechanism entries as the finer one, so it
-    is positive wherever that one is, and ei_bits is finite.
-    """
+    """A fine measurement compared against a coarser context."""
 
     subsystem: Subsystem
     context: Subsystem | None
@@ -294,7 +274,6 @@ class MeasurementResult:
     fine: Distribution
     coarse: Distribution
     ei_bits: float
-    infinite_states: tuple[tuple[str, ...], ...] = ()
 
 
 def _fine_and_coarse(spec: SystemSpec, sub: Subsystem, context: Subsystem | None,
@@ -313,10 +292,8 @@ def measurement_report(spec: SystemSpec, sub: Subsystem,
                        d_out: Distribution) -> MeasurementResult:
     """Measurements of subsystem and context at d_out plus their divergence."""
     fine, coarse = _fine_and_coarse(spec, sub, context, d_out)
-    ei = _divergence(spec, fine, (coarse,))
-    offenders = _infinite_states(spec, fine, (coarse,)) if ei == math.inf else ()
     return MeasurementResult(sub, context, d_out, _spread(spec, fine), _spread(spec, coarse),
-                             ei, offenders)
+                             _divergence(spec, fine, (coarse,)))
 
 
 def effective_information(spec: SystemSpec, sub: Subsystem,

@@ -91,9 +91,6 @@ class FunctionTable:
             idx = idx * len(a) + a.index(s)
         return self.outputs[idx]
 
-    def as_mapping(self) -> dict[tuple[str, ...], str]:
-        return {tuple(i): self.value(i) for i in self.inputs()}
-
     def attained(self) -> tuple[str, ...]:
         seen = set(self.outputs)
         return tuple(s for s in self.codomain.symbols if s in seen)

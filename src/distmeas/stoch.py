@@ -10,6 +10,7 @@ rationals end to end; floating point appears only inside kl_divergence.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -184,10 +185,19 @@ def _check_unit_sum(values: Sequence[Fraction], negative: str, bad_sum: str, *wh
     for v, d in zip(values, denominators):
         n = v.numerator
         if n < 0:
-            raise NonStochastic(negative.format(v, *where))
+            raise NonStochastic(negative.format(_printable(v), *where))
         total += n * (lcd // d)
     if total != lcd:
-        raise NonStochastic(bad_sum.format(Fraction(total, lcd), *where))
+        raise NonStochastic(bad_sum.format(_printable(Fraction(total, lcd)), *where))
+
+
+def _printable(value: Fraction) -> str:
+    """str(value), or a description of value when its numerator or
+    denominator has more digits than str() may print."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"a rational of more than {sys.get_int_max_str_digits()} digits"
 
 
 @dataclass(frozen=True)
@@ -476,11 +486,3 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
             math.log2(pw.numerator * qw.denominator)
             - math.log2(pw.denominator * qw.numerator))
     return total
-
-
-def support_violations(p: Distribution, q: Distribution) -> tuple[tuple[str, ...], ...]:
-    """States where p is supported but q is not (the sources of infinite KL)."""
-    return tuple(
-        p.space.symbols_at(i)
-        for i, (pw, qw) in enumerate(zip(p.weights, q.weights))
-        if pw > 0 and qw == 0)

@@ -67,19 +67,16 @@ class SystemSpec:
     def sources_of(self, occ_id: str) -> tuple[str, ...]:
         return tuple(sorted(k for (k, l) in self.edges if l == occ_id))
 
-    def input_space(self, occ_id: str) -> ProductSpace:
-        return canonical_space(
-            {k: self.alphabet_of(k) for k in self.sources_of(occ_id)})
-
     def output_space(self, occ_id: str) -> ProductSpace:
         return canonical_space({occ_id: self.alphabet_of(occ_id)})
 
     @cached_property
     def _glue_memo(self) -> dict:
-        # lattice._numerator_blocks' submechanisms and the source and target
-        # spaces, measure's restriction maps, and measure's output supports,
-        # posteriors and entangle's block terms per output; it lives as long
-        # as the spec, which is never changed after it is built
+        # lattice._numerator_blocks' submechanisms (each target's scaled full
+        # mechanism among them) and the source and target spaces, measure's
+        # restriction maps, and measure's output supports, posteriors and
+        # entangle's block terms per output; it lives as long as the spec,
+        # which is never changed after it is built
         return {}
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,22 @@ def test_validate_mechanisms_list_is_a_document_error(capsys, tmp_path):
     code, _, err = _validate_mutated_xor(
         capsys, tmp_path, lambda d: d.update(mechanisms=[]))
     assert code == 2 and err.startswith("error:")
+
+
+# each entry prints, but the two add up to a denominator of about 8,000 digits
+LONG = "1" + "0" * 4000
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["sources"].update(vX=[f"1/{LONG}1", f"1/{LONG}3"]), "weights sum to"),
+    (lambda d: d["mechanisms"]["vZ"]["table"].__setitem__(0, [f"1/{LONG}1", f"1/{LONG}3"]),
+     "column 0 sums to"),
+], ids=["source", "column"])
+def test_unprintable_sum_is_a_domain_error(capsys, tmp_path, mutate, message):
+    code, out, err = _validate_mutated_xor(capsys, tmp_path, mutate)
+    digits = sys.get_int_max_str_digits()
+    assert (code, out) == (1, "")
+    assert err == f"error: NonStochastic: {message} a rational of more than {digits} digits, not 1\n"
 
 
 @pytest.mark.parametrize("argv", [

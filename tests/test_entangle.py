@@ -1,11 +1,16 @@
+import json
 import math
+import os
 import random
+import re
+import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from distmeas.cli import main
 from distmeas.entangle import (
     Partition,
     entanglement,
@@ -23,10 +28,10 @@ from distmeas.errors import (
     UnsupportedOutput,
 )
 from distmeas.fixtures import and_table, two_input_system, xor_table
+from distmeas.io import save_system
 from distmeas.lattice import Subsystem, enumerate_subsystems, source_space, subsystem, top
 from distmeas.measure import (
-    _posterior,
-    _spread,
+    effective_information,
     extend,
     measure,
     system_input_space,
@@ -42,9 +47,10 @@ from distmeas.stoch import (
     dirac,
     kl_divergence,
     marginal,
-    support_violations,
+    matrix_from_columns,
     uniform,
 )
+from distmeas.system import Occasion, SystemSpec
 
 TOL = 1e-9
 XY_PARTITION = partition_of([["vX"], ["vY"]])
@@ -359,7 +365,7 @@ def _assert_gamma_matches_reference(spec, subs):
                     assert rep.gamma_bits == 0.0, (sorted(sub.pairs), part.label())
                 assert abs(rep.gamma_bits - kl_divergence(whole, product)) <= 1e-12
                 assert abs(rep.ei_whole - ei_whole) <= 1e-12
-                assert rep.infinite_states == ()
+                assert math.isfinite(rep.gamma_bits)
 
 
 def test_block_terms_match_whole_space_gamma_on_fixtures():
@@ -387,34 +393,88 @@ def test_block_terms_match_whole_space_gamma_on_hopfield_ring():
         assert (rep.gamma_bits == 0.0) == (len(part.blocks) == 1)
 
 
-def test_infinite_gamma_names_whole_system_states(monkeypatch):
-    # no measurement of a real host has one (a block's posterior is positive
-    # wherever the whole posterior is), so plant a block measurement that
-    # rules out s0 = 1 on a subsystem whose sources s0, s1 leave out s2
-    import distmeas.entangle as entangle_module
-    from test_acceptance import _positive_random_system
-    from test_measure import _distribution, _record
-    spec = _positive_random_system(random.Random(5), ["s0", "s1", "s2"], ["t0"])
-    sub = subsystem(spec, [("s0", "t0"), ("s1", "t0")])
-    d_out = dirac(system_output_space(spec), ("1",))
-    split = partition_of([["s0"], ["s1"]])
-    planted = dirac(canonical_space({"s0": BINARY}), ("0",))
+@st.composite
+def sparse_hosts(draw):
+    """1-3 sources feeding 1-3 targets, each target reading a nonempty subset
+    of the sources (at most 6 edges in all), over alphabets of size 2 or 3.
+    Each mechanism column is a Dirac or a few positive weights, so most
+    entries are 0."""
+    sources = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    targets = [f"t{i}" for i in range(draw(st.integers(1, 3)))]
+    alphabets = {i: alphabet(range(draw(st.integers(2, 3)))) for i in sources + targets}
+    read = {t: sorted(draw(st.sets(st.sampled_from(sources), min_size=1))) for t in targets}
+    assume(sum(map(len, read.values())) <= 6)
+    mechanisms = {}
+    for t in targets:
+        domain = canonical_space({s: alphabets[s] for s in read[t]})
+        n = len(alphabets[t])
+        cols = []
+        for _ in range(domain.dim):
+            support = draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                   max_size=draw(st.sampled_from([1, n]))))
+            weights = [draw(st.integers(1, 3)) if o in support else 0 for o in range(n)]
+            cols.append([Fraction(w, sum(weights)) for w in weights])
+        mechanisms[t] = matrix_from_columns(domain, canonical_space({t: alphabets[t]}), cols)
+    return SystemSpec(
+        tuple(Occasion(i, alphabets[i]) for i in sources + targets),
+        frozenset((s, t) for t in targets for s in read[t]), mechanisms,
+        {s: uniform(canonical_space({s: alphabets[s]})) for s in sources})
 
-    def posterior(spec_, sub_, d_out_):
-        if sub_.source_ids() == ("s0",):
-            return _record(planted)
-        return _posterior(spec_, sub_, d_out_)
 
-    monkeypatch.setattr(entangle_module, "_posterior", posterior)
-    rep = entanglement(spec, sub, split, d_out)
-    assert rep.gamma_bits == math.inf
-    whole = _spread(spec, _posterior(spec, sub, d_out))
+def _attained(spec, out_space):
+    """The output states some input state produces with positive probability,
+    read from the mechanism tables."""
     in_space = system_input_space(spec)
-    s1 = _distribution(_posterior(spec, subsystem(spec, [("s1", "t0")]), d_out))
-    product = Distribution(in_space, tuple(
-        planted.weight((x0,)) * s1.weight((x1,)) / 2 for x0, x1, _ in in_space.iter_symbols()))
-    assert rep.infinite_states == support_violations(whole, product)
-    assert rep.infinite_states == tuple(x for x in in_space.iter_symbols() if x[0] == "1")
+    attained = set()
+    for x in in_space.iter_symbols():
+        for i, o in enumerate(out_space.iter_symbols()):
+            if all(mech.p((o[out_space.position(t)],),
+                          tuple(x[in_space.position(s)] for s in mech.domain.factor_ids))
+                   for t, mech in spec.mechanisms.items()):
+                attained.add(i)
+    return sorted(attained)
+
+
+def _lattice_labels(spec, weights):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, dist, dot = (os.path.join(tmp, name) for name in ("s.json", "d.json", "l.dot"))
+        save_system(spec, doc)
+        with open(dist, "w", encoding="utf-8") as fh:
+            json.dump({"weights": [str(w) for w in weights]}, fh)
+        assert main(["lattice", doc, "--output", "@" + dist, "--dot", dot]) == 0
+        with open(dot, encoding="utf-8") as fh:
+            return re.findall(r' -> "[^"]*" \[label="([^"]*)"\]', fh.read())
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=sparse_hosts(), data=st.data())
+def test_measurements_are_finite_on_sparse_hosts(spec, data):
+    # a context's or a block's posterior averages the same nonnegative
+    # mechanism entries as the finer one, so it has weight wherever that one
+    # does, and no divergence between them can be infinite
+    out = system_output_space(spec)
+    attained = _attained(spec, out)
+    for i in set(range(out.dim)) - set(attained):
+        with pytest.raises(UnsupportedOutput):
+            effective_information(spec, top(spec), None, dirac(out, out.symbols_at(i)))
+    mixed = data.draw(st.lists(st.sampled_from(attained), min_size=2, max_size=3, unique=True)
+                      if len(attained) > 1 else st.just(attained))
+    dirac_weights = [Fraction(int(i == attained[0])) for i in range(out.dim)]
+    mixed_weights = [Fraction(0)] * out.dim
+    for k, i in enumerate(mixed):  # weights 1, 2, 3 over their sum
+        mixed_weights[i] = Fraction(2 * (k + 1), len(mixed) * (len(mixed) + 1))
+    subs = list(enumerate_subsystems(spec))
+    for weights in (dirac_weights, mixed_weights):
+        d_out = Distribution(out, tuple(weights))
+        for sub in subs:
+            for context in [None] + [c for c in subs if c.effective <= sub.effective]:
+                assert math.isfinite(effective_information(spec, sub, context, d_out))
+            for part in enumerate_partitions(sub.source_ids()):
+                rep = entanglement(spec, sub, part, d_out)
+                assert math.isfinite(rep.gamma_bits) and rep.gamma_bits >= -TOL
+        labels = _lattice_labels(spec, weights)
+        assert len(labels) == len(subs) * len(spec.edges) // 2
+        assert all(math.isfinite(float(label)) for label in labels)
 
 
 # -- the additivity identity ------------------------------------------------------

@@ -175,16 +175,17 @@ def mutated(draw, doc):
     return doc
 
 
-def _assert_clean_exit(command, content: bytes):
-    """Run the CLI command on a file of content: it must exit 0, 1 or 2, and
-    a failure must report one error, without a traceback."""
+def _assert_clean_exit(argv, content: bytes):
+    """Run the CLI on argv, with {} in it replaced by the path of a file of
+    content: it must exit 0, 1 or 2, and a failure must report one error,
+    without a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "wb") as fh:
             fh.write(content)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command, path])
+            code = main([arg.format(path) for arg in argv])
     assert code in (0, 1, 2)
     if code:
         assert err.getvalue().startswith("error:"), err.getvalue()
@@ -199,17 +200,24 @@ def test_mutated_system_documents_fail_cleanly(name, data):
         doc = data.draw(mutated(json.load(fh)))
     # quale loads, validates and glues every subsystem; validate itself
     # lists a loadable document's violations one per line, not as errors
-    _assert_clean_exit("quale", json.dumps(doc).encode())
+    _assert_clean_exit(["quale", "{}"], json.dumps(doc).encode())
 
 
 @settings(deadline=None, max_examples=150)
 @given(doc=mutated(AUTOMATON))
 def test_mutated_automaton_documents_fail_cleanly(doc):
-    _assert_clean_exit("unroll", json.dumps(doc).encode())
+    _assert_clean_exit(["unroll", "{}"], json.dumps(doc).encode())
 
 
-@pytest.mark.parametrize("command", ["quale", "unroll"])
+READERS = {
+    "quale": ["quale", "{}"],
+    "unroll": ["unroll", "{}"],
+    "ei-output": ["ei", data_path("xor.json"), "--subsystem", "all", "--output", "@{}"],
+}
+
+
+@pytest.mark.parametrize("command", list(READERS))
 @pytest.mark.parametrize("content", [b"\xff", b"[" + b"1" * 5000 + b"]"],
                          ids=["not-utf-8", "5000-digit-integer"])
 def test_unreadable_json_fails_cleanly(command, content):
-    _assert_clean_exit(command, content)
+    _assert_clean_exit(READERS[command], content)
