@@ -459,7 +459,8 @@ def test_measurements_are_finite_on_sparse_hosts(spec, data):
             effective_information(spec, top(spec), None, dirac(out, out.symbols_at(i)))
     mixed = data.draw(st.lists(st.sampled_from(attained), min_size=2, max_size=3, unique=True)
                       if len(attained) > 1 else st.just(attained))
-    dirac_weights = [Fraction(int(i == attained[0])) for i in range(out.dim)]
+    point = data.draw(st.sampled_from(attained))
+    dirac_weights = [Fraction(int(i == point)) for i in range(out.dim)]
     mixed_weights = [Fraction(0)] * out.dim
     for k, i in enumerate(mixed):  # weights 1, 2, 3 over their sum
         mixed_weights[i] = Fraction(2 * (k + 1), len(mixed) * (len(mixed) + 1))
