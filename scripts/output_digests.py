@@ -9,7 +9,8 @@ the bundled xor and and systems, gamma and ei on the hopfield-6 document,
 lattice on the quale-11 document, two oracle-check runs, gamma and ei on a
 proper multi-target subsystem of the lattice-8 document (its blocks and its
 context read fewer sources than it does, and it reads fewer than the
-system), gamma over every partition of a 5-cell Hopfield ring, lattice on
+system), gamma over every partition of a 5-cell and of an 8-cell Hopfield
+ring (the 8-cell one computes all 255 block terms), lattice on
 the lattice-8 document at a mixed output, lattice on a fully connected
 12-edge bipartite document (4 sources, 3 targets), validate and
 quale --out on a document of mixed alphabet sizes whose mechanisms list
@@ -114,6 +115,11 @@ def runs() -> list[tuple[str, list[str], str | None]]:
     attractor = ",".join(f"n{k}@1={b}" for k, b in enumerate(hopfield_attractor(seed, 5, 2)))
     out.append(("hopfield-5:gamma-all",
                 ["gamma", "hopfield-5.json", "--all-partitions", "--output", attractor], None))
+    with open("hopfield-8.json", "w", encoding="utf-8") as fh:
+        json.dump(hopfield_document(1, 8, 4), fh, indent=2)
+    attractor = ",".join(f"n{k}@1={b}" for k, b in enumerate(hopfield_attractor(1, 8, 4)))
+    out.append(("hopfield-8:gamma-all",
+                ["gamma", "hopfield-8.json", "--all-partitions", "--output", attractor], None))
 
     # a mixed output: every subsystem's posterior sums three glued rows
     with open("mixed.json", "w", encoding="utf-8") as fh:
