@@ -77,8 +77,8 @@ def _parse_output(spec, text: str):
     return dirac(out_space, tuple(assignments[f] for f in out_space.factor_ids))
 
 
-def _load_valid(path: str):
-    spec = docio.load_system(path)
+def _valid(spec):
+    """spec, or an Error naming each of its violations on one line."""
     violations = validate(spec)
     if violations:
         raise Error("invalid system: " + "; ".join(str(v) for v in violations))
@@ -86,11 +86,8 @@ def _load_valid(path: str):
 
 
 def cmd_validate(args) -> int:
-    spec = docio.load_system(args.path)
-    violations = validate(spec)
-    for v in violations:
-        print(str(v), file=sys.stderr)
-    return 0 if not violations else 1
+    _valid(docio.load_system(args.path))
+    return 0
 
 
 def _publish(out: str | None, write) -> None:
@@ -130,14 +127,14 @@ def _publish(out: str | None, write) -> None:
 
 
 def cmd_quale(args) -> int:
-    spec = _load_valid(args.path)
+    spec = _valid(docio.load_system(args.path))
     glued = _quale_numerators(spec, max_pairs=args.max_edges)
     _publish(args.out, lambda fh: docio.write_quale(fh, glued))
     return 0
 
 
 def cmd_ei(args) -> int:
-    spec = _load_valid(args.path)
+    spec = _valid(docio.load_system(args.path))
     sub = _parse_subsystem(spec, args.subsystem)
     context = _parse_subsystem(spec, args.context)
     d_out = _parse_output(spec, args.output)
@@ -146,7 +143,7 @@ def cmd_ei(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    spec = _load_valid(args.path)
+    spec = _valid(docio.load_system(args.path))
     sub = _parse_subsystem(spec, args.subsystem)
     d_out = _parse_output(spec, args.output)
     if args.all_partitions:
@@ -177,7 +174,7 @@ def cmd_lattice(args) -> int:
     unique, so that is the order of all arrows sorted by (source, destination)
     key. Subsystems are indexed by the bitmask of their edges (bit i for the
     i-th edge in sorted order), so that an arrow adds one bit."""
-    spec = _load_valid(args.path)
+    spec = _valid(docio.load_system(args.path))
     d_out = _parse_output(spec, args.output)
     edges = _edges_within_budget(spec, args.max_edges)
     # each subsystem is measured once, so the posteriors skip _posterior's memo
@@ -218,12 +215,7 @@ def cmd_unroll(args) -> int:
             raise DocumentError("--steps must be >= 1")
         doc = {**doc, "window": [0, args.steps - 1]}
     auto = docio.automaton_from_document(doc)
-    spec = unroll(auto)
-    violations = validate(spec)
-    if violations:
-        for v in violations:
-            print(str(v), file=sys.stderr)
-        return 1
+    spec = _valid(unroll(auto))
     if args.out:
         docio.save_system(spec, args.out)
     else:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, NotAPartition, NotInImage, NotSurjective
-from .lattice import Subsystem
-from .measure import _divergence, _measurements, _posterior, _restriction
+from .lattice import Subsystem, _restriction
+from .measure import _divergence, _measurements, _posterior
 from .oracle import ExactBits, FunctionTable, gamma_counts
 from .stoch import Distribution
 from .system import SystemSpec

@@ -159,6 +159,16 @@ def glue_mechanism(spec: SystemSpec, sub: Subsystem) -> StochasticMatrix:
     return _trusted_matrix(domain, target_space(spec, sub), tuple(cols))
 
 
+def _restriction(spec: SystemSpec, src: ProductSpace, dst: ProductSpace) -> list[int]:
+    """_restriction_table(src, dst), memoised on the spec by the two spaces'
+    factor ids (a spec gives each id one alphabet)."""
+    key = (src.factor_ids, dst.factor_ids)
+    table = spec._glue_memo.get(key)
+    if table is None:
+        table = spec._glue_memo[key] = _restriction_table(src, dst)
+    return table
+
+
 def _numerator_blocks(spec: SystemSpec, sub: Subsystem,
                       domain: ProductSpace) -> list[list[tuple[int, ...]]]:
     """For each target of the subsystem, in id order: the integer numerator
@@ -169,23 +179,12 @@ def _numerator_blocks(spec: SystemSpec, sub: Subsystem,
     (_submechanism_numerators), so each carries one common denominator per
     target, which cancels wherever a glued row or column is normalized.
     occasion_submechanism is the reference they are pinned to.
-
-    Memoised for the spec's lifetime in spec._glue_memo: submechanisms by
-    (target, inside source ids), the scaled full mechanism being the one
-    with every source inside, and their columns at every input by (target,
-    inside source ids, domain ids).
     """
-    memo = spec._glue_memo
     blocks = []
     for l in sub.target_ids():
-        inside = frozenset(k for (k, t) in sub.effective if t == l)
-        key = (l, inside, domain.factor_ids)
-        if key not in memo:
-            if (l, inside) not in memo:
-                memo[l, inside] = _submechanism_numerators(spec, l, inside)
-            m_domain, nums = memo[l, inside]
-            memo[key] = [nums[j] for j in _restriction_table(domain, m_domain)]
-        blocks.append(memo[key])
+        m_domain, nums = _submechanism_numerators(
+            spec, l, frozenset(k for (k, t) in sub.effective if t == l))
+        blocks.append([nums[j] for j in _restriction(spec, domain, m_domain)])
     return blocks
 
 
@@ -197,27 +196,30 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
     so over integers it is a sum: with the target's full mechanism scaled
     once by the LCM of its denominators, the numerator at (output, inside
     input) is the sum of the full numerators over the outside inputs. The
-    common denominator left out is LCM x |outside inputs|. With every
-    source inside, that is the scaled full mechanism itself, memoised under
-    (target, every source id) as _numerator_blocks memoises the others.
+    common denominator left out is LCM x |outside inputs|. Memoised for the
+    spec's lifetime in spec._glue_memo by (target, inside), the scaled full
+    mechanism being the entry with every source inside.
     """
-    mech = spec.mechanisms[target]
-    key = (target, frozenset(mech.domain.factor_ids))
     memo = spec._glue_memo
-    if key not in memo:
-        scale = lcm(*(v.denominator for col in mech.cols for v in col))
-        memo[key] = (mech.domain, tuple(
-            tuple(v.numerator * (scale // v.denominator) for v in col) for col in mech.cols))
-    if inside == key[1]:
-        return memo[key]
-    full = memo[key][1]
-    domain = mech.domain.subspace(inside)
-    sums = [[0] * len(full[0]) for _ in range(domain.dim)]
-    for j, col in zip(_restriction_table(mech.domain, domain), full):
-        acc = sums[j]
-        for o, v in enumerate(col):
-            acc[o] += v
-    return domain, tuple(map(tuple, sums))
+    entry = memo.get((target, inside))
+    if entry is None:
+        mech = spec.mechanisms[target]
+        every = frozenset(mech.domain.factor_ids)
+        if inside == every:
+            scale = lcm(*(v.denominator for col in mech.cols for v in col))
+            entry = (mech.domain, tuple(
+                tuple(v.numerator * (scale // v.denominator) for v in col) for col in mech.cols))
+        else:
+            full = _submechanism_numerators(spec, target, every)[1]
+            domain = mech.domain.subspace(inside)
+            sums = [[0] * len(full[0]) for _ in range(domain.dim)]
+            for j, col in zip(_restriction(spec, mech.domain, domain), full):
+                acc = sums[j]
+                for o, v in enumerate(col):
+                    acc[o] += v
+            entry = (domain, tuple(map(tuple, sums)))
+        memo[target, inside] = entry
+    return entry
 
 
 def _glued_rows(blocks: list[list[tuple[int, ...]]],

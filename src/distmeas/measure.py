@@ -17,8 +17,8 @@ measurement is that posterior times the uniform distribution on the inputs
 outside C, a factor both sides of every divergence share, so each divergence
 is computed on S_C alone (_divergence), with a context D within C
 contributing m_D(x|_D) / |S_C - S_D|. An output's support and the
-posteriors at it are memoised on the spec per output, and so are the maps
-restricting one space's states to another's by their factor ids. Only the
+posteriors at it are memoised on the spec per output; the maps restricting
+one space's states to another's are lattice's memoised ones. Only the
 public results (MeasurementResult) hold Fraction distributions, built by
 _spread. Tests pin the posterior times the uniform factor to
 measure(extend(...)) with exact equality.
@@ -36,6 +36,7 @@ from .lattice import (
     Subsystem,
     _glued_rows,
     _numerator_blocks,
+    _restriction,
     bottom,
     glue_mechanism,
     source_space,
@@ -47,7 +48,6 @@ from .stoch import (
     Distribution,
     ProductSpace,
     StochasticMatrix,
-    _restriction_table,
     compose,
     dual,
     projection,
@@ -157,16 +157,6 @@ def _measurements(spec: SystemSpec, d_out: Distribution) -> _Output:
         support = [(w, out_space.digits_at(i)) for i, w in enumerate(d_out.weights) if w]
         entry = spec._glue_memo[id(d_out)] = _Output(d_out, support, {})
     return entry
-
-
-def _restriction(spec: SystemSpec, src: ProductSpace, dst: ProductSpace) -> list[int]:
-    """_restriction_table(src, dst), memoised on the spec by the two spaces'
-    factor ids (a spec gives each id one alphabet)."""
-    key = (src.factor_ids, dst.factor_ids)
-    table = spec._glue_memo.get(key)
-    if table is None:
-        table = spec._glue_memo[key] = _restriction_table(src, dst)
-    return table
 
 
 def _posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> _Record:

@@ -167,7 +167,8 @@ def _restriction_table(src: ProductSpace, dst: ProductSpace) -> list[int]:
     table = [0]
     for fid, a in src.factors:  # the first factor is the most significant
         s = strides.get(fid, 0)
-        table = [t + d * s for t in table for d in range(len(a))]
+        offsets = [d * s for d in range(len(a))]
+        table = [t + o for t in table for o in offsets]
     return table
 
 
@@ -222,9 +223,6 @@ class StochasticMatrix:
             _check_unit_sum(col, "negative entry {0} in column {1}",
                             "column {1} sums to {0}, not 1", j)
 
-    def entry(self, row: int, col: int) -> Fraction:
-        return self.cols[col][row]
-
     def p(self, out_symbols: Sequence[str], in_symbols: Sequence[str]) -> Fraction:
         """p(out | in) by symbol tuples."""
         return self.cols[self.domain.index_of(in_symbols)][self.codomain.index_of(out_symbols)]
@@ -246,9 +244,6 @@ class Distribution:
                 f"expected {self.space.dim} weights, got {len(self.weights)}")
         _check_unit_sum(self.weights, "negative weight {0}", "weights sum to {0}, not 1")
 
-    def weight(self, symbols: Sequence[str]) -> Fraction:
-        return self.weights[self.space.index_of(symbols)]
-
     def support(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self.space.symbols_at(i) for i, w in enumerate(self.weights) if w > 0)
 
@@ -258,12 +253,6 @@ class Distribution:
 
 def distribution(space_: ProductSpace, weights: Iterable[Rational]) -> Distribution:
     return Distribution(space_, tuple(rational(w) for w in weights))
-
-
-def from_matrix(m: StochasticMatrix) -> Distribution:
-    if m.domain != SCALAR:
-        raise SpaceMismatch("only scalar-domain matrices are distributions")
-    return Distribution(m.codomain, m.cols[0])
 
 
 def uniform(space_: ProductSpace) -> Distribution:
@@ -368,10 +357,6 @@ def compose(second: StochasticMatrix, first: StochasticMatrix) -> StochasticMatr
                     acc[i] += w * v
         cols.append(tuple(acc))
     return StochasticMatrix(first.domain, second.codomain, tuple(cols))
-
-
-def apply(m: StochasticMatrix, d: Distribution) -> Distribution:
-    return from_matrix(compose(m, d.as_matrix()))
 
 
 def _concat_spaces(a: ProductSpace, b: ProductSpace, what: str) -> ProductSpace:

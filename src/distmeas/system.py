@@ -72,11 +72,12 @@ class SystemSpec:
 
     @cached_property
     def _glue_memo(self) -> dict:
-        # lattice._numerator_blocks' submechanisms (each target's scaled full
-        # mechanism among them) and the source and target spaces, measure's
-        # restriction maps, and measure's output supports, posteriors and
-        # entangle's block terms per output; it lives as long as the spec,
-        # which is never changed after it is built
+        # lattice's source and target spaces, its submechanisms by (target,
+        # inside source ids), each target's scaled full mechanism among them,
+        # and its restriction maps by (domain ids, subspace ids), which every
+        # target, measure and entangle share; and measure's output supports,
+        # posteriors and entangle's block terms per output. It lives as long
+        # as the spec, which is never changed after it is built
         return {}
 
 

@@ -134,6 +134,24 @@ def test_unprintable_sum_is_a_domain_error(capsys, tmp_path, mutate, message):
     ["validate"],
     ["ei", "--subsystem", "all", "--output", "vZ=1"],
 ], ids=["validate", "ei"])
+def test_invalid_system_is_one_error_line(capsys, tmp_path, argv):
+    # a loadable document that breaks the system invariants: every command
+    # names all its violations on one line and exits 1
+    doc = json.loads(open(XOR, encoding="utf-8").read())
+    del doc["sources"]
+    path = tmp_path / "sourceless.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == ("error: Error: invalid system: "
+                   "MissingSource: sourceless occasion 'vX' needs a distribution; "
+                   "MissingSource: sourceless occasion 'vY' needs a distribution\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["ei", "--subsystem", "all", "--output", "vZ=1"],
+], ids=["validate", "ei"])
 def test_dashed_occasion_id_is_a_document_error(capsys, tmp_path, argv):
     # subsystem keys join a pair's ids with '-', so v-X-vZ would be ambiguous
     path = tmp_path / "dashed.json"

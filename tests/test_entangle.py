@@ -5,14 +5,17 @@ import random
 import re
 import tempfile
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from distmeas import lattice
 from distmeas.cli import main
 from distmeas.entangle import (
     Partition,
+    _block_terms,
     entanglement,
     enumerate_partitions,
     gamma_closed_form_two_source,
@@ -391,6 +394,27 @@ def test_block_terms_match_whole_space_gamma_on_hopfield_ring():
         whole, product = _whole_space_pair(spec, top(spec), part, attractor, measured)
         assert abs(rep.gamma_bits - kl_divergence(whole, product)) <= 1e-12
         assert (rep.gamma_bits == 0.0) == (len(part.blocks) == 1)
+
+
+def test_each_restriction_map_is_built_once(monkeypatch):
+    # every target, measure and entangle share one memo of restriction maps,
+    # so all block terms of a fully connected host build each map once
+    from test_acceptance import _positive_random_system
+    built = []
+
+    def counted(src, dst):
+        built.append((src.factor_ids, dst.factor_ids))
+        return _restriction_table(src, dst)
+
+    monkeypatch.setattr(lattice, "_restriction_table", counted)
+    spec = _positive_random_system(
+        random.Random(8), [f"s{i}" for i in range(4)], ["t0", "t1", "t2"])
+    d_out = dirac(system_output_space(spec), ("0", "1", "0"))
+    sources = top(spec).source_ids()
+    for size in range(1, len(sources) + 1):
+        for block in combinations(sources, size):
+            _block_terms(spec, top(spec), block, d_out)
+    assert built and len(built) == len(set(built))
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -255,28 +256,33 @@ def hopfield_ring(attractor=(1, 0, 1, 1)):
 
 def test_integer_marginal_equals_occasion_submechanism(xor_spec, and_spec):
     # the kernel's submechanism numerators over LCM x |outside inputs| are the
-    # reference submechanism, at every (target, inside sources) of each host
+    # reference submechanism, at every (target, inside sources) of each host.
+    # Fresh specs also request them all in increasing and in decreasing size
+    # order, so that the memo reaches each target's full mechanism both by
+    # recursion and first
     rng = random.Random(31)
     hosts = [xor_spec, and_spec, positive_system(), chain_system(), three_target_system(),
              copy_source_system(), hopfield_ring()]
     hosts += [_positive_random_system(rng, [f"s{i}" for i in range(n)], ["t0", "t1"])
               for n in (1, 2, 3)]
     largest = 0
-    for spec in hosts:
-        for l, mech in spec.mechanisms.items():
-            scale = lcm(*(v.denominator for col in mech.cols for v in col))
-            largest = max(largest, scale)
-            sources = spec.sources_of(l)
-            for size in range(1, len(sources) + 1):
-                for inside in combinations(sources, size):
-                    pairs = frozenset((k, l) for k in inside)
-                    sub = Subsystem(pairs, pairs)
-                    ref = occasion_submechanism(spec, sub, l)
-                    assert source_space(spec, sub) == ref.domain
-                    (block,) = _numerator_blocks(spec, sub, ref.domain)
-                    denom = scale * (mech.domain.dim // ref.domain.dim)
-                    got = tuple(tuple(F(v, denom) for v in col) for col in block)
-                    assert got == ref.cols, (l, inside)
+    for host in hosts:
+        cases = [(l, inside) for l in host.mechanisms
+                 for size in range(1, len(host.sources_of(l)) + 1)
+                 for inside in combinations(host.sources_of(l), size)]
+        for spec, order in ((host, cases), (replace(host), cases), (replace(host), cases[::-1])):
+            for l, inside in order:
+                mech = spec.mechanisms[l]
+                scale = lcm(*(v.denominator for col in mech.cols for v in col))
+                largest = max(largest, scale)
+                pairs = frozenset((k, l) for k in inside)
+                sub = Subsystem(pairs, pairs)
+                ref = occasion_submechanism(spec, sub, l)
+                assert source_space(spec, sub) == ref.domain
+                (block,) = _numerator_blocks(spec, sub, ref.domain)
+                denom = scale * (mech.domain.dim // ref.domain.dim)
+                got = tuple(tuple(F(v, denom) for v in col) for col in block)
+                assert got == ref.cols, (l, inside)
     assert largest == 10 ** 12  # the Hopfield ring's snap denominator
 
 
