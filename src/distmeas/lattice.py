@@ -201,13 +201,12 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
     mechanism being the entry with every source inside.
     """
     memo = spec._glue_memo
-    entry = memo.get((target, inside))
-    if entry is None:
+    if (target, inside) not in memo:
         mech = spec.mechanisms[target]
         every = frozenset(mech.domain.factor_ids)
         if inside == every:
             scale = lcm(*(v.denominator for col in mech.cols for v in col))
-            entry = (mech.domain, tuple(
+            memo[target, inside] = (mech.domain, tuple(
                 tuple(v.numerator * (scale // v.denominator) for v in col) for col in mech.cols))
         else:
             full = _submechanism_numerators(spec, target, every)[1]
@@ -217,9 +216,8 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
                 acc = sums[j]
                 for o, v in enumerate(col):
                     acc[o] += v
-            entry = (domain, tuple(map(tuple, sums)))
-        memo[target, inside] = entry
-    return entry
+            memo[target, inside] = (domain, tuple(map(tuple, sums)))
+    return memo[target, inside]
 
 
 def _glued_rows(blocks: list[list[tuple[int, ...]]],
