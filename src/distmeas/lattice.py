@@ -179,12 +179,21 @@ def _numerator_blocks(spec: SystemSpec, sub: Subsystem,
     (_submechanism_numerators), so each carries one common denominator per
     target, which cancels wherever a glued row or column is normalized.
     occasion_submechanism is the reference they are pinned to.
+
+    Each block is memoised for the spec's lifetime in spec._glue_memo by
+    (target, inside source ids, domain ids), so that the many subsystems of
+    quale and lattice that share a target's inside sources and their own
+    sources re-index it once.
     """
+    memo = spec._glue_memo
     blocks = []
     for l in sub.target_ids():
-        m_domain, nums = _submechanism_numerators(
-            spec, l, frozenset(k for (k, t) in sub.effective if t == l))
-        blocks.append([nums[j] for j in _restriction(spec, domain, m_domain)])
+        inside = frozenset(k for (k, t) in sub.effective if t == l)
+        key = (l, inside, domain.factor_ids)
+        if key not in memo:
+            m_domain, nums = _submechanism_numerators(spec, l, inside)
+            memo[key] = [nums[j] for j in _restriction(spec, domain, m_domain)]
+        blocks.append(memo[key])
     return blocks
 
 
