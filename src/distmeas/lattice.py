@@ -163,10 +163,9 @@ def _restriction(spec: SystemSpec, src: ProductSpace, dst: ProductSpace) -> list
     """_restriction_table(src, dst), memoised on the spec by the two spaces'
     factor ids (a spec gives each id one alphabet)."""
     key = (src.factor_ids, dst.factor_ids)
-    table = spec._glue_memo.get(key)
-    if table is None:
-        table = spec._glue_memo[key] = _restriction_table(src, dst)
-    return table
+    if key not in spec._glue_memo:
+        spec._glue_memo[key] = _restriction_table(src, dst)
+    return spec._glue_memo[key]
 
 
 def _numerator_blocks(spec: SystemSpec, sub: Subsystem,
