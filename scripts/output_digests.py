@@ -10,8 +10,9 @@ lattice on the quale-11 document, two oracle-check runs, gamma and ei on a
 proper multi-target subsystem of the lattice-8 document (its blocks and its
 context read fewer sources than it does, and it reads fewer than the
 system), gamma over every partition of a 5-cell and of an 8-cell Hopfield
-ring (the 8-cell one computes all 255 block terms), lattice on
-the lattice-8 document at a mixed output, lattice on a fully connected
+ring (the 8-cell one computes all 255 block terms), ei of the whole
+10-cell Hopfield ring (its 10,240 columns are 11 distinct ones), lattice
+on the lattice-8 document at a mixed output, lattice on a fully connected
 12-edge bipartite document (4 sources, 3 targets), validate and
 quale --out on a document of mixed alphabet sizes whose mechanisms list
 their sources out of order (mixed_radix_document), unroll of a three-cell
@@ -120,6 +121,11 @@ def runs() -> list[tuple[str, list[str], str | None]]:
     attractor = ",".join(f"n{k}@1={b}" for k, b in enumerate(hopfield_attractor(1, 8, 4)))
     out.append(("hopfield-8:gamma-all",
                 ["gamma", "hopfield-8.json", "--all-partitions", "--output", attractor], None))
+    with open("hopfield-10.json", "w", encoding="utf-8") as fh:
+        json.dump(hopfield_document(1, 10, 5), fh, indent=2)
+    attractor = ",".join(f"n{k}@1={b}" for k, b in enumerate(hopfield_attractor(1, 10, 5)))
+    out.append(("hopfield-10:ei-whole",
+                ["ei", "hopfield-10.json", "--subsystem", "all", "--output", attractor], None))
 
     # a mixed output: every subsystem's posterior sums three glued rows
     with open("mixed.json", "w", encoding="utf-8") as fh:
