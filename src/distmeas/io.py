@@ -46,12 +46,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Any
 
-from .errors import DocumentError
+from .errors import DocumentError, NonStochastic
 from .stoch import (
     Distribution,
     ProductSpace,
-    StochasticMatrix,
+    _check_unit_sum,
     _restriction_table,
+    _trusted_matrix,
     alphabet,
     canonical_space,
     rational,
@@ -192,6 +193,9 @@ def system_from_document(doc: dict) -> SystemSpec:
             raise DocumentError(f"{key!r} must be a JSON object keyed by occasion id")
 
     alpha = {o.id: o.alphabet for o in occasions}
+    # one parsed column per distinct column text (the tuple of its entries),
+    # for every mechanism: unrolled automata repeat a few columns many times
+    texts: dict[tuple, tuple[Fraction, ...]] = {}
     mechanisms = {}
     for occ_id, mdoc in mech_docs.items():
         try:
@@ -212,14 +216,35 @@ def system_from_document(doc: dict) -> SystemSpec:
         if len(table) != listed_space.dim:
             raise DocumentError(
                 f"mechanism for {occ_id!r} has {len(table)} columns, expected {listed_space.dim}")
+        listed_cols = []
+        unchecked = set()  # listed indices of the column texts first parsed here
+        for j, col in enumerate(table):
+            try:
+                parsed = texts.get(key := tuple(col))
+            except TypeError:  # an unhashable entry: parsed, and refused, on its own
+                key = parsed = None
+            if parsed is None:
+                parsed = tuple(_parse_rational(v, f"mechanism {occ_id!r} column {j}") for v in col)
+                unchecked.add(j)
+                if key is not None:
+                    texts[key] = parsed
+            listed_cols.append(parsed)
+        # every column is parsed before any is checked, so a document error
+        # in a mechanism comes before a domain error in it
+        rows = len(alpha[occ_id])
+        for j, col in enumerate(listed_cols):
+            if len(col) != rows:
+                raise NonStochastic(
+                    f"mechanism {occ_id!r} column {j} has {len(col)} rows, expected {rows}")
+            if j in unchecked:
+                _check_unit_sum(col, "negative entry {0} in mechanism {1!r} column {2}",
+                                "mechanism {1!r} column {2} sums to {0}, not 1", occ_id, j)
         canonical = canonical_space({s: alpha[s] for s in listed})
         cols = [None] * canonical.dim
         # listed column j is canonical column to_canonical[j]
-        to_canonical = _restriction_table(listed_space, canonical)
-        for j, col in enumerate(table):
-            where = f"mechanism {occ_id!r} column {j}"
-            cols[to_canonical[j]] = tuple(_parse_rational(v, where) for v in col)
-        mechanisms[occ_id] = StochasticMatrix(
+        for j, c in zip(_restriction_table(listed_space, canonical), listed_cols):
+            cols[j] = c
+        mechanisms[occ_id] = _trusted_matrix(
             canonical, canonical_space({occ_id: alpha[occ_id]}), tuple(cols))
 
     sources = {}
@@ -228,9 +253,13 @@ def system_from_document(doc: dict) -> SystemSpec:
             raise DocumentError(f"source distribution for unknown occasion {occ_id!r}")
         if not isinstance(weights, list):
             raise DocumentError(f"source distribution for {occ_id!r} must be a list of rationals")
-        sources[occ_id] = Distribution(
-            canonical_space({occ_id: alpha[occ_id]}),
-            tuple(_parse_rational(w, f"source {occ_id!r}") for w in weights))
+        values = tuple(_parse_rational(w, f"source {occ_id!r}") for w in weights)
+        if len(values) != len(alpha[occ_id]):
+            raise NonStochastic(
+                f"source {occ_id!r} has {len(values)} weights, expected {len(alpha[occ_id])}")
+        _check_unit_sum(values, "negative weight {0} in source {1!r}",
+                        "source {1!r} weights sum to {0}, not 1", occ_id)
+        sources[occ_id] = Distribution(canonical_space({occ_id: alpha[occ_id]}), values)
 
     return SystemSpec(occasions, frozenset(edge_list), mechanisms, sources)
 

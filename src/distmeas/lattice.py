@@ -182,7 +182,8 @@ def _numerator_blocks(spec: SystemSpec, sub: Subsystem,
     Each block is memoised for the spec's lifetime in spec._glue_memo by
     (target, inside source ids, domain ids), so that the many subsystems of
     quale and lattice that share a target's inside sources and their own
-    sources re-index it once.
+    sources re-index it once. When the domain is the submechanism's own, the
+    block is the submechanism's columns themselves.
     """
     memo = spec._glue_memo
     blocks = []
@@ -191,7 +192,8 @@ def _numerator_blocks(spec: SystemSpec, sub: Subsystem,
         key = (l, inside, domain.factor_ids)
         if key not in memo:
             m_domain, nums = _submechanism_numerators(spec, l, inside)
-            memo[key] = [nums[j] for j in _restriction(spec, domain, m_domain)]
+            memo[key] = nums if m_domain.factor_ids == domain.factor_ids else [
+                nums[j] for j in _restriction(spec, domain, m_domain)]
         blocks.append(memo[key])
     return blocks
 
@@ -213,9 +215,13 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
         mech = spec.mechanisms[target]
         every = frozenset(mech.domain.factor_ids)
         if inside == every:
-            scale = lcm(*(v.denominator for col in mech.cols for v in col))
-            memo[target, inside] = (mech.domain, tuple(
-                tuple(v.numerator * (scale // v.denominator) for v in col) for col in mech.cols))
+            # each distinct column object once: a loaded document shares the
+            # columns it repeats
+            distinct = {id(col): col for col in mech.cols}
+            scale = lcm(*(v.denominator for col in distinct.values() for v in col))
+            scaled = {k: tuple(v.numerator * (scale // v.denominator) for v in col)
+                      for k, col in distinct.items()}
+            memo[target, inside] = (mech.domain, tuple(scaled[id(col)] for col in mech.cols))
         else:
             full = _submechanism_numerators(spec, target, every)[1]
             domain = mech.domain.subspace(inside)

@@ -292,7 +292,8 @@ def matrix_from_columns(domain: ProductSpace, codomain: ProductSpace,
 def _trusted_matrix(domain: ProductSpace, codomain: ProductSpace,
                     cols: tuple[tuple[Fraction, ...], ...]) -> StochasticMatrix:
     """Construct without re-validating. Only for internal hot paths whose
-    columns are stochastic by construction (normalized integer rows)."""
+    columns are stochastic by construction (normalized integer rows), and for
+    the document loader, which checks each distinct column once itself."""
     m = object.__new__(StochasticMatrix)
     object.__setattr__(m, "domain", domain)
     object.__setattr__(m, "codomain", codomain)

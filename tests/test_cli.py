@@ -119,15 +119,35 @@ LONG = "1" + "0" * 4000
 
 
 @pytest.mark.parametrize("mutate, message", [
-    (lambda d: d["sources"].update(vX=[f"1/{LONG}1", f"1/{LONG}3"]), "weights sum to"),
+    (lambda d: d["sources"].update(vX=[f"1/{LONG}1", f"1/{LONG}3"]), "source 'vX' weights sum to"),
     (lambda d: d["mechanisms"]["vZ"]["table"].__setitem__(0, [f"1/{LONG}1", f"1/{LONG}3"]),
-     "column 0 sums to"),
+     "mechanism 'vZ' column 0 sums to"),
 ], ids=["source", "column"])
 def test_unprintable_sum_is_a_domain_error(capsys, tmp_path, mutate, message):
     code, out, err = _validate_mutated_xor(capsys, tmp_path, mutate)
     digits = sys.get_int_max_str_digits()
     assert (code, out) == (1, "")
     assert err == f"error: NonStochastic: {message} a rational of more than {digits} digits, not 1\n"
+
+
+def _listed_yx(doc, column):
+    # vZ's sources listed out of id order: listed column j is not canonical column j
+    doc["mechanisms"]["vZ"]["sources"] = ["vY", "vX"]
+    doc["mechanisms"]["vZ"]["table"][1] = column
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["sources"].update(vX=["1/2", "1/3"]), "source 'vX' weights sum to 5/6, not 1"),
+    (lambda d: d["sources"].update(vX=["3/2", "-1/2"]), "negative weight -1/2 in source 'vX'"),
+    (lambda d: d["sources"].update(vX=["1"]), "source 'vX' has 1 weights, expected 2"),
+    (lambda d: _listed_yx(d, ["1/2", "1/3"]), "mechanism 'vZ' column 1 sums to 5/6, not 1"),
+    (lambda d: _listed_yx(d, ["3/2", "-1/2"]), "negative entry -1/2 in mechanism 'vZ' column 1"),
+    (lambda d: _listed_yx(d, ["1", "0", "0"]), "mechanism 'vZ' column 1 has 3 rows, expected 2"),
+], ids=["source-sum", "source-negative", "source-length",
+        "column-sum", "column-negative", "column-rows"])
+def test_non_stochastic_error_names_occasion_and_listed_column(capsys, tmp_path, mutate, message):
+    code, out, err = _validate_mutated_xor(capsys, tmp_path, mutate)
+    assert (code, out, err) == (1, "", f"error: NonStochastic: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

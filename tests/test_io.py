@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distmeas.cli import main
-from distmeas.errors import DocumentError
+from distmeas.errors import DocumentError, NonStochastic
 from distmeas.fixtures import data_path
-from distmeas.io import _parse_rational, system_from_document
+from distmeas.io import _parse_rational, system_from_document, system_to_document
 from distmeas.stoch import ProductSpace, alphabet, canonical_space
 
 
@@ -112,6 +112,92 @@ def test_loader_permutes_columns_of_every_source_order(listed):
     assert mech.cols == tuple(want)
 
 
+# -- repeated columns ------------------------------------------------------------------
+
+HALF = ["1/2", "1/2"]
+
+
+def _repeating_document() -> dict:
+    """Targets y and w of two symbols and z of three, whose columns repeat
+    texts within and across mechanisms, with equal values spelled apart."""
+    binary = ["0", "1"]
+    return {
+        "format_version": 1,
+        "occasions": [{"id": i, "alphabet": binary} for i in ("a", "b", "y", "w")]
+                     + [{"id": "z", "alphabet": ["0", "1", "2"]}],
+        "edges": [["a", "y"], ["b", "y"], ["a", "w"], ["a", "z"]],
+        "mechanisms": {
+            "y": {"sources": ["b", "a"], "table": [HALF, ["2/4", "0.5"], HALF, ["1", 0]]},
+            "w": {"sources": ["a"], "table": [HALF, ["0.5", "2/4"]]},
+            "z": {"sources": ["a"], "table": [["1/3", "1/3", "1/3"], ["2/4", "0.5", 0]]},
+        },
+        "sources": {"a": HALF, "b": ["1/4", "3/4"]},
+    }
+
+
+def test_repeated_columns_load_entry_for_entry():
+    doc = _repeating_document()
+    spec = system_from_document(copy.deepcopy(doc))
+    for target, mdoc in doc["mechanisms"].items():
+        mech = spec.mechanisms[target]
+        listed = ProductSpace(tuple((s, mech.domain.alphabet_of(s)) for s in mdoc["sources"]))
+        for j, col in enumerate(mdoc["table"]):
+            by_id = dict(zip(mdoc["sources"], listed.symbols_at(j)))
+            got = mech.cols[mech.domain.index_of([by_id[s] for s in mech.domain.factor_ids])]
+            assert got == tuple(Fraction(v) for v in col)
+
+
+def _bad_rational(value, where) -> str:
+    with pytest.raises(DocumentError) as exc:
+        _parse_rational(value, where)
+    return str(exc.value)
+
+
+def _set_columns(doc, target, columns):
+    for j, col in columns.items():
+        doc["mechanisms"][target]["table"][j] = col
+
+
+@pytest.mark.parametrize("mutate, error", [
+    # an unhashable entry, in a column listed twice
+    (lambda d: _set_columns(d, "y", {1: [["1/2"], "1/2"], 3: [["1/2"], "1/2"]}),
+     ("DocumentError", _bad_rational(["1/2"], "mechanism 'y' column 1"))),
+    (lambda d: _set_columns(d, "y", {1: ["1/2", "1/3"], 2: ["1/2", "1/3"]}),
+     ("NonStochastic", "mechanism 'y' column 1 sums to 5/6, not 1")),
+    (lambda d: (_set_columns(d, "y", {2: ["-1/3", "4/3"]}), _set_columns(d, "w", {0: ["-1/3", "4/3"]})),
+     ("NonStochastic", "negative entry -1/3 in mechanism 'y' column 2")),
+    # HALF passes in y and w, but z has three symbols
+    (lambda d: _set_columns(d, "z", {1: HALF}),
+     ("NonStochastic", "mechanism 'z' column 1 has 2 rows, expected 3")),
+    # every column of a mechanism is parsed before any is checked
+    (lambda d: _set_columns(d, "y", {0: ["1/2", "1/3"], 3: ["x", "1"]}),
+     ("DocumentError", _bad_rational("x", "mechanism 'y' column 3"))),
+], ids=["unhashable", "sum", "negative-across-targets", "rows", "parse-before-check"])
+def test_repeated_bad_column_fails_at_its_first_listed_occurrence(mutate, error):
+    doc = _repeating_document()
+    mutate(doc)
+    with pytest.raises((DocumentError, NonStochastic)) as exc:
+        system_from_document(doc)
+    assert (type(exc.value).__name__, str(exc.value)) == error
+
+
+def test_each_distinct_column_text_is_parsed_once(monkeypatch):
+    # an unrolled Hopfield ring repeats a few columns under every cell
+    from test_lattice import hopfield_ring
+    spec = hopfield_ring((1, 0, 1, 1, 0))
+    doc = json.loads(json.dumps(system_to_document(spec)))
+    columns = [tuple(col) for mdoc in doc["mechanisms"].values() for col in mdoc["table"]]
+    distinct = set(columns)
+    assert len(columns) == 160 and len(distinct) < 20
+    parsed = []
+    monkeypatch.setattr("distmeas.io._parse_rational",
+                        lambda value, where: parsed.append(value) or _parse_rational(value, where))
+    loaded = system_from_document(doc)
+    weights = sum(len(w) for w in doc["sources"].values())
+    assert len(parsed) == sum(map(len, distinct)) + weights
+    assert loaded.mechanisms == spec.mechanisms and loaded.sources == spec.sources
+
+
 # -- mutated documents through the CLI ------------------------------------------------
 
 AUTOMATON = {
@@ -198,9 +284,10 @@ def _assert_clean_exit(argv, content: bytes):
 def test_mutated_system_documents_fail_cleanly(name, data):
     with open(data_path(name), encoding="utf-8") as fh:
         doc = data.draw(mutated(json.load(fh)))
-    # quale loads, validates and glues every subsystem; validate itself
-    # lists a loadable document's violations one per line, not as errors
-    _assert_clean_exit(["quale", "{}"], json.dumps(doc).encode())
+    # quale loads, validates and glues every subsystem; validate loads and
+    # prints a loadable document's violations on one error line
+    for command in ("quale", "validate"):
+        _assert_clean_exit([command, "{}"], json.dumps(doc).encode())
 
 
 @settings(deadline=None, max_examples=150)
