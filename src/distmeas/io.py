@@ -242,8 +242,9 @@ def system_from_document(doc: dict) -> SystemSpec:
         canonical = canonical_space({s: alpha[s] for s in listed})
         cols = [None] * canonical.dim
         # listed column j is canonical column to_canonical[j]
-        for j, c in zip(_restriction_table(listed_space, canonical), listed_cols):
-            cols[j] = c
+        to_canonical = _restriction_table(listed_space, canonical)
+        for j, col in enumerate(listed_cols):
+            cols[to_canonical[j]] = col
         mechanisms[occ_id] = _trusted_matrix(
             canonical, canonical_space({occ_id: alpha[occ_id]}), tuple(cols))
 
