@@ -169,7 +169,7 @@ def _restriction(spec: SystemSpec, src: ProductSpace, dst: ProductSpace) -> list
 
 
 def _numerator_blocks(spec: SystemSpec, sub: Subsystem,
-                      domain: ProductSpace) -> list[list[tuple[int, ...]]]:
+                      domain: ProductSpace) -> list[Sequence[tuple[int, ...]]]:
     """For each target of the subsystem, in id order: the integer numerator
     column of its submechanism at each input of the subsystem's input space
     (domain), in mixed-radix order.
@@ -234,7 +234,7 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
     return memo[target, inside]
 
 
-def _glued_rows(blocks: list[list[tuple[int, ...]]],
+def _glued_rows(blocks: list[Sequence[tuple[int, ...]]],
                 at: Sequence[int] | None = None) -> list[Sequence[int]]:
     """The glue kernel: integer numerators of a glued mechanism's rows.
 
