@@ -6,10 +6,10 @@ sha256 of its exit code, standard output, standard error and the file it
 writes (if any), and one `sha256 name` line is printed per run. The runs are
 the four argvs of bench/baseline.json, plus quale, lattice, gamma and ei on
 the bundled xor and and systems, gamma and ei on the hopfield-6 document,
-lattice on the quale-11 document, two oracle-check runs, gamma and ei on a
-proper multi-target subsystem of the lattice-8 document (its blocks and its
-context read fewer sources than it does, and it reads fewer than the
-system), gamma over every partition of a 5-cell and of an 8-cell Hopfield
+lattice on the quale-11 document, four oracle-check runs (two of them the
+README's examples), gamma and ei on a proper multi-target subsystem of the
+lattice-8 document (its blocks and its context read fewer sources than it
+does, and it reads fewer than the system), gamma over every partition of a 5-cell and of an 8-cell Hopfield
 ring (the 8-cell one computes all 255 block terms), ei of the whole
 10-cell Hopfield ring (its 10,240 columns are 11 distinct ones), lattice
 on the lattice-8 document at a mixed output, lattice on a fully connected
@@ -100,6 +100,10 @@ def runs() -> list[tuple[str, list[str], str | None]]:
          ["oracle-check", "--exhaustive", "2x2x2", "--exhaustive", "2x3x2"], None),
         ("oracle-check:random",
          ["oracle-check", "--random", "12", "--seed", "3", "--dims", "3x2x3"], None),
+        ("oracle-check:readme-exhaustive",
+         ["oracle-check", "--exhaustive", "2x2x2", "--exhaustive", "2x2x4"], None),
+        ("oracle-check:readme-random",
+         ["oracle-check", "--random", "500", "--seed", "7", "--dims", "3x3x3"], None),
     ]
 
     lat = works["lattice-8"]
