@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceeded, NotAPartition, NotInImage, NotSurjective
+from .errors import BudgetExceeded, NotAPartition, NotSurjective
 from .lattice import Subsystem, _restriction
 from .measure import _divergence, _measurements, _posterior
-from .oracle import ExactBits, FunctionTable, gamma_counts
+from .oracle import ExactBits, FunctionTable, _preimage, gamma_counts
 from .stoch import Distribution
 from .system import SystemSpec
 
@@ -123,14 +123,17 @@ def gamma_closed_form_two_source(g: FunctionTable, z: str) -> ExactBits:
 
 
 def is_rectangular(g: FunctionTable, z: str) -> tuple[bool, tuple | None]:
-    """Whether the preimage of z is the product of its slices.
+    """Whether the preimage of z under a two-input function is the product of
+    its slices, that is, whether its size is the product of its projections'.
 
     Returns (True, None) or (False, witness) where the witness is a pair of
     preimage points whose recombination leaves the preimage.
     """
-    pre = [inp for inp in g.inputs() if g.value(inp) == z]
-    if not pre:
-        raise NotInImage(f"{z!r} is never output")
+    if len(g.factors) != 2:
+        raise NotAPartition("rectangularity needs a two-input function")
+    pre = _preimage(g, z)
+    if len(pre) == math.prod(len(set(axis)) for axis in zip(*pre)):
+        return True, None
     members = set(pre)
     for (x1, y1) in pre:
         for (x2, y2) in pre:

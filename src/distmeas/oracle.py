@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import log2
+from math import log2, prod
 
 from .errors import NotInImage, UnknownSymbol
 from .stoch import Alphabet, alphabet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactBits:
-    """The number log2(radicand) / root, kept exact."""
+    """The number log2(radicand) / root, kept exact. Unhashable: equal values
+    may have different fields, log2(4) / 2 == log2(2) / 1."""
 
     radicand: Fraction
     root: int = 1
@@ -104,7 +106,7 @@ def table(factors, codomain, outputs) -> FunctionTable:
 def preimage_count(f: FunctionTable, y: str) -> int:
     if y not in f.codomain.symbols:
         raise UnknownSymbol(f"{y!r} not in codomain")
-    return sum(1 for v in f.outputs if v == y)
+    return f.outputs.count(y)
 
 
 def slice_count(g: FunctionTable, axis: int, symbol: str, z: str) -> int:
@@ -113,15 +115,26 @@ def slice_count(g: FunctionTable, axis: int, symbol: str, z: str) -> int:
         raise UnknownSymbol(f"{z!r} not in codomain")
     if symbol not in g.factors[axis].symbols:
         raise UnknownSymbol(f"{symbol!r} not in factor {axis}")
-    return sum(
-        1 for inp in g.inputs() if inp[axis] == symbol and g.value(inp) == z)
+    return sum(1 for inp, v in zip(g.inputs(), g.outputs) if v == z and inp[axis] == symbol)
 
 
-def _preimage(g: FunctionTable, z: str):
-    pre = [inp for inp in g.inputs() if g.value(inp) == z]
+def _preimage(g: FunctionTable, z: str) -> list[tuple[str, ...]]:
+    """The inputs g maps to z, in table order, from one pass over the table."""
+    pre = [inp for inp, v in zip(g.inputs(), g.outputs) if v == z]
     if not pre:
         raise NotInImage(f"{z!r} is never output")
     return pre
+
+
+def _counts(g: FunctionTable, z: str) -> tuple[int, list[Counter]]:
+    """(n, [c_k for each axis k]): the size of z's preimage and its slice
+    counts c_k(s), for the symbols s that occur in it."""
+    pre = _preimage(g, z)
+    return len(pre), [Counter(axis) for axis in zip(*pre)]
+
+
+def _self_powers(counts: Counter) -> int:
+    return prod(c ** c for c in counts.values())
 
 
 def ei_classical(f: FunctionTable, y: str) -> ExactBits:
@@ -130,43 +143,24 @@ def ei_classical(f: FunctionTable, y: str) -> ExactBits:
 
 
 def ei_partial(g: FunctionTable, z: str, axis: int = 0) -> ExactBits:
-    """Precision about one input axis when the other is unobserved noise."""
-    pre = _preimage(g, z)
-    n = len(pre)
-    kept = len(g.factors[axis])
-    radicand = Fraction(kept ** n, n ** n)
-    for s in g.factors[axis].symbols:
-        c = sum(1 for inp in pre if inp[axis] == s)
-        if c:
-            radicand *= c ** c
-    return ExactBits(radicand, n)
+    """Precision about one input axis when the others are unobserved noise."""
+    n, slices = _counts(g, z)
+    return ExactBits(Fraction(len(g.factors[axis]) ** n * _self_powers(slices[axis]), n ** n), n)
 
 
 def ei_relative(g: FunctionTable, z: str, axis: int = 0) -> ExactBits:
     """Precision of the joint reading in the context of the partial one."""
-    pre = _preimage(g, z)
-    n = len(pre)
-    other = 1 - axis
-    radicand = Fraction(len(g.factors[other]) ** n)
-    for s in g.factors[axis].symbols:
-        c = sum(1 for inp in pre if inp[axis] == s)
-        if c:
-            radicand /= Fraction(c ** c)
-    return ExactBits(radicand, n)
+    n, slices = _counts(g, z)
+    others = g.total_inputs // len(g.factors[axis])
+    return ExactBits(Fraction(others ** n, _self_powers(slices[axis])), n)
 
 
 def gamma_counts(g: FunctionTable, z: str) -> ExactBits:
-    """Indecomposability from counts: how far the preimage size exceeds the
-    product of its row and column slice sizes, averaged over the preimage."""
-    pre = _preimage(g, z)
-    n = len(pre)
-    radicand = Fraction(n ** n)
-    for axis in (0, 1):
-        for s in g.factors[axis].symbols:
-            c = sum(1 for inp in pre if inp[axis] == s)
-            if c:
-                radicand /= Fraction(c ** c)
-    return ExactBits(radicand, n)
+    """Indecomposability from counts over the K single-input blocks: how far
+    the preimage size exceeds the product of its K slice sizes, averaged over
+    the preimage, n^((K-1)n) / prod_k prod_s c_k(s)^c_k(s)."""
+    n, slices = _counts(g, z)
+    return ExactBits(Fraction(n ** ((len(slices) - 1) * n), prod(map(_self_powers, slices))), n)
 
 
 # -- families of test functions ---------------------------------------------
@@ -252,23 +246,26 @@ def crosscheck(tables, label: str = "crosscheck", tol: float = 1e-9) -> Crossche
             rel_y = effective_information(spec, whole, y_edge, d_out)
             gamma = entanglement(spec, whole, part, d_out).gamma_bits
             tag = f"{g.outputs}@z={z}"
+            top_o, gamma_o = ei_classical(g, z), gamma_counts(g, z)
+            x_o, y_o = ei_partial(g, z, 0), ei_partial(g, z, 1)
+            rel_x_o, rel_y_o = ei_relative(g, z, 0), ei_relative(g, z, 1)
 
-            check(f"{tag} ei(top)", ei_top, ei_classical(g, z).bits)
-            check(f"{tag} ei(X.)", ei_x, ei_partial(g, z, 0).bits)
-            check(f"{tag} ei(.Y)", ei_y, ei_partial(g, z, 1).bits)
-            check(f"{tag} ei(X.->top)", rel_x, ei_relative(g, z, 0).bits)
-            check(f"{tag} ei(.Y->top)", rel_y, ei_relative(g, z, 1).bits)
-            check(f"{tag} gamma", gamma, gamma_counts(g, z).bits)
+            check(f"{tag} ei(top)", ei_top, top_o.bits)
+            check(f"{tag} ei(X.)", ei_x, x_o.bits)
+            check(f"{tag} ei(.Y)", ei_y, y_o.bits)
+            check(f"{tag} ei(X.->top)", rel_x, rel_x_o.bits)
+            check(f"{tag} ei(.Y->top)", rel_y, rel_y_o.bits)
+            check(f"{tag} gamma", gamma, gamma_o.bits)
 
             # comparing-measurements identity, oracle-internal and pipeline
             report.checks += 1
-            if ei_relative(g, z, 0) != ei_classical(g, z) - ei_partial(g, z, 0):
+            if rel_x_o != top_o - x_o:
                 report.mismatches.append(f"{tag} exact relative-ei identity broke")
             check(f"{tag} rel == top - partial", rel_x, ei_top - ei_x)
 
             # rectangular preimage iff zero entanglement
             report.checks += 1
             rect, _ = is_rectangular(g, z)
-            if rect != gamma_counts(g, z).is_zero() or rect != (gamma < tol):
+            if rect != gamma_o.is_zero() or rect != (gamma < tol):
                 report.mismatches.append(f"{tag} rectangularity/entanglement disagree")
     return report

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from distmeas.errors import NotInImage, UnknownSymbol
+from distmeas.entangle import is_rectangular
+from distmeas.errors import NotAPartition, NotInImage, UnknownSymbol
 from distmeas.fixtures import and_table, xor_table
 from distmeas.oracle import (
     ExactBits,
@@ -60,6 +61,16 @@ def test_exact_bits_equality_across_roots():
     assert ExactBits(Fraction(8), 3) != ExactBits(Fraction(4), 1)
 
 
+def test_equal_exact_bits_never_hash_apart():
+    a, b = ExactBits(Fraction(4), 2), ExactBits(Fraction(2), 1)
+    assert a == b
+    try:
+        hashes = {hash(a), hash(b)}
+    except TypeError:
+        return  # unhashable, so no set or dict can hold both
+    assert len(hashes) == 1
+
+
 def test_exact_bits_arithmetic():
     two = ExactBits(Fraction(4), 2)
     one = ExactBits(Fraction(2), 2)
@@ -105,6 +116,74 @@ def test_gamma_counts_is_difference_of_eis_exactly():
         for z in g.attained():
             assert gamma_counts(g, z) == (
                 ei_classical(g, z) - ei_partial(g, z, 0) - ei_partial(g, z, 1))
+
+
+def test_three_input_parity_reads_every_axis():
+    # preimage of "0": 000, 011, 101, 110; each axis holds each bit twice
+    g = FunctionTable((BINARY,) * 3, BINARY, ("0", "1", "1", "0", "1", "0", "0", "1"))
+    one_bit = ExactBits(Fraction(2))
+    assert ei_relative(g, "0", 0) == one_bit == ei_classical(g, "0") - ei_partial(g, "0", 0)
+    # gamma over the three single-axis blocks
+    assert gamma_counts(g, "0") == one_bit
+    with pytest.raises(NotAPartition):
+        is_rectangular(g, "0")
+
+
+# -- the count pass against brute force ------------------------------------------
+
+def _brute_force(g, z):
+    """(preimage, slice counts per axis) of a two-input table by nested loops
+    over g.value, sharing no code with the oracles."""
+    xs, ys = g.factors[0].symbols, g.factors[1].symbols
+    pre = [(x, y) for x in xs for y in ys if g.value((x, y)) == z]
+    cx = {x: sum(1 for p in pre if p[0] == x) for x in xs}
+    cy = {y: sum(1 for p in pre if p[1] == y) for y in ys}
+    return pre, (cx, cy)
+
+
+def _pairwise_scan(pre):
+    members = set(pre)
+    for (x1, y1) in pre:
+        for (x2, y2) in pre:
+            if (x1, y2) not in members:
+                return False, ((x1, y1), (x2, y2))
+    return True, None
+
+
+def _brute_force_tables():
+    yield from exhaustive_tables(2, 2, 2)
+    yield from exhaustive_tables(2, 3, 2)
+    yield from exhaustive_tables(2, 2, 4)
+    yield from random_tables(3, 3, 3, 50, seed=7)
+
+
+def test_count_pass_matches_brute_force():
+    # each closed form as a product over preimage points p of the ratio the
+    # definitions average: KL terms of the uniform posterior on the preimage
+    for g in _brute_force_tables():
+        total = g.total_inputs
+        for z in g.codomain.symbols:
+            pre, slices = _brute_force(g, z)
+            assert preimage_count(g, z) == len(pre)
+            for axis in (0, 1):
+                for s in g.factors[axis].symbols:
+                    assert slice_count(g, axis, s, z) == slices[axis][s]
+            if not pre:
+                with pytest.raises(NotInImage):
+                    gamma_counts(g, z)
+                continue
+            n = len(pre)
+            assert ei_classical(g, z) == ExactBits(Fraction(total, n))
+            for axis in (0, 1):
+                kept = len(g.factors[axis])
+                c = [slices[axis][p[axis]] for p in pre]
+                assert ei_partial(g, z, axis) == ExactBits(
+                    math.prod(Fraction(kept * ck, n) for ck in c), n)
+                assert ei_relative(g, z, axis) == ExactBits(
+                    math.prod(Fraction(total, kept * ck) for ck in c), n)
+            assert gamma_counts(g, z) == ExactBits(
+                math.prod(Fraction(n, slices[0][x] * slices[1][y]) for x, y in pre), n)
+            assert is_rectangular(g, z) == _pairwise_scan(pre)
 
 
 # -- families ----------------------------------------------------------------------
