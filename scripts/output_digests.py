@@ -9,16 +9,17 @@ the bundled xor and and systems, gamma and ei on the hopfield-6 document,
 lattice on the quale-11 document, four oracle-check runs (two of them the
 README's examples), gamma and ei on a proper multi-target subsystem of the
 lattice-8 document (its blocks and its context read fewer sources than it
-does, and it reads fewer than the system), gamma over every partition of a 5-cell and of an 8-cell Hopfield
-ring (the 8-cell one computes all 255 block terms), ei of the whole
-10-cell Hopfield ring (its 10,240 columns are 11 distinct ones), lattice
-on the lattice-8 document at a mixed output, lattice on a fully connected
-12-edge bipartite document (4 sources, 3 targets), validate and
-quale --out on a document of mixed alphabet sizes whose mechanisms list
-their sources out of order (mixed_radix_document), unroll of a three-cell
-hopfield/life/table automaton document with and without --steps, and unroll
-and ei --output @ of a file that is not UTF-8. The benchmark documents
-are generated by bench/workloads.py at their baseline seeds.
+does, and it reads fewer than the system), gamma over every partition of a
+5-cell and of an 8-cell Hopfield ring (the 8-cell one computes all 255 block
+terms), ei of the whole 10-cell Hopfield ring (its 10,240 columns are 11
+distinct ones), lattice on the lattice-8 document at a mixed output, lattice
+on a fully connected 12-edge bipartite document (4 sources, 3 targets),
+validate and quale --out on a document of mixed alphabet sizes whose
+mechanisms list their sources out of order (mixed_radix_document), unroll of
+a three-cell hopfield/life/table automaton document with and without
+--steps, and unroll and ei --output @ of a file that is not UTF-8. The
+benchmark documents are generated by bench/workloads.py at their baseline
+seeds.
 Every run happens in a temporary directory with relative paths, so the
 digests do not depend on where the repository lives.
 

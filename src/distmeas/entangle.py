@@ -149,6 +149,8 @@ def product_decomposition(g: FunctionTable):
     The factor codomains are the slice classes of the proof, relabeled q0,
     q1, ... in order of first appearance.
     """
+    if len(g.factors) != 2:
+        raise NotAPartition("product decomposition needs a two-input function")
     if set(g.attained()) != set(g.codomain.symbols):
         raise NotSurjective(
             f"function does not attain {sorted(set(g.codomain.symbols) - set(g.attained()))}")

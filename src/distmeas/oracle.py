@@ -98,11 +98,6 @@ class FunctionTable:
         return tuple(s for s in self.codomain.symbols if s in seen)
 
 
-def table(factors, codomain, outputs) -> FunctionTable:
-    return FunctionTable(
-        tuple(factors), codomain, tuple(str(o) for o in outputs))
-
-
 def preimage_count(f: FunctionTable, y: str) -> int:
     if y not in f.codomain.symbols:
         raise UnknownSymbol(f"{y!r} not in codomain")

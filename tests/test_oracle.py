@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from distmeas.entangle import is_rectangular
+from distmeas.entangle import gamma_closed_form_two_source, is_rectangular, product_decomposition
 from distmeas.errors import NotAPartition, NotInImage, UnknownSymbol
 from distmeas.fixtures import and_table, xor_table
 from distmeas.oracle import (
@@ -125,8 +125,11 @@ def test_three_input_parity_reads_every_axis():
     assert ei_relative(g, "0", 0) == one_bit == ei_classical(g, "0") - ei_partial(g, "0", 0)
     # gamma over the three single-axis blocks
     assert gamma_counts(g, "0") == one_bit
+    for two_input_only in (is_rectangular, gamma_closed_form_two_source):
+        with pytest.raises(NotAPartition):
+            two_input_only(g, "0")
     with pytest.raises(NotAPartition):
-        is_rectangular(g, "0")
+        product_decomposition(g)
 
 
 # -- the count pass against brute force ------------------------------------------
