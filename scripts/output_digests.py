@@ -17,7 +17,9 @@ on a fully connected 12-edge bipartite document (4 sources, 3 targets),
 validate and quale --out on a document of mixed alphabet sizes whose
 mechanisms list their sources out of order (mixed_radix_document), unroll of
 a three-cell hopfield/life/table automaton document with and without
---steps, and unroll and ei --output @ of a file that is not UTF-8. The
+--steps and with --out, unroll of an automaton document with per-cell
+alphabets and a time-keyed rule (mixed_automaton_document), and unroll and
+ei --output @ of a file that is not UTF-8. The
 benchmark documents are generated by bench/workloads.py at their baseline
 seeds.
 Every run happens in a temporary directory with relative paths, so the
@@ -152,11 +154,16 @@ def runs() -> list[tuple[str, list[str], str | None]]:
 
     with open("automaton.json", "w", encoding="utf-8") as fh:
         json.dump(automaton_document(), fh, indent=2)
+    with open("mixed-automaton.json", "w", encoding="utf-8") as fh:
+        json.dump(mixed_automaton_document(), fh, indent=2)
     with open("not-utf-8.json", "wb") as fh:
         fh.write(b"\xff")
     out += [
         ("automaton:unroll", ["unroll", "automaton.json"], None),
         ("automaton:unroll-steps", ["unroll", "automaton.json", "--steps", "3"], None),
+        ("automaton:unroll-out",
+         ["unroll", "automaton.json", "--out", "automaton-unrolled.json"], "automaton-unrolled.json"),
+        ("mixed-automaton:unroll", ["unroll", "mixed-automaton.json"], None),
         ("not-utf-8:unroll", ["unroll", "not-utf-8.json"], None),
         ("not-utf-8:ei-output",
          ["ei", "xor.json", "--subsystem", "all", "--output", "@not-utf-8.json"], None),
@@ -180,6 +187,29 @@ def automaton_document() -> dict:
         },
         "window": [0, 1],
         "initial": {"a": "1", "b": {"distribution": ["1/3", "2/3"]}, "c": "0"},
+    }
+
+
+def mixed_automaton_document() -> dict:
+    """A binary cell a and a ternary cell b (per-cell alphabets) over three
+    time steps. a becomes a xor (b == 2). b's rule is keyed by time: at t = 1
+    it is a + b, at t = 2 it is a + 2b, modulo 3."""
+    pairs = [(x, y) for x in range(2) for y in range(3)]
+    return {
+        "format_version": 1,
+        "cells": ["a", "b"],
+        "alphabet": ["0", "1"],
+        "alphabets": {"b": ["0", "1", "2"]},
+        "neighborhoods": {"a": ["a", "b"], "b": ["a", "b"]},
+        "rules": {
+            "a": {"kind": "table", "table": {f"{x},{y}": str(int(x != (y == 2))) for x, y in pairs}},
+            "b": {
+                "1": {"kind": "table", "table": {f"{x},{y}": str((x + y) % 3) for x, y in pairs}},
+                "2": {"kind": "table", "table": {f"{x},{y}": str((x + 2 * y) % 3) for x, y in pairs}},
+            },
+        },
+        "window": [0, 2],
+        "initial": {"a": "1", "b": {"distribution": ["1/2", "1/3", "1/6"]}},
     }
 
 

@@ -14,8 +14,14 @@ from hypothesis import strategies as st
 from distmeas.cli import main
 from distmeas.errors import DocumentError, NonStochastic
 from distmeas.fixtures import data_path
-from distmeas.io import _parse_rational, system_from_document, system_to_document
+from distmeas.io import (
+    _parse_rational,
+    automaton_from_document,
+    system_from_document,
+    system_to_document,
+)
 from distmeas.stoch import ProductSpace, alphabet, canonical_space
+from distmeas.system import unroll, validate
 
 
 # -- rationals -----------------------------------------------------------------------
@@ -196,6 +202,57 @@ def test_each_distinct_column_text_is_parsed_once(monkeypatch):
     weights = sum(len(w) for w in doc["sources"].values())
     assert len(parsed) == sum(map(len, distinct)) + weights
     assert loaded.mechanisms == spec.mechanisms and loaded.sources == spec.sources
+
+
+# -- automaton documents ----------------------------------------------------------------
+
+PAIRS = [(x, y) for x in range(2) for y in range(3)]
+
+# a binary cell a and a ternary cell b; b's rule is keyed by time
+TIMED = {
+    "format_version": 1,
+    "cells": ["a", "b"],
+    "alphabets": {"b": ["0", "1", "2"]},
+    "neighborhoods": {"a": ["a"], "b": ["a", "b"]},
+    "rules": {
+        "a": {"kind": "table", "table": {"0": "1", "1": "0"}},
+        "b": {
+            "1": {"kind": "table", "table": {f"{x},{y}": str((x + y) % 3) for x, y in PAIRS}},
+            "2": {"kind": "table", "table": {f"{x},{y}": str((x + 2 * y) % 3) for x, y in PAIRS}},
+        },
+    },
+    "window": [0, 2],
+    "initial": {"a": "0", "b": "2"},
+}
+
+
+def test_cell_alphabets_reach_every_occasion_of_the_cell():
+    spec = unroll(automaton_from_document(TIMED))
+    for t in range(3):
+        assert spec.alphabet_of(f"a@{t}").symbols == ("0", "1")
+        assert spec.alphabet_of(f"b@{t}").symbols == ("0", "1", "2")
+    assert spec.sources["b@0"].weights == (0, 0, 1)
+    assert validate(spec) == []
+
+
+@pytest.mark.parametrize("t, rule", [(1, lambda x, y: (x + y) % 3),
+                                     (2, lambda x, y: (x + 2 * y) % 3)])
+def test_time_keyed_rule_applies_at_its_own_time(t, rule):
+    mech = unroll(automaton_from_document(TIMED)).mechanisms[f"b@{t}"]
+    assert mech.domain.factor_ids == (f"a@{t - 1}", f"b@{t - 1}")
+    for (x, y), col in zip(PAIRS, mech.cols):
+        assert col == tuple(int(z == rule(x, y)) for z in range(3))
+
+
+def test_time_keyed_rule_without_the_time_is_a_domain_error(tmp_path, capsys):
+    doc = copy.deepcopy(TIMED)
+    del doc["rules"]["b"]["2"]
+    path = tmp_path / "timed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["unroll", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: InvalidAutomaton: cell 'b' has no rule for time 2\n"
 
 
 # -- mutated documents through the CLI ------------------------------------------------
