@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -16,7 +17,7 @@ import tempfile
 
 from . import io as docio
 from .entangle import entanglement, enumerate_partitions, partition_of
-from .errors import DocumentError, Error
+from .errors import BudgetExceeded, DocumentError, Error
 from .lattice import (
     Subsystem,
     _edges_within_budget,
@@ -143,6 +144,8 @@ def cmd_ei(args) -> int:
 
 
 def cmd_gamma(args) -> int:
+    if args.all_partitions and args.partition is not None:
+        raise DocumentError("give --partition or --all-partitions, not both")
     spec = _valid(docio.load_system(args.path))
     sub = _parse_subsystem(spec, args.subsystem)
     d_out = _parse_output(spec, args.output)
@@ -216,10 +219,8 @@ def cmd_unroll(args) -> int:
         doc = {**doc, "window": [0, args.steps - 1]}
     auto = docio.automaton_from_document(doc)
     spec = _valid(unroll(auto))
-    if args.out:
-        docio.save_system(spec, args.out)
-    else:
-        print(json.dumps(docio.system_to_document(spec), indent=2, sort_keys=True))
+    text = json.dumps(docio.system_to_document(spec), indent=2, sort_keys=True) + "\n"
+    _publish(args.out, lambda fh: fh.write(text))
     return 0
 
 
@@ -230,13 +231,23 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)
 
 
+# an exhaustive sweep of nx x ny x nz enumerates nz^(nx*ny) tables
+_EXHAUSTIVE_LOG2_BUDGET = 16
+
+
 def cmd_oracle_check(args) -> int:
-    reports = []
-    for dims in args.exhaustive or []:
-        nx, ny, nz = _parse_dims(dims)
-        reports.append(crosscheck(
-            exhaustive_tables(nx, ny, nz), label=f"exhaustive {nx}x{ny}x{nz}"))
-    if args.random:
+    if args.random is not None and args.random < 1:
+        raise DocumentError("--random must be >= 1")
+    sweeps = [_parse_dims(dims) for dims in args.exhaustive or []]
+    for nx, ny, nz in sweeps:
+        # in logs: the count itself may have millions of digits
+        if math.log2(nz) > _EXHAUSTIVE_LOG2_BUDGET / (nx * ny):
+            raise BudgetExceeded(
+                f"exhaustive {nx}x{ny}x{nz} sweeps {nz}^{nx * ny} tables, over the budget "
+                f"of 2^{_EXHAUSTIVE_LOG2_BUDGET}")
+    reports = [crosscheck(exhaustive_tables(nx, ny, nz), label=f"exhaustive {nx}x{ny}x{nz}")
+               for nx, ny, nz in sweeps]
+    if args.random is not None:
         nx, ny, nz = _parse_dims(args.dims)
         reports.append(crosscheck(
             random_tables(nx, ny, nz, args.random, args.seed),

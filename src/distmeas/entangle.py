@@ -134,19 +134,23 @@ def is_rectangular(g: FunctionTable, z: str) -> tuple[bool, tuple | None]:
     pre = _preimage(g, z)
     if len(pre) == math.prod(len(set(axis)) for axis in zip(*pre)):
         return True, None
+    # some (x1, y2) of the projections' product is missing, so the scan returns
     members = set(pre)
     for (x1, y1) in pre:
         for (x2, y2) in pre:
             if (x1, y2) not in members:
                 return False, ((x1, y1), (x2, y2))
-    return True, None
 
 
 def product_decomposition(g: FunctionTable):
     """Split a surjective two-input function into a product of single-input
     functions when every output's preimage is rectangular; None otherwise.
 
-    The factor codomains are the slice classes of the proof, relabeled q0,
+    g factors as an injective h(g1(x), g2(y)) exactly when its codomain has
+    as many symbols as its distinct columns times its distinct rows: equal
+    columns, or equal rows, give equal outputs, so h is well defined and
+    onto, and it is one-to-one when the sizes match. The factor codomains
+    are then the classes of equal columns and of equal rows, relabeled q0,
     q1, ... in order of first appearance.
     """
     if len(g.factors) != 2:
@@ -154,57 +158,19 @@ def product_decomposition(g: FunctionTable):
     if set(g.attained()) != set(g.codomain.symbols):
         raise NotSurjective(
             f"function does not attain {sorted(set(g.codomain.symbols) - set(g.attained()))}")
-    xs = g.factors[0].symbols
-    ys = g.factors[1].symbols
-
-    def column_class(x):
-        # the x-slice classes g^{-1}_{X x y}(z) containing x, one per y
-        classes = {
-            frozenset(x2 for x2 in xs if g.value((x2, y)) == g.value((x, y)))
-            for y in ys}
-        return classes
-
-    def row_class(y):
-        classes = {
-            frozenset(y2 for y2 in ys if g.value((x, y2)) == g.value((x, y)))
-            for x in xs}
-        return classes
-
-    g1: dict[str, frozenset] = {}
-    for x in xs:
-        classes = column_class(x)
-        if len(classes) != 1:
-            return None
-        g1[x] = next(iter(classes))
-    g2: dict[str, frozenset] = {}
-    for y in ys:
-        classes = row_class(y)
-        if len(classes) != 1:
-            return None
-        g2[y] = next(iter(classes))
-
-    # the pair of classes must determine the output exactly
-    outputs: dict[tuple[frozenset, frozenset], str] = {}
-    for x in xs:
-        for y in ys:
-            key = (g1[x], g2[y])
-            z = g.value((x, y))
-            if outputs.setdefault(key, z) != z:
-                return None
-    if len(outputs) != len(set(outputs.values())):
+    xs, ys = g.factors[0].symbols, g.factors[1].symbols
+    n = len(ys)
+    columns = [g.outputs[i * n:(i + 1) * n] for i in range(len(xs))]
+    rows = [g.outputs[j::n] for j in range(n)]
+    if len(g.codomain) != len(set(columns)) * len(set(rows)):
         return None
+    return _relabel(xs, columns), _relabel(ys, rows)
 
-    def relabel(mapping):
-        labels: dict[frozenset, str] = {}
-        out = {}
-        for sym in mapping:
-            cls = mapping[sym]
-            if cls not in labels:
-                labels[cls] = f"q{len(labels)}"
-            out[sym] = labels[cls]
-        return out
 
-    return relabel(g1), relabel(g2)
+def _relabel(symbols: Sequence[str], classes: Sequence[tuple]) -> dict[str, str]:
+    """symbol -> q<k>, k numbering the distinct classes by first appearance."""
+    labels: dict[tuple, str] = {}
+    return {sym: labels.setdefault(cls, f"q{len(labels)}") for sym, cls in zip(symbols, classes)}
 
 
 def enumerate_partitions(sources: Sequence[str], max_sources: int = 8) -> Iterator[Partition]:

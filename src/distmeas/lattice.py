@@ -72,9 +72,6 @@ class Subsystem:
     def sorted_pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.pairs))
 
-    def __le__(self, other: "Subsystem") -> bool:
-        return self.pairs <= other.pairs
-
 
 def subsystem(spec: SystemSpec, pairs: Iterable[tuple[str, str]]) -> Subsystem:
     pset = frozenset((str(a), str(b)) for a, b in pairs)
@@ -383,44 +380,29 @@ def glue_sections(spec: SystemSpec, a: Section, b: Section,
     union = Subsystem(sub_a.pairs | sub_b.pairs, sub_a.effective | sub_b.effective)
     domain = target_space(spec, union)
     codomain = source_space(spec, union)
-    sa, sb = source_space(spec, sub_a), source_space(spec, sub_b)
-    ta, tb = target_space(spec, sub_a), target_space(spec, sub_b)
-
-    def restrict_to(space: ProductSpace, ids: Sequence[str]):
-        pos = [space.position(i) for i in ids]
-        return lambda syms: tuple(syms[p] for p in pos)
-
-    s_to_a = restrict_to(codomain, sa.factor_ids)
-    s_to_b = restrict_to(codomain, sb.factor_ids)
-    s_to_shared = restrict_to(codomain, shared_src)
-    t_to_a = restrict_to(domain, ta.factor_ids)
-    t_to_b = restrict_to(domain, tb.factor_ids)
-    t_to_shared = restrict_to(domain, shared_trg)
+    s_to_a = _restriction(spec, codomain, source_space(spec, sub_a))
+    s_to_b = _restriction(spec, codomain, source_space(spec, sub_b))
+    s_to_shared = _restriction(spec, codomain, ra.codomain)
+    t_to_a = _restriction(spec, domain, target_space(spec, sub_a))
+    t_to_b = _restriction(spec, domain, target_space(spec, sub_b))
+    t_to_shared = _restriction(spec, domain, ra.domain)
 
     cols = []
     bad: list[tuple[tuple[str, ...], Fraction]] = []
-    for o in domain.iter_symbols():
-        col_a = a.matrix.cols[ta.index_of(t_to_a(o))]
-        col_b = b.matrix.cols[tb.index_of(t_to_b(o))]
-        col_r = ra.cols[ra.domain.index_of(t_to_shared(o))]
+    for o in range(domain.dim):
+        col_a = a.matrix.cols[t_to_a[o]]
+        col_b = b.matrix.cols[t_to_b[o]]
+        col_r = ra.cols[t_to_shared[o]]
         col = []
-        for s in codomain.iter_symbols():
-            va = col_a[sa.index_of(s_to_a(s))]
-            if va == 0:
-                col.append(ZERO)
-                continue
-            vb = col_b[sb.index_of(s_to_b(s))]
-            if vb == 0:
-                col.append(ZERO)
-                continue
-            denom = col_r[ra.codomain.index_of(s_to_shared(s))]
-            col.append(ZERO if denom == 0 else va * vb / denom)
+        for i, j, k in zip(s_to_a, s_to_b, s_to_shared):
+            va, vb, denom = col_a[i], col_b[j], col_r[k]
+            col.append(va * vb / denom if va and vb and denom else ZERO)
         total = sum(col, ZERO)
         if total != 1:
             if renormalize and total > 0:
                 col = [v / total for v in col]
             else:
-                bad.append((o, total))
+                bad.append((domain.symbols_at(o), total))
         cols.append(tuple(col))
     if bad:
         detail = ", ".join(f"{o}: {t}" for o, t in bad[:4])

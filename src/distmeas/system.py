@@ -83,15 +83,6 @@ class SystemSpec:
         return {}
 
 
-def system(occasions: Sequence[Occasion], edges, mechanisms=None, sources=None) -> SystemSpec:
-    return SystemSpec(
-        tuple(occasions),
-        frozenset((str(a), str(b)) for a, b in edges),
-        dict(mechanisms or {}),
-        dict(sources or {}),
-    )
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -229,7 +220,7 @@ def _rule_at(auto: AutomatonSpec, cell: str, t: int):
     return rule
 
 
-def _rule_arity(rule, nbrs) -> int:
+def _rule_arity(rule) -> int:
     if isinstance(rule, StochasticMatrix):
         return len(rule.domain.factors)
     if not rule:
@@ -247,7 +238,7 @@ def _mechanism_from_rule(auto: AutomatonSpec, cell: str, t: int) -> tuple[tuple[
     t_alpha = auto.window[0]
     nbrs = auto.neighborhoods[cell]
     rule = _rule_at(auto, cell, t)
-    if _rule_arity(rule, nbrs) != len(nbrs):
+    if _rule_arity(rule) != len(nbrs):
         raise InvalidAutomaton(
             f"rule arity of {cell!r} does not match neighborhood size {len(nbrs)}")
     out_alpha = auto.alphabet_of(cell)

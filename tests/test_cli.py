@@ -394,6 +394,12 @@ def test_gamma_and_at_one_vanishes(capsys):
     assert "0.000000000" in line.split()[1]
 
 
+def test_gamma_refuses_partition_with_all_partitions(capsys):
+    code, out, err = run(capsys, "gamma", AND, "--partition", "vX|vY", "--all-partitions",
+                         "--output", "vZ=0")
+    assert (code, out, err) == (2, "", "error: give --partition or --all-partitions, not both\n")
+
+
 def test_gamma_all_partitions(capsys):
     code, out, _ = run(capsys, "gamma", AND, "--all-partitions",
                        "--output", "vZ=0")
@@ -681,6 +687,35 @@ def test_oracle_check_random(capsys):
 def test_oracle_check_needs_a_mode(capsys):
     code, _, err = run(capsys, "oracle-check")
     assert code == 2
+
+
+def _no_tables(nx, ny, nz):
+    raise AssertionError(f"built the tables of {nx}x{ny}x{nz}")
+
+
+@pytest.mark.parametrize("dims, count", [("4x4x4", "4^16"), ("2x17x2", "2^34"), ("3x11x1000", "1000^33"),
+                                         ("1000x1000x2", "2^1000000")])
+def test_oracle_check_refuses_exhaustive_sweeps_over_budget(capsys, monkeypatch, dims, count):
+    # every sweep is priced before any table of any sweep is built
+    monkeypatch.setattr("distmeas.cli.exhaustive_tables", _no_tables)
+    code, out, err = run(capsys, "oracle-check", "--exhaustive", "2x2x2", "--exhaustive", dims)
+    assert (code, out) == (1, "")
+    assert err == (f"error: BudgetExceeded: exhaustive {dims} sweeps {count} tables, "
+                   "over the budget of 2^16\n")
+
+
+@pytest.mark.parametrize("dims", ["4x4x2", "2x2x16", "2x8x2", "1x1x65536", "9x9x1", "2x5x3"])
+def test_oracle_check_sweeps_up_to_the_budget(capsys, monkeypatch, dims):
+    monkeypatch.setattr("distmeas.cli.exhaustive_tables", lambda nx, ny, nz: [])
+    code, out, _ = run(capsys, "oracle-check", "--exhaustive", dims)
+    assert code == 0
+    assert out.startswith(f"exhaustive {dims}: 0 functions")
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_oracle_check_random_count_must_be_positive(capsys, count):
+    code, out, err = run(capsys, "oracle-check", "--random", count)
+    assert (code, out, err) == (2, "", "error: --random must be >= 1\n")
 
 
 def test_unrolled_life_window_exceeds_quale_budget(capsys, tmp_path):

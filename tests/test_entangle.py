@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -241,6 +242,60 @@ def test_round_trip_on_random_products():
                 same_g = g.value((a1, b1)) == g.value((a2, b2))
                 same_pair = (g1[a1], g2[b1]) == (g1[a2], g2[b2])
                 assert same_g == same_pair
+
+
+def _decomposition_by_slice_classes(g):
+    """product_decomposition as a scan of every x-slice and y-slice class,
+    symbol by symbol: (g1, g2), None, or the NotSurjective message."""
+    xs, ys = g.factors[0].symbols, g.factors[1].symbols
+    value = dict(zip(itertools.product(xs, ys), g.outputs))
+    missing = sorted(set(g.codomain.symbols) - set(g.outputs))
+    if missing:
+        return f"function does not attain {missing}"
+    g1, g2 = {}, {}
+    for x in xs:
+        classes = {frozenset(x2 for x2 in xs if value[x2, y] == value[x, y]) for y in ys}
+        if len(classes) != 1:
+            return None
+        g1[x] = classes.pop()
+    for y in ys:
+        classes = {frozenset(y2 for y2 in ys if value[x, y2] == value[x, y]) for x in xs}
+        if len(classes) != 1:
+            return None
+        g2[y] = classes.pop()
+    outputs = {}
+    for x in xs:
+        for y in ys:
+            if outputs.setdefault((g1[x], g2[y]), value[x, y]) != value[x, y]:
+                return None
+    if len(outputs) != len(set(outputs.values())):
+        return None
+
+    def relabel(mapping):
+        labels, out = {}, {}
+        for sym, cls in mapping.items():
+            if cls not in labels:
+                labels[cls] = f"q{len(labels)}"
+            out[sym] = labels[cls]
+        return out
+
+    return relabel(g1), relabel(g2)
+
+
+def test_decomposition_matches_slice_class_scan():
+    tables = itertools.chain(
+        *(exhaustive_tables(*dims) for dims in ((2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 2), (3, 2, 3))),
+        random_tables(4, 4, 4, 500, seed=5))
+    kinds = set()
+    for g in tables:
+        try:
+            got = product_decomposition(g)
+        except NotSurjective as exc:
+            got = str(exc)
+        want = _decomposition_by_slice_classes(g)
+        assert got == want, g.outputs
+        kinds.add(type(want))
+    assert kinds == {tuple, type(None), str}
 
 
 # -- identities -------------------------------------------------------------------

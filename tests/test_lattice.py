@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
-from math import lcm
+from itertools import combinations, product
+from math import lcm, prod
 
 import pytest
 
@@ -41,6 +42,7 @@ from distmeas.stoch import (
     BINARY,
     ProductSpace,
     StochasticMatrix,
+    alphabet,
     canonical_space,
     compose,
     diagonal,
@@ -626,6 +628,124 @@ def test_glue_arbitrary_joint_detects_or_roundtrips():
         assert restrict(spec, glued, ci).matrix == a.matrix
         assert restrict(spec, glued, cj).matrix == b.matrix
     assert detected > 0  # generic joints do trip the stochasticity check
+
+
+TERNARY = alphabet("012")
+
+
+def _interleaved_host():
+    """Sources a, c (ternary) and b (binary); targets x, z (binary) and y
+    (ternary). The subsystems {a-x, c-x, c-z} and {b-y, c-y, b-z} share
+    source c and target z, so their union's canonical factor order (a, b, c)
+    and (x, y, z) interleaves the two parts' factors."""
+    alphabets = {"a": TERNARY, "b": BINARY, "c": TERNARY, "x": BINARY, "y": TERNARY, "z": BINARY}
+    occs = tuple(Occasion(i, a) for i, a in alphabets.items())
+    edges = {("a", "x"), ("c", "x"), ("c", "z"), ("b", "y"), ("c", "y"), ("b", "z")}
+    return SystemSpec(occs, frozenset(edges), {})
+
+
+def _section_table(spec, sec):
+    """{(source symbols, target symbols): entry} of a section, each tuple in
+    id order."""
+    def joints(ids):
+        return list(product(*(spec.alphabet_of(i).symbols for i in ids)))
+
+    srcs, trgs = joints(sec.subsystem.source_ids()), joints(sec.subsystem.target_ids())
+    return {(s, t): sec.matrix.cols[j][i] for j, t in enumerate(trgs) for i, s in enumerate(srcs)}
+
+
+def _glue_by_symbols(spec, a, b, renormalize):
+    """glue_sections entry by entry over symbol tuples: the glued columns,
+    or (error type name, message)."""
+    sa, ta = a.subsystem.source_ids(), a.subsystem.target_ids()
+    sb, tb = b.subsystem.source_ids(), b.subsystem.target_ids()
+    shared_src = tuple(sorted(set(sa) & set(sb)))
+    shared_trg = tuple(sorted(set(ta) & set(tb)))
+    pa, pb = _section_table(spec, a), _section_table(spec, b)
+
+    def pick(ids, syms, kept):
+        return tuple(v for i, v in zip(ids, syms) if i in kept)
+
+    def shared_marginal(p, srcs, trgs):
+        # uniform average over the targets outside the shared ones
+        n = prod(len(spec.alphabet_of(i)) for i in trgs if i not in shared_trg)
+        out = {}
+        for (s, t), v in p.items():
+            key = (pick(srcs, s, shared_src), pick(trgs, t, shared_trg))
+            out[key] = out.get(key, 0) + v / n
+        return out
+
+    ra = shared_marginal(pa, sa, ta)
+    if ra != shared_marginal(pb, sb, tb):
+        return ("Incompatible", "sections disagree on their shared coordinates "
+                f"(sources {shared_src}, targets {shared_trg})")
+    srcs, trgs = tuple(sorted(set(sa) | set(sb))), tuple(sorted(set(ta) | set(tb)))
+    cols, bad = [], []
+    for t in product(*(spec.alphabet_of(i).symbols for i in trgs)):
+        o = dict(zip(trgs, t))
+        col = []
+        for s in product(*(spec.alphabet_of(i).symbols for i in srcs)):
+            v = dict(zip(srcs, s))
+            va = pa[tuple(v[i] for i in sa), tuple(o[i] for i in ta)]
+            vb = pb[tuple(v[i] for i in sb), tuple(o[i] for i in tb)]
+            denom = ra[tuple(v[i] for i in shared_src), tuple(o[i] for i in shared_trg)]
+            col.append(va * vb / denom if va and vb and denom else F(0))
+        total = sum(col, F(0))
+        if total != 1:
+            if renormalize and total > 0:
+                col = [v / total for v in col]
+            else:
+                bad.append((t, total))
+        cols.append(tuple(col))
+    if bad:
+        detail = ", ".join(f"{o}: {t}" for o, t in bad[:4])
+        return ("NotStochastic", f"glued section has {len(bad)} non-stochastic columns ({detail})")
+    return tuple(cols)
+
+
+def _random_union_section(spec, sub, rng):
+    """A random section over sub: either any column-stochastic matrix with
+    some zero entries, or r(c|z) s(a|c,x) u(b|c,y), whose restrictions glue
+    back exactly."""
+    dom, cod = target_space(spec, sub), source_space(spec, sub)
+
+    def rand_dist(n):
+        raw = [rng.randint(0, 4) for _ in range(n)]
+        raw[rng.randrange(n)] += 1
+        return [F(v, sum(raw)) for v in raw]
+
+    if rng.random() < 0.5:
+        cols = [rand_dist(cod.dim) for _ in range(dom.dim)]
+    else:
+        r = {(z,): rand_dist(3) for z in "01"}
+        s = {(c, x): rand_dist(3) for c in "012" for x in "01"}
+        u = {(c, y): rand_dist(2) for c in "012" for y in "012"}
+        cols = [[r[z,][int(c)] * s[c, x][int(a)] * u[c, y][int(b)]
+                 for a, b, c in cod.iter_symbols()] for x, y, z in dom.iter_symbols()]
+    return section(spec, sub, matrix_from_columns(dom, cod, cols))
+
+
+def test_glue_matches_symbol_scan_on_interleaved_factors():
+    spec = _interleaved_host()
+    ci = subsystem(spec, [("a", "x"), ("c", "x"), ("c", "z")])
+    cj = subsystem(spec, [("b", "y"), ("c", "y"), ("b", "z")])
+    union = subsystem(spec, sorted(ci.pairs | cj.pairs))
+    rng = random.Random(29)
+    kinds = Counter()
+    for _ in range(45):
+        joint = _random_union_section(spec, union, rng)
+        other = _random_union_section(spec, union, rng)
+        pairs = [(restrict(spec, joint, ci), restrict(spec, joint, cj)),
+                 (restrict(spec, joint, ci), restrict(spec, other, cj))]
+        for (a, b), renormalize in product(pairs, (False, True)):
+            try:
+                got = glue_sections(spec, a, b, renormalize=renormalize).matrix.cols
+            except (Incompatible, NotStochastic) as exc:
+                got = (type(exc).__name__, str(exc))
+            want = _glue_by_symbols(spec, a, b, renormalize)
+            assert got == want
+            kinds[want[0] if isinstance(want[0], str) else "glued"] += 1
+    assert set(kinds) == {"glued", "Incompatible", "NotStochastic"}
 
 
 # -- descent -------------------------------------------------------------------
