@@ -144,7 +144,7 @@ def is_rectangular(g: FunctionTable, z: str) -> tuple[bool, tuple | None]:
 
 def product_decomposition(g: FunctionTable):
     """Split a surjective two-input function into a product of single-input
-    functions when every output's preimage is rectangular; None otherwise.
+    functions, or None when it has no such split.
 
     g factors as an injective h(g1(x), g2(y)) exactly when its codomain has
     as many symbols as its distinct columns times its distinct rows: equal
