@@ -25,7 +25,7 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 from workloads import bipartite_document  # noqa: E402
 
-LIMIT_MB = 150
+LIMIT_MB = 100
 
 
 def main() -> int:

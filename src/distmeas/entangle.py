@@ -106,11 +106,11 @@ def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
     if terms is None:
         p = _posterior(spec, sub, d_out)
         pk = _posterior(spec, _block_subsystem(sub, block), d_out)
-        logs = [math.log2(n) - math.log2(d) if n else None
-                for n, d in zip(pk.numerators, pk.denominators)]
+        log_total = math.log2(pk.total)
+        logs = [math.log2(n) - log_total if n else None for n in pk.weights]
         restrict = _restriction(spec, p.space, pk.space)
-        cross = sum(a / b * logs[j] for a, b, j in zip(p.numerators, p.denominators, restrict)
-                    if a)
+        pt = p.total
+        cross = sum(a / pt * logs[j] for a, j in zip(p.weights, restrict) if a)
         terms = memo[key] = (_divergence(spec, pk), cross)
     return terms
 

@@ -10,18 +10,18 @@ context, with the empty subsystem's uniform measurement as the null context.
 extend and measure are the reference semantics. Reports read a subsystem's
 posterior on its own inputs S_C instead (_posterior): the glued rows the
 output selects, read from lattice's integer glue kernel and normalized. It is
-kept as an integer record (_Record): the space S_C and, for each of its
-states, the numerator and denominator of the posterior weight in lowest
-terms, which are the ints a Fraction of that weight would hold. The extended
-measurement is that posterior times the uniform distribution on the inputs
-outside C, a factor both sides of every divergence share, so each divergence
-is computed on S_C alone (_divergence), with a context D within C
-contributing m_D(x|_D) / |S_C - S_D|. An output's support and the
-posteriors at it are memoised on the spec per output; the maps restricting
-one space's states to another's are lattice's memoised ones. Only the
-public results (MeasurementResult) hold Fraction distributions, built by
-_spread. Tests pin the posterior times the uniform factor to
-measure(extend(...)) with exact equality.
+kept as an integer record (_Record): the space S_C, one nonnegative integer
+weight per state and their total, reduced by their common gcd so that equal
+posteriors have equal records. The extended measurement is that posterior
+times the uniform distribution on the inputs outside C, a factor both sides
+of every divergence share, so each divergence is computed on S_C alone
+(_divergence), with a context D within C contributing
+m_D(x|_D) / |S_C - S_D|. An output's support and the posteriors at it are
+memoised on the spec per output; the maps restricting one space's states to
+another's are lattice's memoised ones. Only the public results
+(MeasurementResult) hold Fraction distributions, built by _spread. Tests pin
+the posterior times the uniform factor to measure(extend(...)) with exact
+equality.
 """
 
 from __future__ import annotations
@@ -121,11 +121,11 @@ def measure(mech: ExtendedMechanism, d_out: Distribution) -> Distribution:
 
 class _Record(NamedTuple):
     """A measurement on a subsystem's own inputs S_C, in integers: state i of
-    space has weight numerators[i] / denominators[i], in lowest terms."""
+    space has weight weights[i] / total, and gcd(total, *weights) is 1."""
 
     space: ProductSpace
-    numerators: tuple[int, ...]
-    denominators: tuple[int, ...]
+    weights: tuple[int, ...]
+    total: int
 
 
 class _Output(NamedTuple):
@@ -182,11 +182,11 @@ def _glued_posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> _
 
     Each output in d_out's support (_measurements) selects the glued row at
     the subsystem's targets' symbols. The rows of a mixed output are summed
-    over one common denominator, and each state's weight is then reduced to
-    lowest terms by one gcd."""
+    over one common denominator, the record's total, which is reduced with
+    the weights by their one gcd."""
     domain = source_space(spec, sub)
     if sub.is_null:
-        return _Record(domain, (1,), (1,))
+        return _Record(domain, (1,), 1)
     out_space = d_out.space
     support = _measurements(spec, d_out).support
     blocks = _numerator_blocks(spec, sub, domain)
@@ -201,22 +201,20 @@ def _glued_posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> _
         rows.append((w, glued, total))
     # sum_rows w * glued / total, over one common denominator
     denominator = math.lcm(*(w.denominator * total for w, _, total in rows))
-    numerators = [0] * domain.dim
+    weights = [0] * domain.dim
     for w, glued, total in rows:
         scale = w.numerator * (denominator // (w.denominator * total))
-        numerators = [n + scale * v for n, v in zip(numerators, glued)]
-    gcds = [math.gcd(n, denominator) for n in numerators]
-    return _Record(domain, tuple(n // g for n, g in zip(numerators, gcds)),
-                   tuple(denominator // g for g in gcds))
+        weights = [n + scale * v for n, v in zip(weights, glued)]
+    g = math.gcd(denominator, *weights)
+    return _Record(domain, tuple(n // g for n in weights), denominator // g)
 
 
 def _spread(spec: SystemSpec, posterior: _Record) -> Distribution:
     """A posterior on S_C times the uniform distribution on the rest of the
     system's inputs, as a Fraction distribution."""
     in_space = system_input_space(spec)
-    outside = in_space.dim // posterior.space.dim
-    weights = [Fraction(n, d * outside)
-               for n, d in zip(posterior.numerators, posterior.denominators)]
+    denominator = posterior.total * (in_space.dim // posterior.space.dim)
+    weights = [Fraction(n, denominator) for n in posterior.weights]
     restrict = _restriction(spec, in_space, posterior.space)
     return Distribution(in_space, tuple(weights[i] for i in restrict))
 
@@ -238,19 +236,20 @@ def _divergence(spec: SystemSpec, p: _Record, factors: Sequence[_Record] = ()) -
     p and q agree add exactly 0, so equal distributions give exactly 0.0.
     """
     dim = p.space.dim
-    rest = dim // math.prod(f.space.dim for f in factors)
-    qn, qd = [1] * dim, [rest] * dim  # q(x) = qn[x] / qd[x], over p's states
+    qw = [1] * dim  # q(x) = qw[x] / qd, over p's states
+    qd = dim // math.prod(f.space.dim for f in factors)
     for f in factors:
-        fn, fd = f.numerators, f.denominators
+        fw = f.weights
         restrict = _restriction(spec, p.space, f.space)
-        qn = [v * fn[j] for v, j in zip(qn, restrict)]
-        qd = [v * fd[j] for v, j in zip(qd, restrict)]
+        qw = [v * fw[j] for v, j in zip(qw, restrict)]
+        qd *= f.total
+    pt = p.total
     total = 0.0
-    for a, b, n, d in zip(p.numerators, p.denominators, qn, qd):
+    for a, n in zip(p.weights, qw):
         if a:
-            num, den = a * d, b * n  # of p(x) / q(x)
+            num, den = a * qd, pt * n  # of p(x) / q(x)
             if num != den:
-                total += a / b * (math.log2(num) - math.log2(den))
+                total += a / pt * (math.log2(num) - math.log2(den))
     return total
 
 

@@ -208,7 +208,11 @@ class CrosscheckReport:
                 f"{self.checks} checks, {status}")
 
 
-def crosscheck(tables, label: str = "crosscheck", tol: float = 1e-9) -> CrosscheckReport:
+# pipeline floats within this of an oracle's value agree with it
+_TOLERANCE = 1e-9
+
+
+def crosscheck(tables, label: str = "crosscheck") -> CrosscheckReport:
     """Run the matrix pipeline on each two-input table and compare every
     closed-form quantity against the counting oracles above."""
     from .entangle import Partition, entanglement, is_rectangular
@@ -229,7 +233,7 @@ def crosscheck(tables, label: str = "crosscheck", tol: float = 1e-9) -> Crossche
 
         def check(desc: str, got: float, want: float):
             report.checks += 1
-            if abs(got - want) > tol:
+            if abs(got - want) > _TOLERANCE:
                 report.mismatches.append(f"{desc}: pipeline {got!r} vs oracle {want!r}")
 
         for z in g.attained():
@@ -261,6 +265,6 @@ def crosscheck(tables, label: str = "crosscheck", tol: float = 1e-9) -> Crossche
             # rectangular preimage iff zero entanglement
             report.checks += 1
             rect, _ = is_rectangular(g, z)
-            if rect != gamma_o.is_zero() or rect != (gamma < tol):
+            if rect != gamma_o.is_zero() or rect != (gamma < _TOLERANCE):
                 report.mismatches.append(f"{tag} rectangularity/entanglement disagree")
     return report

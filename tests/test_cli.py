@@ -423,7 +423,7 @@ def test_gamma_gap_that_rounds_to_zero_prints_unsigned(capsys, tmp_path, monkeyp
     assert (label, gamma, gap) == ("s0|s1,s2", "0.000000000", "0.000000000")
 
 
-@pytest.mark.parametrize("partition", ["vX|vY", "vX,vY|"])
+@pytest.mark.parametrize("partition", ["vX|vY", "vX,vY|", ""])
 def test_gamma_bad_partition_prints_nothing(capsys, partition):
     # vY is not a source of the subsystem, and "" is no occasion
     code, out, err = run(capsys, "gamma", XOR, "--subsystem", "vX-vZ",
@@ -710,6 +710,28 @@ def test_oracle_check_sweeps_up_to_the_budget(capsys, monkeypatch, dims):
     code, out, _ = run(capsys, "oracle-check", "--exhaustive", dims)
     assert code == 0
     assert out.startswith(f"exhaustive {dims}: 0 functions")
+
+
+@pytest.mark.parametrize("argv, dims, inputs", [
+    (["--random", "1", "--dims", "100x100x2"], "100x100x2", 10000),
+    (["--exhaustive", "1000x1000x1"], "1000x1000x1", 1000000),
+    (["--exhaustive", "2x2x2", "--random", "1", "--dims", "33x32x2"], "33x32x2", 1056),
+])
+def test_oracle_check_refuses_tables_over_the_input_budget(capsys, monkeypatch, argv, dims, inputs):
+    # every table size is priced before any table of any sweep is built
+    monkeypatch.setattr("distmeas.cli.exhaustive_tables", _no_tables)
+    monkeypatch.setattr("distmeas.cli.random_tables", lambda nx, ny, nz, *_: _no_tables(nx, ny, nz))
+    code, out, err = run(capsys, "oracle-check", *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: BudgetExceeded: a {dims} table has {inputs} inputs, "
+                   "over the budget of 1024\n")
+
+
+def test_oracle_check_runs_a_table_at_the_input_budget(capsys, monkeypatch):
+    monkeypatch.setattr("distmeas.cli.random_tables", lambda *_: [])
+    code, out, _ = run(capsys, "oracle-check", "--random", "1", "--dims", "32x32x2")
+    assert code == 0
+    assert out.startswith("random 1 of 32x32x2 (seed 0): 0 functions")
 
 
 @pytest.mark.parametrize("count", ["-1", "0"])

@@ -37,7 +37,6 @@ from distmeas.oracle import (
 )
 from distmeas.stoch import (
     BINARY,
-    Distribution,
     alphabet,
     dirac,
     distribution,
@@ -288,13 +287,13 @@ def test_measurement_report_carries_distributions(and_spec):
 # -- glued-row measurements against the reference operators --------------------
 
 def _record(d):
-    """A Fraction distribution as the integer record a posterior is kept in."""
-    return _Record(d.space, tuple(w.numerator for w in d.weights),
-                   tuple(w.denominator for w in d.weights))
-
-
-def _distribution(record):
-    return Distribution(record.space, tuple(map(F, record.numerators, record.denominators)))
+    """A Fraction distribution as the integer record a posterior is kept in:
+    the weights over the least common denominator, which is in lowest terms
+    with them since each weight's own denominator is coprime to its
+    numerator."""
+    total = math.lcm(*(w.denominator for w in d.weights))
+    return _Record(d.space, tuple(w.numerator * (total // w.denominator) for w in d.weights),
+                   total)
 
 
 def _measured(spec, sub, d_out):
