@@ -8,6 +8,7 @@ deterministic given identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -241,6 +242,8 @@ _TABLE_INPUTS_BUDGET = 2 ** 10
 def cmd_oracle_check(args) -> int:
     if args.random is not None and args.random < 1:
         raise DocumentError("--random must be >= 1")
+    if args.dims is not None and args.random is None:
+        raise DocumentError("--dims sizes the --random tables and needs --random")
     sweeps = [_parse_dims(dims) for dims in args.exhaustive or []]
     for nx, ny, nz in sweeps:
         # in logs: the count itself may have millions of digits
@@ -248,7 +251,8 @@ def cmd_oracle_check(args) -> int:
             raise BudgetExceeded(
                 f"exhaustive {nx}x{ny}x{nz} sweeps {nz}^{nx * ny} tables, over the budget "
                 f"of 2^{_EXHAUSTIVE_LOG2_BUDGET}")
-    random_dims = [] if args.random is None else [_parse_dims(args.dims)]
+    random_dims = [] if args.random is None else [
+        _parse_dims("3x3x3" if args.dims is None else args.dims)]
     for nx, ny, nz in sweeps + random_dims:
         if nx * ny > _TABLE_INPUTS_BUDGET:
             raise BudgetExceeded(
@@ -271,6 +275,7 @@ def cmd_oracle_check(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distmeas",
@@ -279,20 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a system document")
     p.add_argument("path")
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("quale", help="dualized glued mechanism of every subsystem")
     p.add_argument("path")
     p.add_argument("--max-edges", type=int, default=16)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_quale)
 
     p = sub.add_parser("ei", help="effective information of a subsystem in a context")
     p.add_argument("path")
     p.add_argument("--subsystem", required=True, help='"all", "null" or "src-trg,..."')
     p.add_argument("--context", default="null", help='"all", "null" or "src-trg,..."')
     p.add_argument("--output", required=True, help='"vZ=0[,vW=1]" or "@dist.json"')
-    p.set_defaults(fn=cmd_ei)
 
     p = sub.add_parser("gamma", help="entanglement over a partition of sources")
     p.add_argument("path")
@@ -300,35 +302,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", help='blocks like "vX|vY" or "vA,vB|vC"')
     p.add_argument("--all-partitions", action="store_true")
     p.add_argument("--output", required=True)
-    p.set_defaults(fn=cmd_gamma)
 
     p = sub.add_parser("lattice", help="Hasse diagram with ei increments, DOT format")
     p.add_argument("path")
     p.add_argument("--output", required=True)
     p.add_argument("--dot", help="write DOT here instead of stdout")
     p.add_argument("--max-edges", type=int, default=16)
-    p.set_defaults(fn=cmd_lattice)
 
     p = sub.add_parser("unroll", help="unroll an automaton document into a system")
     p.add_argument("path")
     p.add_argument("--steps", type=int, help="override the window to [0, steps-1]")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_unroll)
 
     p = sub.add_parser("oracle-check", help="compare the pipeline with counting oracles")
     p.add_argument("--exhaustive", action="append", metavar="NXxNYxNZ",
                    help="sweep all functions of these dimensions (repeatable)")
     p.add_argument("--random", type=int, metavar="N")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", default="3x3x3")
-    p.set_defaults(fn=cmd_oracle_check)
+    p.add_argument("--dims", metavar="NXxNYxNZ", help="of the --random tables (default 3x3x3)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up by name when it runs, so that the cached parser holds no
+        # cmd_* function that may since have been rebound on this module
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,10 @@ every construction here reads only the effective part. The input space S_C of
 a subsystem is the canonical (id-sorted) product over sources of effective
 pairs, the output space A_C the product over targets. A section over C is a
 stochastic map from A_C back to S_C; the quale assigns to each subsystem the
-dual of its glued mechanism.
+dual of its glued mechanism. Glued mechanisms are computed on integers by one
+kernel (_glued_rows), which multiplies each target's submechanism rows, kept
+as integer numerators over the submechanism's own inputs, read through the
+restriction map from S_C; no other module reads those rows.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ def glue_mechanism(spec: SystemSpec, sub: Subsystem) -> StochasticMatrix:
         raise EmptySubsystem("the empty subsystem has no glued mechanism; use the null mechanism")
     domain = source_space(spec, sub)
     cols = []
-    for col in zip(*_glued_rows(_numerator_blocks(spec, sub, domain))):
+    for col in zip(*_glued_rows(spec, sub, domain)):
         total = sum(col)
         cols.append(tuple(Fraction(v, total) for v in col))
     return _trusted_matrix(domain, target_space(spec, sub), tuple(cols))
@@ -165,47 +168,20 @@ def _restriction(spec: SystemSpec, src: ProductSpace, dst: ProductSpace) -> list
     return spec._glue_memo[key]
 
 
-def _numerator_blocks(spec: SystemSpec, sub: Subsystem,
-                      domain: ProductSpace) -> list[Sequence[tuple[int, ...]]]:
-    """For each target of the subsystem, in id order: the integer numerator
-    column of its submechanism at each input of the subsystem's input space
-    (domain), in mixed-radix order.
-
-    Submechanisms are marginalised by summing scaled integer numerators
-    (_submechanism_numerators), so each carries one common denominator per
-    target, which cancels wherever a glued row or column is normalized.
-    occasion_submechanism is the reference they are pinned to.
-
-    Each block is memoised for the spec's lifetime in spec._glue_memo by
-    (target, inside source ids, domain ids), so that the many subsystems of
-    quale and lattice that share a target's inside sources and their own
-    sources re-index it once. When the domain is the submechanism's own, the
-    block is the submechanism's columns themselves.
-    """
-    memo = spec._glue_memo
-    blocks = []
-    for l in sub.target_ids():
-        inside = frozenset(k for (k, t) in sub.effective if t == l)
-        key = (l, inside, domain.factor_ids)
-        if key not in memo:
-            m_domain, nums = _submechanism_numerators(spec, l, inside)
-            memo[key] = nums if m_domain.factor_ids == domain.factor_ids else [
-                nums[j] for j in _restriction(spec, domain, m_domain)]
-        blocks.append(memo[key])
-    return blocks
-
-
 def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[str]):
-    """(domain, integer numerator columns) of the target's submechanism with
-    only the inside sources kept.
+    """(domain, integer numerator rows) of the target's submechanism with
+    only the inside sources kept: one row per output symbol, over the inputs
+    of domain in mixed-radix order.
 
     A submechanism averages the inputs outside the subsystem out uniformly,
     so over integers it is a sum: with the target's full mechanism scaled
     once by the LCM of its denominators, the numerator at (output, inside
     input) is the sum of the full numerators over the outside inputs. The
-    common denominator left out is LCM x |outside inputs|. Memoised for the
-    spec's lifetime in spec._glue_memo by (target, inside), the scaled full
-    mechanism being the entry with every source inside.
+    common denominator left out is LCM x |outside inputs|, which cancels
+    wherever a glued row or column is normalized. occasion_submechanism is
+    the reference they are pinned to. Memoised for the spec's lifetime in
+    spec._glue_memo by (target, inside), the scaled full mechanism being the
+    entry with every source inside.
     """
     memo = spec._glue_memo
     if (target, inside) not in memo:
@@ -218,34 +194,43 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
             scale = lcm(*(v.denominator for col in distinct.values() for v in col))
             scaled = {k: tuple(v.numerator * (scale // v.denominator) for v in col)
                       for k, col in distinct.items()}
-            memo[target, inside] = (mech.domain, tuple(scaled[id(col)] for col in mech.cols))
+            rows = tuple(zip(*(scaled[id(col)] for col in mech.cols)))
+            memo[target, inside] = (mech.domain, rows)
         else:
             full = _submechanism_numerators(spec, target, every)[1]
             domain = mech.domain.subspace(inside)
-            sums = [[0] * len(full[0]) for _ in range(domain.dim)]
-            for j, col in zip(_restriction(spec, mech.domain, domain), full):
-                acc = sums[j]
-                for o, v in enumerate(col):
-                    acc[o] += v
-            memo[target, inside] = (domain, tuple(map(tuple, sums)))
+            restrict = _restriction(spec, mech.domain, domain)
+            rows = []
+            for row in full:
+                acc = [0] * domain.dim
+                for j, v in zip(restrict, row):
+                    acc[j] += v
+                rows.append(tuple(acc))
+            memo[target, inside] = (domain, tuple(rows))
     return memo[target, inside]
 
 
-def _glued_rows(blocks: list[Sequence[tuple[int, ...]]],
-                at: Sequence[int] | None = None) -> list[Sequence[int]]:
+def _glued_rows(spec: SystemSpec, sub: Subsystem, domain: ProductSpace,
+                at: Sequence[int] | None = None) -> Sequence[Sequence[int]]:
     """The glue kernel: integer numerators of a glued mechanism's rows.
 
-    blocks are _numerator_blocks(spec, sub, domain). rows[i][j] is the glued
-    mechanism at output i of A_C and input j of domain (S_C), a product of
-    scaled submechanism entries, one per target. With at (one symbol index
+    rows[i][j] is the glued mechanism at output i of A_C and input j of
+    domain (S_C), a product of scaled submechanism entries, one per target:
+    each target's rows (_submechanism_numerators) read through the
+    restriction from domain to their own inputs. With at (one symbol index
     per target, in id order) only the row at that output is computed, as the
-    single element of the list.
+    single element of the result.
     """
     rows = None
-    for cols, o in zip(blocks, at or repeat(None)):
-        # one vector over the inputs per output symbol of the target; later
-        # targets are less significant in the output space
-        vecs = list(zip(*cols)) if o is None else [[col[o] for col in cols]]
+    for l, o in zip(sub.target_ids(), at or repeat(None)):
+        inside = frozenset(k for (k, t) in sub.effective if t == l)
+        own, vecs = _submechanism_numerators(spec, l, inside)
+        if o is not None:
+            vecs = (vecs[o],)
+        if own.factor_ids != domain.factor_ids:
+            restrict = _restriction(spec, domain, own)
+            vecs = [[v[j] for j in restrict] for v in vecs]
+        # later targets are less significant in the output space
         rows = vecs if rows is None else [
             [x * y for x, y in zip(r, v)] for r in rows for v in vecs]
     return rows
@@ -313,7 +298,7 @@ def _quale_rows(spec: SystemSpec, subs: Iterable[Subsystem]):
             continue
         domain = source_space(spec, sub)
         codomain = target_space(spec, sub)
-        rows = _glued_rows(_numerator_blocks(spec, sub, domain))
+        rows = _glued_rows(spec, sub, domain)
         row_sums = [sum(r) for r in rows]
         zero = [codomain.symbols_at(i) for i, t in enumerate(row_sums) if t == 0]
         if zero:

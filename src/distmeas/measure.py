@@ -8,11 +8,12 @@ relative entropy of a measurement against the measurement in a coarser
 context, with the empty subsystem's uniform measurement as the null context.
 
 extend and measure are the reference semantics. Reports read a subsystem's
-posterior on its own inputs S_C instead (_posterior): the glued rows the
-output selects, read from lattice's integer glue kernel and normalized. It is
-kept as an integer record (_Record): the space S_C, one nonnegative integer
-weight per state and their total, reduced by their common gcd so that equal
-posteriors have equal records. The extended measurement is that posterior
+posterior on its own inputs S_C instead (_posterior): the glued row each
+output selects, computed at that output's symbols by lattice's integer glue
+kernel (_glued_rows) and normalized. It is kept as an integer record
+(_Record): the space S_C, one nonnegative integer weight per state and their
+total, reduced by their common gcd so that equal posteriors have equal
+records. The extended measurement is that posterior
 times the uniform distribution on the inputs outside C, a factor both sides
 of every divergence share, so each divergence is computed on S_C alone
 (_divergence), with a context D within C contributing
@@ -35,7 +36,6 @@ from .errors import ContextNotContained, SpaceMismatch, UnsupportedOutput
 from .lattice import (
     Subsystem,
     _glued_rows,
-    _numerator_blocks,
     _restriction,
     bottom,
     glue_mechanism,
@@ -189,11 +189,10 @@ def _glued_posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> _
         return _Record(domain, (1,), 1)
     out_space = d_out.space
     support = _measurements(spec, d_out).support
-    blocks = _numerator_blocks(spec, sub, domain)
     slots = [out_space.position(l) for l in sub.target_ids()]
     rows = []
     for w, symbol_indices in support:
-        (glued,) = _glued_rows(blocks, [symbol_indices[p] for p in slots])
+        (glued,) = _glued_rows(spec, sub, domain, [symbol_indices[p] for p in slots])
         total = sum(glued)
         if total == 0:
             symbols = tuple(a.symbols[k] for (_, a), k in zip(out_space.factors, symbol_indices))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from distmeas.cli import main
+from distmeas.cli import build_parser, main
 from distmeas.fixtures import and_system, data_path, xor_system
 from distmeas.io import (
     format_rational,
@@ -738,6 +738,26 @@ def test_oracle_check_runs_a_table_at_the_input_budget(capsys, monkeypatch):
 def test_oracle_check_random_count_must_be_positive(capsys, count):
     code, out, err = run(capsys, "oracle-check", "--random", count)
     assert (code, out, err) == (2, "", "error: --random must be >= 1\n")
+
+
+@pytest.mark.parametrize("argv", [["--dims", "garbage"], ["--exhaustive", "1x1x2", "--dims", "garbage"],
+                                  ["--exhaustive", "1x1x2", "--dims", "2x2x2"]])
+def test_oracle_check_refuses_dims_without_random(capsys, monkeypatch, argv):
+    monkeypatch.setattr("distmeas.cli.exhaustive_tables", _no_tables)
+    code, out, err = run(capsys, "oracle-check", *argv)
+    assert (code, out, err) == (2, "", "error: --dims sizes the --random tables and needs --random\n")
+
+
+def test_oracle_check_random_tables_default_to_3x3x3(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr("distmeas.cli.random_tables", lambda *dims: seen.append(dims) or [])
+    code, out, _ = run(capsys, "oracle-check", "--random", "2")
+    assert (code, seen) == (0, [(3, 3, 3, 2, 0)])
+    assert out.startswith("random 2 of 3x3x3 (seed 0): 0 functions")
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_unrolled_life_window_exceeds_quale_budget(capsys, tmp_path):
