@@ -13,7 +13,8 @@ does, and it reads fewer than the system), gamma over every partition of a
 5-cell and of an 8-cell Hopfield ring (the 8-cell one computes all 255 block
 terms), ei of the whole 10-cell Hopfield ring (its 10,240 columns are 11
 distinct ones), lattice on the lattice-8 document at a mixed output, lattice
-on a fully connected 12-edge bipartite document (4 sources, 3 targets),
+on fully connected 12- and 16-edge bipartite documents (4 sources, 3 or 4
+targets; the 16-edge run pins all 524,288 arrow labels),
 validate and quale --out on a document of mixed alphabet sizes whose
 mechanisms list their sources out of order (mixed_radix_document), unroll of
 a three-cell hopfield/life/table automaton document with and without
@@ -143,6 +144,10 @@ def runs() -> list[tuple[str, list[str], str | None]]:
         json.dump(bipartite_document(99, 4, 3, {}), fh, indent=2)
     out.append(("bipartite-12:lattice",
                 ["lattice", "bipartite-12.json", "--output", "t0=0,t1=1,t2=0"], None))
+    with open("bipartite-16.json", "w", encoding="utf-8") as fh:
+        json.dump(bipartite_document(99, 4, 4, {}), fh, indent=2)
+    out.append(("bipartite-16:lattice",
+                ["lattice", "bipartite-16.json", "--output", "t0=0,t1=1,t2=0,t3=1"], None))
 
     with open("mixed-radix.json", "w", encoding="utf-8") as fh:
         json.dump(mixed_radix_document(), fh, indent=2)
