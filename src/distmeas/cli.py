@@ -15,6 +15,7 @@ import os
 import shutil
 import sys
 import tempfile
+from array import array
 
 from . import io as docio
 from .entangle import entanglement, enumerate_partitions, partition_of
@@ -23,21 +24,27 @@ from .lattice import (
     Subsystem,
     _edges_within_budget,
     _quale_numerators,
+    _walk,
     bottom,
-    enumerate_subsystems,
     subsystem,
     top,
 )
-from .measure import _divergence, _glued_posterior, effective_information, system_output_space
+from .measure import (
+    _cross,
+    _glued_posterior,
+    _log_table,
+    effective_information,
+    system_output_space,
+)
 from .oracle import crosscheck, exhaustive_tables, random_tables
 from .stoch import dirac
 from .system import unroll, validate
 
 
-def _bits(x: float) -> str:
-    text = f"{x:.9f}"
+def _bits(x: float, places: int = 9) -> str:
+    text = f"{x:.{places}f}"
     # a value that rounds to zero prints unsigned, from either side of it
-    return "0.000000000" if text == "-0.000000000" else text
+    return text[1:] if text[0] == "-" and not text.strip("-0.") else text
 
 
 def _parse_subsystem(spec, text: str) -> Subsystem:
@@ -177,13 +184,22 @@ def cmd_lattice(args) -> int:
     one's arrows in the order of their destinations' keys. Node keys are
     unique, so that is the order of all arrows sorted by (source, destination)
     key. Subsystems are indexed by the bitmask of their edges (bit i for the
-    i-th edge in sorted order), so that an arrow adds one bit."""
+    i-th edge in sorted order), so that an arrow adds one bit.
+
+    The arrow D -> B is labelled ei(B / D) = sum_x p_B log2 p_B
+    - sum_x p_B(x) log2 p_D(x|_D) + log2(|S_B| / |S_D|). The first sum is
+    kept once per node and D's log table is made once, when D's arrows are
+    written. Equal records give exactly 0, the two sums being the same
+    float sums. A record that spreads D's evenly over B's extra sources
+    gives a float near 0 of either sign, so labels print through _bits,
+    never as -0.00000."""
     spec = _valid(docio.load_system(args.path))
     d_out = _parse_output(spec, args.output)
     edges = _edges_within_budget(spec, args.max_edges)
     # each subsystem is measured once, so the posteriors skip _posterior's memo
-    posteriors = [_glued_posterior(spec, s, d_out)
-                  for s in enumerate_subsystems(spec, args.max_edges)]
+    posteriors = [_glued_posterior(spec, parts, domain, d_out)
+                  for _, parts, domain in _walk(spec, edges)]
+    neg_entropy = array("d", (_cross(spec, p, p, _log_table(p)) for p in posteriors))
     names = [f"{a}-{b}" for a, b in edges]
     # the key of a mask is the key of the mask without its highest edge, plus
     # that edge, which sorts after the rest
@@ -201,11 +217,14 @@ def cmd_lattice(args) -> int:
             fh.write(f'  "{keys[m]}" [label="{keys[m]}"];\n')
         for m in by_key:
             src = keys[m]
-            smaller = (posteriors[m],)
+            d = posteriors[m]
+            logs = _log_table(d)
             bigger = [m | 1 << i for i in range(len(edges)) if not m >> i & 1]
             for b in sorted(bigger, key=keys.__getitem__):
-                ei = _divergence(spec, posteriors[b], smaller)
-                fh.write(f'  "{src}" -> "{keys[b]}" [label="{ei:.5f}"];\n')
+                p = posteriors[b]
+                ei = (neg_entropy[b] - _cross(spec, p, d, logs)
+                      + math.log2(p.space.dim // d.space.dim))
+                fh.write(f'  "{src}" -> "{keys[b]}" [label="{_bits(ei, 5)}"];\n')
         fh.write("}\n")
 
     _publish(args.dot, write)

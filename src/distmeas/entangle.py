@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, NotAPartition, NotSurjective
-from .lattice import Subsystem, _restriction
-from .measure import _divergence, _measurements, _posterior
+from .lattice import Subsystem
+from .measure import _cross, _divergence, _log_table, _measurements, _posterior
 from .oracle import ExactBits, FunctionTable, _preimage, gamma_counts
 from .stoch import Distribution
 from .system import SystemSpec
@@ -106,12 +106,7 @@ def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
     if terms is None:
         p = _posterior(spec, sub, d_out)
         pk = _posterior(spec, _block_subsystem(sub, block), d_out)
-        log_total = math.log2(pk.total)
-        logs = [math.log2(n) - log_total if n else None for n in pk.weights]
-        restrict = _restriction(spec, p.space, pk.space)
-        pt = p.total
-        cross = sum(a / pt * logs[j] for a, j in zip(p.weights, restrict) if a)
-        terms = memo[key] = (_divergence(spec, pk), cross)
+        terms = memo[key] = (_divergence(spec, pk), _cross(spec, p, pk, _log_table(pk)))
     return terms
 
 

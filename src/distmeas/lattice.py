@@ -10,7 +10,11 @@ stochastic map from A_C back to S_C; the quale assigns to each subsystem the
 dual of its glued mechanism. Glued mechanisms are computed on integers by one
 kernel (_glued_rows), which multiplies each target's submechanism rows, kept
 as integer numerators over the submechanism's own inputs, read through the
-restriction map from S_C; no other module reads those rows.
+restriction map from S_C; no other module reads those rows. The kernel
+reads a subsystem as its parts, (target, inside sources) per target (_parts);
+the lattice of subsystems is enumerated with its parts and input spaces by
+one walk over edge bitmasks (_walk), which the quale stream and the lattice
+command share.
 """
 
 from __future__ import annotations
@@ -127,8 +131,64 @@ def enumerate_subsystems(spec: SystemSpec, max_pairs: int = 16) -> Iterator[Subs
     """All subsets of the effective edge set, in binary counting order."""
     edges = _edges_within_budget(spec, max_pairs)
     for mask in range(2 ** len(edges)):
-        chosen = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
-        yield Subsystem(chosen, chosen)
+        yield _masked(edges, mask)
+
+
+def _masked(edges: Sequence[tuple[str, str]], mask: int) -> Subsystem:
+    """The subsystem of the edges whose bits are set in mask, bit i standing
+    for edges[i]."""
+    chosen = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
+    return Subsystem(chosen, chosen)
+
+
+Parts = tuple[tuple[str, frozenset[str]], ...]
+
+
+def _parts(sub: Subsystem) -> Parts:
+    """What the glue kernel reads of a subsystem: (target, the target's
+    sources inside it) for each of its targets, in id order."""
+    inside: dict[str, set[str]] = {}
+    for k, l in sub.effective:
+        inside.setdefault(l, set()).add(k)
+    return tuple((l, frozenset(inside[l])) for l in sorted(inside))
+
+
+def _walk(spec: SystemSpec,
+          edges: Sequence[tuple[str, str]]) -> Iterator[tuple[int, Parts, ProductSpace]]:
+    """Every subsystem over edges (the host's edges, sorted) as (mask, parts,
+    S_C), in binary counting order of mask, bit i standing for edges[i];
+    parts is _parts of the subsystem.
+
+    Everything comes from bit operations on the mask. Each target's part is
+    cached by the target's sub-mask (the sub-masks of different targets
+    share no bit) together with the mask of its sources, bit j standing for
+    the j-th source in id order; S_C is cached by the union of those.
+    """
+    sources = sorted({k for k, _ in edges})
+    source_bit = [1 << sources.index(k) for k, _ in edges]
+    by_target = [(l, sum(1 << i for i, e in enumerate(edges) if e[1] == l))
+                 for l in sorted({l for _, l in edges})]
+    cached_parts: dict[int, tuple[tuple[str, frozenset[str]], int]] = {}
+    spaces: dict[int, ProductSpace] = {}
+    for mask in range(1 << len(edges)):
+        parts = []
+        source_mask = 0
+        for l, target_mask in by_target:
+            sub_mask = mask & target_mask
+            if sub_mask:
+                cached = cached_parts.get(sub_mask)
+                if cached is None:
+                    bits = [i for i in range(sub_mask.bit_length()) if sub_mask >> i & 1]
+                    cached = cached_parts[sub_mask] = (
+                        (l, frozenset(edges[i][0] for i in bits)),
+                        sum(source_bit[i] for i in bits))
+                parts.append(cached[0])
+                source_mask |= cached[1]
+        domain = spaces.get(source_mask)
+        if domain is None:
+            domain = spaces[source_mask] = _occasion_space(
+                spec, tuple(k for j, k in enumerate(sources) if source_mask >> j & 1))
+        yield mask, tuple(parts), domain
 
 
 def occasion_submechanism(spec: SystemSpec, sub: Subsystem, target: str) -> StochasticMatrix:
@@ -153,7 +213,7 @@ def glue_mechanism(spec: SystemSpec, sub: Subsystem) -> StochasticMatrix:
         raise EmptySubsystem("the empty subsystem has no glued mechanism; use the null mechanism")
     domain = source_space(spec, sub)
     cols = []
-    for col in zip(*_glued_rows(spec, sub, domain)):
+    for col in zip(*_glued_rows(spec, _parts(sub), domain)):
         total = sum(col)
         cols.append(tuple(Fraction(v, total) for v in col))
     return _trusted_matrix(domain, target_space(spec, sub), tuple(cols))
@@ -163,9 +223,10 @@ def _restriction(spec: SystemSpec, src: ProductSpace, dst: ProductSpace) -> list
     """_restriction_table(src, dst), memoised on the spec by the two spaces'
     factor ids (a spec gives each id one alphabet)."""
     key = (src.factor_ids, dst.factor_ids)
-    if key not in spec._glue_memo:
-        spec._glue_memo[key] = _restriction_table(src, dst)
-    return spec._glue_memo[key]
+    table = spec._glue_memo.get(key)
+    if table is None:
+        table = spec._glue_memo[key] = _restriction_table(src, dst)
+    return table
 
 
 def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[str]):
@@ -184,7 +245,8 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
     entry with every source inside.
     """
     memo = spec._glue_memo
-    if (target, inside) not in memo:
+    entry = memo.get((target, inside))
+    if entry is None:
         mech = spec.mechanisms[target]
         every = frozenset(mech.domain.factor_ids)
         if inside == every:
@@ -195,7 +257,7 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
             scaled = {k: tuple(v.numerator * (scale // v.denominator) for v in col)
                       for k, col in distinct.items()}
             rows = tuple(zip(*(scaled[id(col)] for col in mech.cols)))
-            memo[target, inside] = (mech.domain, rows)
+            entry = (mech.domain, rows)
         else:
             full = _submechanism_numerators(spec, target, every)[1]
             domain = mech.domain.subspace(inside)
@@ -206,24 +268,26 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
                 for j, v in zip(restrict, row):
                     acc[j] += v
                 rows.append(tuple(acc))
-            memo[target, inside] = (domain, tuple(rows))
-    return memo[target, inside]
+            entry = (domain, tuple(rows))
+        memo[target, inside] = entry
+    return entry
 
 
-def _glued_rows(spec: SystemSpec, sub: Subsystem, domain: ProductSpace,
+def _glued_rows(spec: SystemSpec, parts: Parts, domain: ProductSpace,
                 at: Sequence[int] | None = None) -> Sequence[Sequence[int]]:
     """The glue kernel: integer numerators of a glued mechanism's rows.
 
-    rows[i][j] is the glued mechanism at output i of A_C and input j of
-    domain (S_C), a product of scaled submechanism entries, one per target:
-    each target's rows (_submechanism_numerators) read through the
-    restriction from domain to their own inputs. With at (one symbol index
-    per target, in id order) only the row at that output is computed, as the
-    single element of the result.
+    parts is the subsystem's (target, inside sources) pairs in target id
+    order (_parts), and domain its input space S_C. rows[i][j] is the glued
+    mechanism at output i of A_C and input j of domain, a product of scaled
+    submechanism entries, one per target: each target's rows
+    (_submechanism_numerators) read through the restriction from domain to
+    their own inputs. With at (one symbol index per target, in id order)
+    only the row at that output is computed, as the single element of the
+    result.
     """
     rows = None
-    for l, o in zip(sub.target_ids(), at or repeat(None)):
-        inside = frozenset(k for (k, t) in sub.effective if t == l)
+    for (l, inside), o in zip(parts, at or repeat(None)):
         own, vecs = _submechanism_numerators(spec, l, inside)
         if o is not None:
             vecs = (vecs[o],)
@@ -286,19 +350,17 @@ def _quale_numerators(spec: SystemSpec, max_pairs: int = 16):
     NotSurjective, when the iterator reaches it, for a subsystem whose glued
     mechanism misses an output.
     """
-    _edges_within_budget(spec, max_pairs)
-    return _quale_rows(spec, enumerate_subsystems(spec, max_pairs))
+    return _quale_rows(spec, _edges_within_budget(spec, max_pairs))
 
 
-def _quale_rows(spec: SystemSpec, subs: Iterable[Subsystem]):
-    scalar = canonical_space({})
-    for sub in subs:
-        if sub.is_null:
-            yield sub, scalar, scalar, ((1,),), (1,)
+def _quale_rows(spec: SystemSpec, edges: Sequence[tuple[str, str]]):
+    for mask, parts, domain in _walk(spec, edges):
+        sub = _masked(edges, mask)
+        if not parts:
+            yield sub, domain, domain, ((1,),), (1,)
             continue
-        domain = source_space(spec, sub)
-        codomain = target_space(spec, sub)
-        rows = _glued_rows(spec, sub, domain)
+        codomain = _occasion_space(spec, tuple(l for l, _ in parts))
+        rows = _glued_rows(spec, parts, domain)
         row_sums = [sum(r) for r in rows]
         zero = [codomain.symbols_at(i) for i, t in enumerate(row_sums) if t == 0]
         if zero:

@@ -19,7 +19,9 @@ of every divergence share, so each divergence is computed on S_C alone
 (_divergence), with a context D within C contributing
 m_D(x|_D) / |S_C - S_D|. An output's support and the posteriors at it are
 memoised on the spec per output; the maps restricting one space's states to
-another's are lattice's memoised ones. Only the public results
+another's are lattice's memoised ones. A sum of the form
+sum_x p(x) log2 q(x|_Q) reads q's log table (_cross), which the lattice
+command's arrows and entangle's block terms share. Only the public results
 (MeasurementResult) hold Fraction distributions, built by _spread. Tests pin
 the posterior times the uniform factor to measure(extend(...)) with exact
 equality.
@@ -34,8 +36,10 @@ from typing import NamedTuple, Sequence
 
 from .errors import ContextNotContained, SpaceMismatch, UnsupportedOutput
 from .lattice import (
+    Parts,
     Subsystem,
     _glued_rows,
+    _parts,
     _restriction,
     bottom,
     glue_mechanism,
@@ -132,12 +136,11 @@ class _Output(NamedTuple):
     """What is measured at one output distribution d_out.
 
     support lists the outputs d_out gives weight, in state order, as pairs
-    of (weight, symbol index of every system target, in id order). memo
-    holds posteriors by effective pairs (_posterior) and entangle's block
-    terms."""
+    of (weight, symbol index by system target id, in id order). memo holds
+    posteriors by effective pairs (_posterior) and entangle's block terms."""
 
     d_out: Distribution
-    support: list[tuple[Fraction, tuple[int, ...]]]
+    support: list[tuple[Fraction, dict[str, int]]]
     memo: dict
 
 
@@ -154,7 +157,8 @@ def _measurements(spec: SystemSpec, d_out: Distribution) -> _Output:
         out_space = system_output_space(spec)
         if d_out.space != out_space:
             raise SpaceMismatch("output distribution is not over the system's outputs")
-        support = [(w, out_space.digits_at(i)) for i, w in enumerate(d_out.weights) if w]
+        support = [(w, dict(zip(out_space.factor_ids, out_space.digits_at(i))))
+                   for i, w in enumerate(d_out.weights) if w]
         entry = spec._glue_memo[id(d_out)] = _Output(d_out, support, {})
     return entry
 
@@ -172,38 +176,40 @@ def _posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> _Record
     memo = _measurements(spec, d_out).memo
     posterior = memo.get(sub.effective)
     if posterior is None:
-        posterior = memo[sub.effective] = _glued_posterior(spec, sub, d_out)
+        posterior = memo[sub.effective] = _glued_posterior(
+            spec, _parts(sub), source_space(spec, sub), d_out)
     return posterior
 
 
-def _glued_posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> _Record:
-    """_posterior without its memo of posteriors, for callers that measure
-    each subsystem once.
+def _glued_posterior(spec: SystemSpec, parts: Parts, domain: ProductSpace,
+                     d_out: Distribution) -> _Record:
+    """_posterior of the subsystem whose glue kernel parts (lattice._parts)
+    and input space S_C are given, without the memo of posteriors, for
+    callers that measure each subsystem once.
 
     Each output in d_out's support (_measurements) selects the glued row at
     the subsystem's targets' symbols. The rows of a mixed output are summed
     over one common denominator, the record's total, which is reduced with
     the weights by their one gcd."""
-    domain = source_space(spec, sub)
-    if sub.is_null:
+    if not parts:
         return _Record(domain, (1,), 1)
-    out_space = d_out.space
-    support = _measurements(spec, d_out).support
-    slots = [out_space.position(l) for l in sub.target_ids()]
     rows = []
-    for w, symbol_indices in support:
-        (glued,) = _glued_rows(spec, sub, domain, [symbol_indices[p] for p in slots])
+    for w, at in _measurements(spec, d_out).support:
+        (glued,) = _glued_rows(spec, parts, domain, [at[l] for l, _ in parts])
         total = sum(glued)
         if total == 0:
-            symbols = tuple(a.symbols[k] for (_, a), k in zip(out_space.factors, symbol_indices))
+            symbols = tuple(a.symbols[k] for (_, a), k in zip(d_out.space.factors, at.values()))
             raise UnsupportedOutput(f"output {symbols} is never produced by the mechanism")
         rows.append((w, glued, total))
-    # sum_rows w * glued / total, over one common denominator
-    denominator = math.lcm(*(w.denominator * total for w, _, total in rows))
-    weights = [0] * domain.dim
-    for w, glued, total in rows:
-        scale = w.numerator * (denominator // (w.denominator * total))
-        weights = [n + scale * v for n, v in zip(weights, glued)]
+    if len(rows) == 1:  # a point mass: its weight is 1
+        ((_, weights, denominator),) = rows
+    else:
+        # sum_rows w * glued / total, over one common denominator
+        denominator = math.lcm(*(w.denominator * total for w, _, total in rows))
+        weights = [0] * domain.dim
+        for w, glued, total in rows:
+            scale = w.numerator * (denominator // (w.denominator * total))
+            weights = [n + scale * v for n, v in zip(weights, glued)]
     g = math.gcd(denominator, *weights)
     return _Record(domain, tuple(n // g for n in weights), denominator // g)
 
@@ -250,6 +256,21 @@ def _divergence(spec: SystemSpec, p: _Record, factors: Sequence[_Record] = ()) -
             if num != den:
                 total += a / pt * (math.log2(num) - math.log2(den))
     return total
+
+
+def _log_table(q: _Record) -> list[float | None]:
+    """log2 q(x) for each state x of q's space; None where q(x) is 0."""
+    log_total = math.log2(q.total)
+    return [math.log2(n) - log_total if n else None for n in q.weights]
+
+
+def _cross(spec: SystemSpec, p: _Record, q: _Record, logs: Sequence[float | None]) -> float:
+    """sum_x p(x) log2 q(x|_Q) in bits, for a record q on a subspace Q of p's
+    space that has weight wherever p does, given q's log table (_log_table).
+    With q = p it is sum_x p log2 p, the negative of p's entropy."""
+    restrict = _restriction(spec, p.space, q.space)
+    pt = p.total
+    return sum(a / pt * logs[j] for a, j in zip(p.weights, restrict) if a)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,28 @@ from distmeas.io import (
     system_to_document,
 )
 from distmeas.errors import UnsupportedOutput
-from distmeas.lattice import build_quale, enumerate_subsystems, top
-from distmeas.measure import extend, measure, system_output_space
+from distmeas.lattice import (
+    _glued_rows,
+    _parts,
+    _quale_numerators,
+    _walk,
+    build_quale,
+    enumerate_subsystems,
+    source_space,
+    target_space,
+    top,
+)
+from distmeas.measure import (
+    _glued_posterior,
+    _posterior,
+    _spread,
+    extend,
+    measure,
+    system_output_space,
+)
 from distmeas.stoch import (
     BINARY,
+    _restriction_table,
     alphabet,
     canonical_space,
     dirac,
@@ -486,6 +504,25 @@ DOT_NODE = re.compile(r'^  "([^"]*)" \[label="\1"\];$')
 DOT_ARROW = re.compile(r'^  "([^"]*)" -> "([^"]*)" \[label="([^"]*)"\];$')
 
 
+def _produced_output(spec, output):
+    """A point mass on the first output the whole system produces, or a
+    mixture of the first and the last."""
+    out_space = system_output_space(spec)
+    produced = []
+    for a in out_space.iter_symbols():
+        try:
+            measure(extend(spec, top(spec)), dirac(out_space, a))
+        except UnsupportedOutput:
+            continue
+        produced.append(a)
+    if output == "dirac":
+        return dirac(out_space, produced[0])
+    weights = [0] * out_space.dim
+    weights[out_space.index_of(produced[0])] = Fraction(1, 3)
+    weights[out_space.index_of(produced[-1])] += Fraction(2, 3)
+    return distribution(out_space, weights)
+
+
 def _key(sub):
     return ",".join(f"{a}-{b}" for a, b in sorted(sub.pairs)) or "null"
 
@@ -496,23 +533,13 @@ def test_lattice_labels_match_reference(capsys, tmp_path, host, output):
     spec = LATTICE_HOSTS[host]()
     doc = tmp_path / "host.json"
     save_system(spec, str(doc))
-    out_space = system_output_space(spec)
-    produced = []
-    for a in out_space.iter_symbols():
-        try:
-            measure(extend(spec, top(spec)), dirac(out_space, a))
-        except UnsupportedOutput:
-            continue
-        produced.append(a)
+    d_out = _produced_output(spec, output)
     if output == "dirac":
-        d_out = dirac(out_space, produced[0])
-        arg = ",".join(f"{fid}={sym}" for fid, sym in zip(out_space.factor_ids, produced[0]))
+        (a,) = d_out.support()
+        arg = ",".join(f"{fid}={sym}" for fid, sym in zip(d_out.space.factor_ids, a))
     else:
-        weights = [0] * out_space.dim
-        weights[out_space.index_of(produced[0])] = Fraction(1, 3)
-        weights[out_space.index_of(produced[-1])] += Fraction(2, 3)
-        d_out = distribution(out_space, weights)
-        (tmp_path / "dist.json").write_text(json.dumps({"weights": [str(w) for w in weights]}))
+        (tmp_path / "dist.json").write_text(
+            json.dumps({"weights": [str(w) for w in d_out.weights]}))
         arg = "@" + str(tmp_path / "dist.json")
     code, out, err = run(capsys, "lattice", str(doc), "--output", arg)
     assert (code, err) == (0, "")
@@ -534,6 +561,100 @@ def test_lattice_labels_match_reference(capsys, tmp_path, host, output):
         want = kl_divergence(measured[dst], measured[src])
         # labels carry five decimals
         assert abs(float(label) - want) <= 0.5e-5 + 1e-12, (src, dst, label, want)
+
+
+WALK_HOSTS = {
+    **LATTICE_HOSTS,
+    "random-2x3": lambda: _positive_random_system(
+        random.Random(21), ["s0", "s1"], ["t0", "t1", "t2"]),
+    "random-4x1": lambda: _positive_random_system(
+        random.Random(34), ["s0", "s1", "s2", "s3"], ["t0"]),
+}
+
+
+@pytest.mark.parametrize("output", ["dirac", "mixed"])
+@pytest.mark.parametrize("host", sorted(WALK_HOSTS))
+def test_lattice_walk_measures_every_subsystem(host, output):
+    spec = WALK_HOSTS[host]()
+    d_out = _produced_output(spec, output)
+    edges = sorted(spec.edges)
+    walked = list(_walk(spec, edges))
+    subs = list(enumerate_subsystems(spec))
+    assert [mask for mask, _, _ in walked] == list(range(len(subs)))
+    for (_, parts, domain), sub in zip(walked, subs):
+        assert parts == _parts(sub) and domain == source_space(spec, sub)
+        got = _glued_posterior(spec, parts, domain, d_out)
+        assert got == _posterior(spec, sub, d_out), sorted(sub.pairs)
+        assert _spread(spec, got) == measure(extend(spec, sub), d_out), sorted(sub.pairs)
+
+    streamed = list(_quale_numerators(spec))
+    assert [item[0] for item in streamed] == subs
+    for sub, codomain, domain, rows, row_sums in streamed[1:]:
+        assert (codomain, domain) == (target_space(spec, sub), source_space(spec, sub))
+        want = _glued_rows(spec, _parts(sub), domain)
+        assert [list(r) for r in rows] == [list(r) for r in want]
+        assert list(row_sums) == [sum(r) for r in want]
+
+
+def _lattice_labels(capsys, doc, output_arg):
+    code, out, err = run(capsys, "lattice", doc, "--output", output_arg)
+    assert (code, err) == (0, "")
+    return [m.groups() for m in map(DOT_ARROW.match, out.splitlines()) if m]
+
+
+def _is_spread(spec, p, d):
+    """Whether record p is record d times the uniform distribution on the
+    rest of p's space, by exact integer comparison."""
+    restrict = _restriction_table(p.space, d.space)
+    ratio = p.space.dim // d.space.dim
+    return all(a * d.total * ratio == d.weights[j] * p.total
+               for a, j in zip(p.weights, restrict))
+
+
+def _assert_zero_labels(spec, arrows, d_out):
+    records = {_key(s): _posterior(spec, s, d_out) for s in enumerate_subsystems(spec)}
+    spreads = 0
+    for src, dst, label in arrows:
+        assert label != "-0.00000", (src, dst)
+        if _is_spread(spec, records[dst], records[src]):
+            assert label == "0.00000", (src, dst, label)
+            spreads += 1
+    return spreads
+
+
+def test_lattice_labels_of_spread_posteriors_are_exactly_zero(capsys, tmp_path, monkeypatch):
+    # at seed 99, the label formula's float sums leave some of these arrows a
+    # tiny negative, which would print as -0.00000
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "bench"))
+    from workloads import WORKLOADS
+    work = WORKLOADS["lattice-8"](99, str(tmp_path))
+    work.write_inputs()
+    spec = load_system(work.doc_path)
+    arrows = _lattice_labels(capsys, work.doc_path, work.OUTPUT)
+    d_out = dirac(system_output_space(spec), ("0", "0", "0", "0"))
+    assert _assert_zero_labels(spec, arrows, d_out) > 0
+
+
+@pytest.mark.parametrize("host", sorted(LATTICE_HOSTS))
+def test_lattice_labels_never_print_negative_zero(capsys, tmp_path, host):
+    spec = LATTICE_HOSTS[host]()
+    doc = tmp_path / "host.json"
+    save_system(spec, str(doc))
+    for output in ("dirac", "mixed"):
+        d_out = _produced_output(spec, output)
+        (tmp_path / "dist.json").write_text(
+            json.dumps({"weights": [str(w) for w in d_out.weights]}))
+        arrows = _lattice_labels(capsys, str(doc), "@" + str(tmp_path / "dist.json"))
+        _assert_zero_labels(spec, arrows, d_out)
+
+
+def test_lattice_unattained_output_fails_as_ei_does(capsys, tmp_path):
+    doc = tmp_path / "double-and.json"
+    save_system(double_and_system(), str(doc))
+    code, out, err = run(capsys, "ei", str(doc), "--subsystem", "all", "--output", "vW=1,vZ=0")
+    assert (code, out) == (1, "")
+    assert err == "error: UnsupportedOutput: output ('1', '0') is never produced by the mechanism\n"
+    assert run(capsys, "lattice", str(doc), "--output", "vW=1,vZ=0") == (code, out, err)
 
 
 @pytest.mark.parametrize("case", ["budget", "unproduced-output"])
