@@ -6,15 +6,17 @@ sha256 of its exit code, standard output, standard error and the file it
 writes (if any), and one `sha256 name` line is printed per run. The runs are
 the four argvs of bench/baseline.json, plus quale, lattice, gamma and ei on
 the bundled xor and and systems, gamma and ei on the hopfield-6 document,
-lattice on the quale-11 document, four oracle-check runs (two of them the
-README's examples), gamma and ei on a proper multi-target subsystem of the
+lattice on the quale-11 document, quale of the quale-11 document to standard
+output (through the CLI's anonymous temporary file), four oracle-check runs
+(two of them the README's examples), gamma and ei on a proper multi-target subsystem of the
 lattice-8 document (its blocks and its context read fewer sources than it
 does, and it reads fewer than the system), gamma over every partition of a
 5-cell and of an 8-cell Hopfield ring (the 8-cell one computes all 255 block
 terms), ei of the whole 10-cell Hopfield ring (its 10,240 columns are 11
 distinct ones), lattice on the lattice-8 document at a mixed output, lattice
 on fully connected 12- and 16-edge bipartite documents (4 sources, 3 or 4
-targets; the 16-edge run pins all 524,288 arrow labels),
+targets; the 16-edge run pins all 524,288 arrow labels), quale --out on the
+12-edge one (4,096 sections),
 validate and quale --out on a document of mixed alphabet sizes whose
 mechanisms list their sources out of order (mixed_radix_document), unroll of
 a three-cell hopfield/life/table automaton document with and without
@@ -100,6 +102,7 @@ def runs() -> list[tuple[str, list[str], str | None]]:
         ("quale-11:lattice",
          ["lattice", works["quale-11"].doc_path, "--output", "t0=0,t1=0,t2=0,t3=0",
           "--dot", "quale-11-lattice.dot"], "quale-11-lattice.dot"),
+        ("quale-11:quale-stdout", ["quale", works["quale-11"].doc_path], None),
         ("oracle-check:exhaustive",
          ["oracle-check", "--exhaustive", "2x2x2", "--exhaustive", "2x3x2"], None),
         ("oracle-check:random",
@@ -142,8 +145,13 @@ def runs() -> list[tuple[str, list[str], str | None]]:
                 ["lattice", lat.doc_path, "--output", "@mixed.json"], None))
     with open("bipartite-12.json", "w", encoding="utf-8") as fh:
         json.dump(bipartite_document(99, 4, 3, {}), fh, indent=2)
-    out.append(("bipartite-12:lattice",
-                ["lattice", "bipartite-12.json", "--output", "t0=0,t1=1,t2=0"], None))
+    out += [
+        ("bipartite-12:lattice",
+         ["lattice", "bipartite-12.json", "--output", "t0=0,t1=1,t2=0"], None),
+        ("bipartite-12:quale-out",
+         ["quale", "bipartite-12.json", "--out", "bipartite-12-quale.json"],
+         "bipartite-12-quale.json"),
+    ]
     with open("bipartite-16.json", "w", encoding="utf-8") as fh:
         json.dump(bipartite_document(99, 4, 4, {}), fh, indent=2)
     out.append(("bipartite-16:lattice",
