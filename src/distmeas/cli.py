@@ -13,9 +13,13 @@ import json
 import math
 import os
 import shutil
+import signal
 import sys
 import tempfile
+import threading
 from array import array
+from bisect import bisect_left
+from itertools import accumulate
 
 from . import io as docio
 from .entangle import entanglement, enumerate_partitions, partition_of
@@ -23,7 +27,8 @@ from .errors import BudgetExceeded, DocumentError, Error
 from .lattice import (
     Subsystem,
     _edges_within_budget,
-    _quale_numerators,
+    _occasion_space,
+    _quale_rows,
     _walk,
     bottom,
     subsystem,
@@ -135,10 +140,127 @@ def _publish(out: str | None, write) -> None:
         raise
 
 
+# the fewest subsystems a forked worker takes on, so that nothing forks below
+# twice this many. On a 2-vCPU VM a worker costs 4-7 ms beyond its sections
+# (fork, a cold submechanism memo, reaping and copying its file; measured as
+# a one-section worker against none) and a section 40-80 us, so a worker's
+# fixed cost is at most about a tenth of its work.
+_SUBSYSTEMS_PER_WORKER = 2 ** 10
+
+
+def _quale_ranges(spec, edges) -> list[range]:
+    """The masks of the quale's subsystems split into contiguous ranges, one
+    per process that writes them: one per CPU this process may run on, as
+    long as each range holds _SUBSYSTEMS_PER_WORKER subsystems on average.
+    One range, nothing being forked, where os.fork is missing or another
+    thread is alive (a forked child would hold only the calling thread).
+
+    The ranges cut the walk where the estimated work, sum |A_C| |S_C| (the
+    entries of the sections), reaches each equal share of the total.
+    """
+    count = 1 << len(edges)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = min(cpus, count // _SUBSYSTEMS_PER_WORKER)
+    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [range(count)]
+    done = list(accumulate(
+        _occasion_space(spec, tuple(l for l, _ in parts)).dim * domain.dim
+        for _, parts, domain in _walk(spec, edges)))
+    cuts = [0, *(bisect_left(done, done[-1] * k // n) for k in range(1, n)), count]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _write_quale(fh, spec, edges, ranges: list[range]) -> None:
+    """Write the quale document to fh, ranges being contiguous ranges of
+    masks that cover them all in order.
+
+    This process writes the sections of the first range to fh. Each later
+    range is written by a worker forked for it into an anonymous temporary
+    file, which is copied into fh, in range order, once the worker has ended
+    well. A failing worker hands on its exception's type and message, and
+    the error raised is that of the first failing range, this process's
+    own first, as a serial run would raise it. Every worker is killed, if
+    still running, and reaped before this returns or raises.
+    """
+    workers: dict[int, tuple[range, object]] = {}
+    parts = []
+    try:
+        for masks in ranges[1:]:
+            part = tempfile.TemporaryFile("w+", encoding="utf-8")
+            parts.append(part)
+            parent = os.getpid()
+            pid = os.fork()
+            if pid == 0:
+                _quale_worker(part, spec, edges, masks, parent)
+            workers[pid] = (masks, part)
+        docio.write_quale(fh, edges, _quale_rows(spec, edges, ranges[0]), _reaped(workers))
+    finally:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for part in parts:
+            part.close()
+
+
+def _reaped(workers: dict):
+    """Each worker's file of sections, in range order, once the worker has
+    ended well; the worker's error otherwise. A reaped worker leaves
+    workers."""
+    for pid, (masks, part) in list(workers.items()):
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        del workers[pid]
+        part.seek(0)
+        if code != 0:
+            raise _worker_error(masks, code, part.read())
+        yield part
+
+
+def _worker_error(masks: range, code: int, record: str) -> BaseException:
+    """The exception a worker that ended with status code recorded, as
+    _quale_worker records it; a ChildProcessError if there is none."""
+    try:
+        module, name, message = json.loads(record)
+        cls = getattr(sys.modules.get(module), name)
+        if code == 1 and issubclass(cls, BaseException):
+            return cls(message)
+    except (ValueError, TypeError, AttributeError):
+        pass
+    return ChildProcessError(
+        f"the worker writing subsystems {masks.start} to {masks.stop - 1} "
+        f"ended with status {code}")
+
+
+def _quale_worker(part, spec, edges, masks: range, parent: int):
+    """The body of a forked worker: write the sections of masks to part, or
+    on any error its [module, name, message] as JSON in part's place, and
+    end the process, with status 0 or 1. It never returns. It stops when
+    the process that forked it is gone."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)  # ^C is the parent's to handle
+
+        def glued():
+            for item in _quale_rows(spec, edges, masks):
+                if os.getppid() != parent:
+                    raise ChildProcessError("the parent process is gone")
+                yield item
+
+        docio.write_sections(part, edges, glued())
+        part.flush()
+        code = 0
+    except BaseException as exc:
+        record = json.dumps([type(exc).__module__, type(exc).__qualname__, str(exc)])
+        os.ftruncate(part.fileno(), 0)
+        os.pwrite(part.fileno(), record.encode(), 0)
+    finally:
+        os._exit(code)
+
+
 def cmd_quale(args) -> int:
     spec = _valid(docio.load_system(args.path))
-    glued = _quale_numerators(spec, max_pairs=args.max_edges)
-    _publish(args.out, lambda fh: docio.write_quale(fh, glued))
+    edges = _edges_within_budget(spec, args.max_edges)
+    ranges = _quale_ranges(spec, edges)
+    _publish(args.out, lambda fh: _write_quale(fh, spec, edges, ranges))
     return 0
 
 

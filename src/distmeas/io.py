@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 from fractions import Fraction
 from math import gcd
 from typing import Any
@@ -84,38 +85,58 @@ def _json_array(items: list[str], indent: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + " " * indent + "]"
 
 
-def write_quale(fh, glued) -> None:
+def write_quale(fh, edges, glued, rest) -> None:
     """Write the quale document to fh, one section at a time.
 
-    glued yields (subsystem, output space, input space, rows, row sums) as
-    lattice._quale_numerators does: column i of the section is rows[i] over
-    row_sums[i]. The text is that of json.dumps(doc, indent=2) plus a newline
-    for doc = {"format_version": ..., "sections": [...]}, each section being
-    {"subsystem": ["src-trg", ...], "outputs": [...], "inputs": [...],
-    "matrix": [[format_rational(entry), ...] per column]}, but no more than
-    one section is held at a time.
+    glued yields the sections as lattice._quale_rows does over edges,
+    beginning with the null subsystem's; rest holds readable text files of
+    the sections that follow, as write_sections writes them, and is read
+    in order after glued. The text is that of json.dumps(doc, indent=2)
+    plus a newline for doc = {"format_version": ..., "sections": [...]},
+    each section being {"subsystem": ["src-trg", ...], "outputs": [...],
+    "inputs": [...], "matrix": [[format_rational(entry), ...] per column]},
+    but no more than one section is held at a time.
+    """
+    fh.write('{\n  "format_version": %d,\n  "sections": [' % FORMAT_VERSION)
+    write_sections(fh, edges, glued, "\n")
+    for part in rest:
+        shutil.copyfileobj(part, fh)
+    fh.write("\n  ]\n}\n")
+
+
+def write_sections(fh, edges, glued, sep: str = ",\n") -> None:
+    """Write the text of each section glued yields, (mask, output space,
+    input space, rows, row sums) as lattice._quale_rows yields them, to fh:
+    sep before the first and a comma and a newline before every other.
+    Column i of a section is rows[i] over row_sums[i]; bit i of the mask
+    stands for edges[i] (sorted, so the mask's bits in increasing order are
+    the subsystem's pairs in sorted order). Each pair's name and each
+    space's id array is encoded once.
     """
     encode = json.JSONEncoder().encode  # what json.dumps(v) runs, ensure_ascii included
+    names = [encode(f"{a}-{b}") for a, b in edges]
+    ids: dict[tuple[str, ...], str] = {}
 
-    def strings(values) -> str:
-        return _json_array([encode(v) for v in values], 6)
+    def id_array(space) -> str:
+        text = ids.get(space.factor_ids)
+        if text is None:
+            text = ids[space.factor_ids] = _json_array(list(map(encode, space.factor_ids)), 6)
+        return text
 
-    fh.write('{\n  "format_version": %d,\n  "sections": [' % FORMAT_VERSION)
-    sep = "\n"
-    for sub, outputs, inputs, rows, row_sums in glued:
+    for mask, outputs, inputs, rows, row_sums in glued:
+        pairs = [names[i] for i in range(mask.bit_length()) if mask >> i & 1]
         # entries in lowest terms: an int when the denominator reduces to 1
         matrix = [
             _json_array([str(n // g) if (g := gcd(n, t)) == t else f'"{n // g}/{t // g}"'
                          for n in row], 8)
             for row, t in zip(rows, row_sums)]
         fh.write(f'{sep}    {{\n'
-                 f'      "subsystem": {strings(f"{a}-{b}" for a, b in sub.sorted_pairs())},\n'
-                 f'      "outputs": {strings(outputs.factor_ids)},\n'
-                 f'      "inputs": {strings(inputs.factor_ids)},\n'
+                 f'      "subsystem": {_json_array(pairs, 6)},\n'
+                 f'      "outputs": {id_array(outputs)},\n'
+                 f'      "inputs": {id_array(inputs)},\n'
                  f'      "matrix": {_json_array(matrix, 6)}\n'
                  '    }')
         sep = ",\n"
-    fh.write("\n  ]\n}\n")
 
 
 # "n" or "n/d" in ASCII digits, as documents write probabilities

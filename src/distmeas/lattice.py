@@ -153,11 +153,12 @@ def _parts(sub: Subsystem) -> Parts:
     return tuple((l, frozenset(inside[l])) for l in sorted(inside))
 
 
-def _walk(spec: SystemSpec,
-          edges: Sequence[tuple[str, str]]) -> Iterator[tuple[int, Parts, ProductSpace]]:
+def _walk(spec: SystemSpec, edges: Sequence[tuple[str, str]],
+          masks: range | None = None) -> Iterator[tuple[int, Parts, ProductSpace]]:
     """Every subsystem over edges (the host's edges, sorted) as (mask, parts,
     S_C), in binary counting order of mask, bit i standing for edges[i];
-    parts is _parts of the subsystem.
+    parts is _parts of the subsystem. masks (every mask by default) limits
+    the walk to a range of them.
 
     Everything comes from bit operations on the mask. Each target's part is
     cached by the target's sub-mask (the sub-masks of different targets
@@ -170,7 +171,7 @@ def _walk(spec: SystemSpec,
                  for l in sorted({l for _, l in edges})]
     cached_parts: dict[int, tuple[tuple[str, frozenset[str]], int]] = {}
     spaces: dict[int, ProductSpace] = {}
-    for mask in range(1 << len(edges)):
+    for mask in range(1 << len(edges)) if masks is None else masks:
         parts = []
         source_mask = 0
         for l, target_mask in by_target:
@@ -338,26 +339,21 @@ class Quale:
         return len(self.sections)
 
 
-def _quale_numerators(spec: SystemSpec, max_pairs: int = 16):
+def _quale_rows(spec: SystemSpec, edges: Sequence[tuple[str, str]],
+                masks: range | None = None):
     """The quale's glued rows, one subsystem at a time.
 
-    Checks the edge budget at once, then returns an iterator over
-    (subsystem, output space A_C, input space S_C, rows, row sums) in binary
-    counting order, rows being _glued_rows' numerators. The section over the
-    subsystem is the glued mechanism's dual, whose column i is rows[i]
-    divided by row_sums[i]; the per-target scales cancel in that division.
-    The null subsystem yields ((1,),) over the scalar spaces. Raises
-    NotSurjective, when the iterator reaches it, for a subsystem whose glued
-    mechanism misses an output.
+    Yields (mask, output space A_C, input space S_C, rows, row sums) for
+    every mask of _walk(spec, edges, masks), in its order, rows being
+    _glued_rows' numerators. The section over the subsystem is the glued
+    mechanism's dual, whose column i is rows[i] divided by row_sums[i]; the
+    per-target scales cancel in that division. The null subsystem yields
+    ((1,),) over the scalar spaces. Raises NotSurjective, when it reaches
+    it, for a subsystem whose glued mechanism misses an output.
     """
-    return _quale_rows(spec, _edges_within_budget(spec, max_pairs))
-
-
-def _quale_rows(spec: SystemSpec, edges: Sequence[tuple[str, str]]):
-    for mask, parts, domain in _walk(spec, edges):
-        sub = _masked(edges, mask)
+    for mask, parts, domain in _walk(spec, edges, masks):
         if not parts:
-            yield sub, domain, domain, ((1,),), (1,)
+            yield mask, domain, domain, ((1,),), (1,)
             continue
         codomain = _occasion_space(spec, tuple(l for l, _ in parts))
         rows = _glued_rows(spec, parts, domain)
@@ -365,22 +361,23 @@ def _quale_rows(spec: SystemSpec, edges: Sequence[tuple[str, str]]):
         zero = [codomain.symbols_at(i) for i, t in enumerate(row_sums) if t == 0]
         if zero:
             raise NotSurjective(
-                f"subsystem {sub.sorted_pairs()} has a non-surjective glued "
-                f"mechanism (outputs {zero} are never produced)")
-        yield sub, codomain, domain, rows, row_sums
+                f"subsystem {_masked(edges, mask).sorted_pairs()} has a non-surjective "
+                f"glued mechanism (outputs {zero} are never produced)")
+        yield mask, codomain, domain, rows, row_sums
 
 
 def build_quale(spec: SystemSpec, max_pairs: int = 16) -> Quale:
     """Dualize the glued mechanism of every subsystem of the host.
 
     Equivalent to dual(glue_mechanism(...)) per subsystem but computed on
-    integer numerators (_quale_numerators): the dual's row normalization
-    cancels every denominator. Tests pin equality with the operator pipeline.
+    integer numerators (_quale_rows): the dual's row normalization cancels
+    every denominator. Tests pin equality with the operator pipeline.
     """
+    edges = _edges_within_budget(spec, max_pairs)
     sections = []
-    for sub, codomain, domain, rows, row_sums in _quale_numerators(spec, max_pairs):
+    for mask, codomain, domain, rows, row_sums in _quale_rows(spec, edges):
         cols = tuple(tuple(Fraction(v, t) for v in row) for row, t in zip(rows, row_sums))
-        sections.append(Section(sub, _trusted_matrix(codomain, domain, cols)))
+        sections.append(Section(_masked(edges, mask), _trusted_matrix(codomain, domain, cols)))
     return Quale(spec, tuple(sections))
 
 

@@ -1,13 +1,26 @@
+import io
 import json
 import os
 import random
 import re
+import signal
 import sys
+import tempfile
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 
-from distmeas.cli import build_parser, main
+from distmeas.cli import (
+    _SUBSYSTEMS_PER_WORKER,
+    _quale_ranges,
+    _quale_worker,
+    _worker_error,
+    _write_quale,
+    build_parser,
+    main,
+)
 from distmeas.fixtures import and_system, data_path, xor_system
 from distmeas.io import (
     format_rational,
@@ -16,11 +29,11 @@ from distmeas.io import (
     system_from_document,
     system_to_document,
 )
-from distmeas.errors import UnsupportedOutput
+from distmeas.errors import NotSurjective, UnsupportedOutput
 from distmeas.lattice import (
     _glued_rows,
     _parts,
-    _quale_numerators,
+    _quale_rows,
     _walk,
     build_quale,
     enumerate_subsystems,
@@ -587,9 +600,9 @@ def test_lattice_walk_measures_every_subsystem(host, output):
         assert got == _posterior(spec, sub, d_out), sorted(sub.pairs)
         assert _spread(spec, got) == measure(extend(spec, sub), d_out), sorted(sub.pairs)
 
-    streamed = list(_quale_numerators(spec))
-    assert [item[0] for item in streamed] == subs
-    for sub, codomain, domain, rows, row_sums in streamed[1:]:
+    streamed = list(_quale_rows(spec, edges))
+    assert [item[0] for item in streamed] == list(range(len(subs)))
+    for (_, codomain, domain, rows, row_sums), sub in zip(streamed[1:], subs[1:]):
         assert (codomain, domain) == (target_space(spec, sub), source_space(spec, sub))
         want = _glued_rows(spec, _parts(sub), domain)
         assert [list(r) for r in rows] == [list(r) for r in want]
@@ -913,3 +926,187 @@ def test_outputs_are_byte_deterministic(capsys):
         _, dot_out, _ = run(capsys, "lattice", AND, "--output", "vZ=0")
         outs.append((quale_out, gamma_out, dot_out))
     assert outs[0] == outs[1]
+
+
+# -- quale in forked workers ---------------------------------------------------------
+
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
+SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split(count, n):
+    return [range(count * i // n, count * (i + 1) // n) for i in range(n)]
+
+
+def _quale_text(spec, ranges):
+    fh = io.StringIO()
+    _write_quale(fh, spec, sorted(spec.edges), ranges)
+    _assert_no_child_process()
+    return fh.getvalue()
+
+
+def _quale_11_system(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    from workloads import WORKLOADS
+    return system_from_document(WORKLOADS["quale-11"](99, "").document())
+
+
+def _mixed_radix_system(monkeypatch):
+    monkeypatch.syspath_prepend(SCRIPTS)
+    from output_digests import mixed_radix_document
+    return system_from_document(mixed_radix_document())
+
+
+@pytest.mark.parametrize("host", [_quale_11_system, _mixed_radix_system])
+def test_quale_written_in_ranges_has_the_serial_bytes(monkeypatch, host):
+    spec = host(monkeypatch)
+    count = 2 ** len(spec.edges)
+    serial = _quale_text(spec, [range(count)])
+    assert serial == _reference_quale_text(spec)
+    for n in (2, 3):
+        assert _quale_text(spec, _split(count, n)) == serial, n
+
+
+@pytest.mark.parametrize("host", sorted(WALK_HOSTS))
+def test_walk_over_a_mask_range_is_that_slice_of_the_full_walk(host):
+    spec = WALK_HOSTS[host]()
+    edges = sorted(spec.edges)
+    walked = list(_walk(spec, edges))
+    for start in range(len(walked) + 1):
+        for stop in range(start, len(walked) + 1):
+            assert list(_walk(spec, edges, range(start, stop))) == walked[start:stop]
+
+
+def test_quale_ranges_split_the_masks_only_when_forking_pays(monkeypatch):
+    big = _quale_11_system(monkeypatch)
+    edges = sorted(big.edges)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    ranges = _quale_ranges(big, edges)
+    # three CPUs, but each range takes _SUBSYSTEMS_PER_WORKER subsystems or more
+    assert len(ranges) == 2 ** len(edges) // _SUBSYSTEMS_PER_WORKER == 2
+    assert [m for r in ranges for m in r] == list(range(2 ** len(edges)))
+    # the benchmark self-test's 32-subsystem quale
+    from workloads import bipartite_document
+    small = system_from_document(bipartite_document(5, 2, 3, {("s0", "t0")}))
+    assert _quale_ranges(small, sorted(small.edges)) == [range(32)]
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _quale_ranges(big, edges) == [range(2048)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(threading, "active_count", lambda: 2)
+    assert _quale_ranges(big, edges) == [range(2048)]
+    monkeypatch.undo()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(os, "fork")
+    assert _quale_ranges(big, edges) == [range(2048)]
+
+
+def _xor_system(u):
+    yz = canonical_space({"y": BINARY, "z": BINARY})
+    return lift_function(yz, canonical_space({u: BINARY}),
+                         {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"})
+
+
+def _late_non_surjective_system():
+    """s0, ..., s6 feed t0 through a positive mechanism, and y and z feed u0
+    and u1, each y xor z. The four y and z edges are the top bits of the
+    2,048 masks, and only the subsystems holding all four (masks 1920 to
+    2047) miss outputs of their glued mechanisms."""
+    filler = _positive_random_system(random.Random(5), [f"s{i}" for i in range(7)], ["t0"])
+    binary = {k: uniform(canonical_space({k: BINARY})) for k in "yz"}
+    return SystemSpec(
+        filler.occasions + tuple(Occasion(k, BINARY) for k in ("u0", "u1", "y", "z")),
+        filler.edges | {(k, u) for k in "yz" for u in ("u0", "u1")},
+        {**filler.mechanisms, "u0": _xor_system("u0"), "u1": _xor_system("u1")},
+        {**filler.sources, **binary})
+
+
+def _serial_error(spec, ranges):
+    with pytest.raises(NotSurjective) as info:
+        _write_quale(io.StringIO(), spec, sorted(spec.edges), ranges)
+    _assert_no_child_process()
+    return str(info.value)
+
+
+def test_quale_failing_in_its_last_range_is_the_serial_failure(capsys, tmp_path):
+    spec = _late_non_surjective_system()
+    edges = sorted(spec.edges)
+    doc = tmp_path / "late.json"
+    save_system(spec, str(doc))
+    ranges = _quale_ranges(spec, edges)
+    assert ranges[-1].start <= 1920
+    line = f"error: NotSurjective: {_serial_error(spec, [range(2048)])}\n"
+    assert "('y', 'u0'), ('y', 'u1'), ('z', 'u0'), ('z', 'u1')" in line
+
+    out_file = tmp_path / "quale.json"
+    out_file.write_bytes(b'{"previous": true}\n')
+    for extra in ([], ["--out", str(out_file)]):
+        assert run(capsys, "quale", str(doc), *extra) == (1, "", line)
+        _assert_no_child_process()
+    assert out_file.read_bytes() == b'{"previous": true}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["late.json", "quale.json"]
+
+
+def test_quale_raises_the_error_of_the_first_failing_range():
+    spec = _late_non_surjective_system()
+    first = _serial_error(spec, [range(2048)])
+    # two failing workers, the second failing at another subsystem: the
+    # first one's error is the serial one
+    assert _serial_error(spec, [range(1930, 2048)]) != first
+    assert _serial_error(spec, [range(1000), range(1000, 1930), range(1930, 2048)]) == first
+    # this process fails in its own range, and so does the worker after it
+    assert _serial_error(spec, [range(1921), range(1921, 2048)]) == first
+
+
+def test_quale_interrupted_in_its_own_range_leaves_no_worker():
+    class Interrupted(io.StringIO):
+        def write(self, text):
+            if self.tell() > 10_000:
+                raise KeyboardInterrupt
+            return super().write(text)
+
+    spec = _late_non_surjective_system()
+    with pytest.raises(KeyboardInterrupt):
+        _write_quale(Interrupted(), spec, sorted(spec.edges), _split(2048, 3))
+    _assert_no_child_process()
+
+
+def test_quale_worker_stops_when_its_parent_is_gone():
+    spec = xor_system()
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as part:
+        pid = os.fork()
+        if pid == 0:  # a parent pid that is not this worker's
+            try:
+                _quale_worker(part, spec, sorted(spec.edges), range(4), -1)
+            finally:
+                os._exit(3)
+        for _ in range(1000):  # ten seconds at most
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done and os.waitstatus_to_exitcode(status) == 1
+        part.seek(0)
+        assert json.loads(part.read()) == [
+            "builtins", "ChildProcessError", "the parent process is gone"]
+
+
+def test_worker_error_rebuilds_the_recorded_exception():
+    masks = range(3, 9)
+    record = json.dumps(["distmeas.errors", "NotSurjective", "outputs missed"])
+    error = _worker_error(masks, 1, record)
+    assert type(error) is NotSurjective and str(error) == "outputs missed"
+    error = _worker_error(masks, 1, json.dumps(["builtins", "OSError", "[Errno 28] full"]))
+    assert type(error) is OSError and str(error) == "[Errno 28] full"
+    for code, text in ((1, ""), (1, '["nowhere", "Gone", "x"]'), (-9, record)):
+        error = _worker_error(masks, code, text)
+        assert type(error) is ChildProcessError
+        assert str(error) == f"the worker writing subsystems 3 to 8 ended with status {code}"

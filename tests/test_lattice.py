@@ -18,11 +18,11 @@ from distmeas.errors import (
     NotSurjective,
     UnknownOccasion,
 )
+from distmeas import lattice
 from distmeas.fixtures import xor_system
 from distmeas.lattice import (
     Section,
     Subsystem,
-    _quale_numerators,
     _submechanism_numerators,
     bottom,
     build_quale,
@@ -353,9 +353,10 @@ def test_quale_fast_path_matches_operator_pipeline():
             assert sec.matrix == dual(joint_table_oracle(spec, sec.subsystem))
 
 
-def test_quale_numerators_check_the_budget_before_the_first_section(xor_spec):
+def test_quale_checks_the_budget_before_the_first_section(xor_spec, monkeypatch):
+    monkeypatch.setattr(lattice, "_quale_rows", None)  # a TypeError if reached
     with pytest.raises(BudgetExceeded, match="2 edges exceed the budget of 1"):
-        _quale_numerators(xor_spec, max_pairs=1)  # not iterated
+        build_quale(xor_spec, max_pairs=1)
 
 
 def test_quale_section_lookup_finds_every_section_and_only_those(xor_spec):
