@@ -163,10 +163,12 @@ def _quale_ranges(spec, edges) -> list[range]:
     n = min(cpus, count // _SUBSYSTEMS_PER_WORKER)
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [range(count)]
-    done = list(accumulate(
+    # 8 bytes a subsystem; floats, as the sums are estimates that may be
+    # too large for a machine integer
+    done = array("d", accumulate(
         _occasion_space(spec, tuple(l for l, _ in parts)).dim * domain.dim
         for _, parts, domain in _walk(spec, edges)))
-    cuts = [0, *(bisect_left(done, done[-1] * k // n) for k in range(1, n)), count]
+    cuts = [0, *(bisect_left(done, done[-1] * k / n) for k in range(1, n)), count]
     return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 

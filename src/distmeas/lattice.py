@@ -171,7 +171,9 @@ def _walk(spec: SystemSpec, edges: Sequence[tuple[str, str]],
                  for l in sorted({l for _, l in edges})]
     cached_parts: dict[int, tuple[tuple[str, frozenset[str]], int]] = {}
     spaces: dict[int, ProductSpace] = {}
-    for mask in range(1 << len(edges)) if masks is None else masks:
+    if masks is None:
+        masks = range(1 << len(edges))
+    for mask in masks:
         parts = []
         source_mask = 0
         for l, target_mask in by_target:
