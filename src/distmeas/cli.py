@@ -184,17 +184,23 @@ def _write_quale(fh, spec, edges, ranges: list[range]) -> None:
     own first, as a serial run would raise it. Every worker is killed, if
     still running, and reaped before this returns or raises.
     """
+    parent = os.getpid()
     workers: dict[int, tuple[range, object]] = {}
     parts = []
     try:
         for masks in ranges[1:]:
             part = tempfile.TemporaryFile("w+", encoding="utf-8")
             parts.append(part)
-            parent = os.getpid()
-            pid = os.fork()
-            if pid == 0:
-                _quale_worker(part, spec, edges, masks, parent)
-            workers[pid] = (masks, part)
+            # ^C waits until the worker is in workers here, and until the
+            # worker ignores it there
+            sigmask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _quale_worker(part, spec, edges, masks, parent, sigmask)
+                workers[pid] = (masks, part)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
         docio.write_quale(fh, edges, _quale_rows(spec, edges, ranges[0]), _reaped(workers))
     finally:
         for pid in workers:
@@ -232,14 +238,16 @@ def _worker_error(masks: range, code: int, record: str) -> BaseException:
         f"ended with status {code}")
 
 
-def _quale_worker(part, spec, edges, masks: range, parent: int):
+def _quale_worker(part, spec, edges, masks: range, parent: int, sigmask):
     """The body of a forked worker: write the sections of masks to part, or
     on any error its [module, name, message] as JSON in part's place, and
     end the process, with status 0 or 1. It never returns. It stops when
-    the process that forked it is gone."""
+    the process that forked it is gone. It ignores SIGINT, ^C being the
+    parent's to handle, and then takes sigmask as its signal mask."""
     code = 1
     try:
-        signal.signal(signal.SIGINT, signal.SIG_DFL)  # ^C is the parent's to handle
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
 
         def glued():
             for item in _quale_rows(spec, edges, masks):

@@ -962,7 +962,8 @@ def _mixed_radix_system(monkeypatch):
     return system_from_document(mixed_radix_document())
 
 
-@pytest.mark.parametrize("host", [_quale_11_system, _mixed_radix_system])
+@pytest.mark.parametrize("host", [_quale_11_system, _mixed_radix_system],
+                         ids=["quale-11", "mixed-radix"])
 def test_quale_written_in_ranges_has_the_serial_bytes(monkeypatch, host):
     spec = host(monkeypatch)
     count = 2 ** len(spec.edges)
@@ -990,6 +991,11 @@ def test_quale_ranges_split_the_masks_only_when_forking_pays(monkeypatch):
     # three CPUs, but each range takes _SUBSYSTEMS_PER_WORKER subsystems or more
     assert len(ranges) == 2 ** len(edges) // _SUBSYSTEMS_PER_WORKER == 2
     assert [m for r in ranges for m in r] == list(range(2 ** len(edges)))
+    # cut where the entries written, sum |A_C| |S_C|, are shared out evenly
+    work = [target_space(big, s).dim * source_space(big, s).dim
+            for s in enumerate_subsystems(big)]
+    shares = [sum(work[m] for m in r) for r in ranges]
+    assert abs(shares[0] - shares[1]) <= max(work)
     # the benchmark self-test's 32-subsystem quale
     from workloads import bipartite_document
     small = system_from_document(bipartite_document(5, 2, 3, {("s0", "t0")}))
@@ -1006,7 +1012,7 @@ def test_quale_ranges_split_the_masks_only_when_forking_pays(monkeypatch):
     assert _quale_ranges(big, edges) == [range(2048)]
 
 
-def _xor_system(u):
+def _xor_of_y_and_z(u):
     yz = canonical_space({"y": BINARY, "z": BINARY})
     return lift_function(yz, canonical_space({u: BINARY}),
                          {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"})
@@ -1022,7 +1028,7 @@ def _late_non_surjective_system():
     return SystemSpec(
         filler.occasions + tuple(Occasion(k, BINARY) for k in ("u0", "u1", "y", "z")),
         filler.edges | {(k, u) for k in "yz" for u in ("u0", "u1")},
-        {**filler.mechanisms, "u0": _xor_system("u0"), "u1": _xor_system("u1")},
+        {**filler.mechanisms, "u0": _xor_of_y_and_z("u0"), "u1": _xor_of_y_and_z("u1")},
         {**filler.sources, **binary})
 
 
@@ -1082,7 +1088,7 @@ def test_quale_worker_stops_when_its_parent_is_gone():
         pid = os.fork()
         if pid == 0:  # a parent pid that is not this worker's
             try:
-                _quale_worker(part, spec, sorted(spec.edges), range(4), -1)
+                _quale_worker(part, spec, sorted(spec.edges), range(4), -1, set())
             finally:
                 os._exit(3)
         for _ in range(1000):  # ten seconds at most
