@@ -140,7 +140,7 @@ def _publish(out: str | None, write) -> None:
         raise
 
 
-# the fewest subsystems a forked worker takes on, so that nothing forks below
+# the fewest subsystems per process, on average, so that nothing forks below
 # twice this many. On a 2-vCPU VM a worker costs 4-7 ms beyond its sections
 # (fork, a cold submechanism memo, reaping and copying its file; measured as
 # a one-section worker against none) and a section 40-80 us, so a worker's
