@@ -74,14 +74,18 @@ def _parse_output(spec, text: str):
         return docio.load_distribution(text[1:], out_space)
     assignments = {}
     for chunk in text.split(","):
+        if not chunk.strip():
+            raise DocumentError(f"output {text!r} has an empty assignment")
         if "=" in chunk:
-            occ, sym = chunk.split("=", 1)
-            assignments[occ.strip()] = sym.strip()
+            occ, sym = (part.strip() for part in chunk.split("=", 1))
         elif len(out_space.factors) == 1:
-            assignments[out_space.factor_ids[0]] = chunk.strip()
+            occ, sym = out_space.factor_ids[0], chunk.strip()
         else:
             raise DocumentError(
                 f"output {chunk!r} must name its occasion, e.g. vZ=0")
+        if occ in assignments:
+            raise DocumentError(f"output {text!r} assigns {occ!r} more than once")
+        assignments[occ] = sym
     missing = set(out_space.factor_ids) - set(assignments)
     extra = set(assignments) - set(out_space.factor_ids)
     if missing or extra:
@@ -178,72 +182,64 @@ def _write_quale(fh, spec, edges, ranges: list[range]) -> None:
 
     This process writes the sections of the first range to fh. Each later
     range is written by a worker forked for it into an anonymous temporary
-    file, which is copied into fh, in range order, once the worker has ended
-    well. A failing worker hands on its exception's type and message, and
-    the error raised is that of the first failing range, this process's
-    own first, as a serial run would raise it. Every worker is killed, if
-    still running, and reaped before this returns or raises.
+    file, which is copied into fh in range order. A worker only saves time:
+    where os.fork fails, or the worker does not end well (it raised, or a
+    signal killed it), this process writes that range itself, by the call a
+    worker makes. So the bytes are the serial ones, and an error is raised
+    where a serial run raises it, as the same exception. Every worker is
+    killed, if still running, and reaped before this returns or raises.
     """
     parent = os.getpid()
-    workers: dict[int, tuple[range, object]] = {}
-    parts = []
+    later = []  # (masks, part, pid of its worker or None) per range after the first
+    live = set()  # the pids of the workers not yet reaped
     try:
         for masks in ranges[1:]:
             part = tempfile.TemporaryFile("w+", encoding="utf-8")
-            parts.append(part)
-            # ^C waits until the worker is in workers here, and until the
+            pid = None
+            # ^C waits until the worker is in live here, and until the
             # worker ignores it there
             sigmask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
                 pid = os.fork()
                 if pid == 0:
                     _quale_worker(part, spec, edges, masks, parent, sigmask)
-                workers[pid] = (masks, part)
+                live.add(pid)
+            except OSError:
+                pass  # no worker: this process writes the range
             finally:
+                later.append((masks, part, pid))
                 signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
-        docio.write_quale(fh, edges, _quale_rows(spec, edges, ranges[0]), _reaped(workers))
+        docio.write_quale(fh, edges, _quale_rows(spec, edges, ranges[0]),
+                          _reaped(spec, edges, later, live))
     finally:
-        for pid in workers:
+        for pid in live:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for part in parts:
+        for _, part, _ in later:
             part.close()
 
 
-def _reaped(workers: dict):
-    """Each worker's file of sections, in range order, once the worker has
-    ended well; the worker's error otherwise. A reaped worker leaves
-    workers."""
-    for pid, (masks, part) in list(workers.items()):
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        del workers[pid]
+def _reaped(spec, edges, later: list, live: set):
+    """Each later range's file of sections, in range order: as its worker
+    wrote it if the worker ended well, and else as this process writes it
+    there in its place. A reaped worker leaves live."""
+    for masks, part, pid in later:
+        ended_well = pid is not None and os.waitpid(pid, 0)[1] == 0  # exit status 0
+        live.discard(pid)
         part.seek(0)
-        if code != 0:
-            raise _worker_error(masks, code, part.read())
+        if not ended_well:
+            part.truncate()
+            docio.write_sections(part, edges, _quale_rows(spec, edges, masks))
+            part.seek(0)
         yield part
 
 
-def _worker_error(masks: range, code: int, record: str) -> BaseException:
-    """The exception a worker that ended with status code recorded, as
-    _quale_worker records it; a ChildProcessError if there is none."""
-    try:
-        module, name, message = json.loads(record)
-        cls = getattr(sys.modules.get(module), name)
-        if code == 1 and issubclass(cls, BaseException):
-            return cls(message)
-    except (ValueError, TypeError, AttributeError):
-        pass
-    return ChildProcessError(
-        f"the worker writing subsystems {masks.start} to {masks.stop - 1} "
-        f"ended with status {code}")
-
-
 def _quale_worker(part, spec, edges, masks: range, parent: int, sigmask):
-    """The body of a forked worker: write the sections of masks to part, or
-    on any error its [module, name, message] as JSON in part's place, and
-    end the process, with status 0 or 1. It never returns. It stops when
-    the process that forked it is gone. It ignores SIGINT, ^C being the
-    parent's to handle, and then takes sigmask as its signal mask."""
+    """The body of a forked worker: write the sections of masks to part and
+    end the process, with status 0 once they are written and 1 on any
+    error. It never returns. It stops when the process that forked it is
+    gone. It ignores SIGINT, ^C being the parent's to handle, and then takes
+    sigmask as its signal mask."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -258,10 +254,6 @@ def _quale_worker(part, spec, edges, masks: range, parent: int, sigmask):
         docio.write_sections(part, edges, glued())
         part.flush()
         code = 0
-    except BaseException as exc:
-        record = json.dumps([type(exc).__module__, type(exc).__qualname__, str(exc)])
-        os.ftruncate(part.fileno(), 0)
-        os.pwrite(part.fileno(), record.encode(), 0)
     finally:
         os._exit(code)
 

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -16,7 +17,6 @@ from distmeas.cli import (
     _SUBSYSTEMS_PER_WORKER,
     _quale_ranges,
     _quale_worker,
-    _worker_error,
     _write_quale,
     build_parser,
     main,
@@ -381,6 +381,22 @@ def test_ei_bare_output_symbol(capsys):
                        "--context", "null", "--output", "0")
     assert code == 0
     assert float(out.strip()) == 1.0
+
+
+OUTPUT_ARGS = {"ei": ["--subsystem", "all"], "gamma": ["--partition", "vX|vY"], "lattice": []}
+
+
+@pytest.mark.parametrize("output", ["vZ=0,vZ=1", "0,1", "0, vZ=0", "vW=0,vZ=0,vW=1",
+                                    "vZ=1,", "vZ=1,,", " ", ""])
+@pytest.mark.parametrize("command", sorted(OUTPUT_ARGS))
+def test_output_assigning_an_occasion_twice_or_nothing_is_a_parse_error(
+        capsys, tmp_path, command, output):
+    host = AND
+    if "vW" in output:  # a host with two targets, vW and vZ
+        host = str(tmp_path / "double-and.json")
+        save_system(double_and_system(), host)
+    code, out, err = run(capsys, command, host, *OUTPUT_ARGS[command], "--output", output)
+    assert (code, out) == (2, "") and err.startswith(f"error: output {output!r} ")
 
 
 def test_ei_context_not_contained(capsys):
@@ -1100,19 +1116,48 @@ def test_quale_worker_stops_when_its_parent_is_gone():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         assert done and os.waitstatus_to_exitcode(status) == 1
-        part.seek(0)
-        assert json.loads(part.read()) == [
-            "builtins", "ChildProcessError", "the parent process is gone"]
 
 
-def test_worker_error_rebuilds_the_recorded_exception():
-    masks = range(3, 9)
-    record = json.dumps(["distmeas.errors", "NotSurjective", "outputs missed"])
-    error = _worker_error(masks, 1, record)
-    assert type(error) is NotSurjective and str(error) == "outputs missed"
-    error = _worker_error(masks, 1, json.dumps(["builtins", "OSError", "[Errno 28] full"]))
-    assert type(error) is OSError and str(error) == "[Errno 28] full"
-    for code, text in ((1, ""), (1, '["nowhere", "Gone", "x"]'), (-9, record)):
-        error = _worker_error(masks, code, text)
-        assert type(error) is ChildProcessError
-        assert str(error) == f"the worker writing subsystems 3 to 8 ended with status {code}"
+# a worker only saves time: the range of one that does not end well, or is
+# never forked, is written by the process that runs _write_quale
+
+def _worker_killed_by_a_signal(part, *args):
+    part.write('    {\n      "subsystem": [')
+    part.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _worker_writing_junk(part, *args):
+    part.write("not a section\n" * 1000)
+    part.flush()
+    os._exit(1)
+
+
+@pytest.mark.parametrize("worker", [_worker_killed_by_a_signal, _worker_writing_junk],
+                         ids=["killed", "junk"])
+def test_quale_range_of_a_failed_worker_is_written_by_this_process(monkeypatch, worker):
+    spec = _quale_11_system(monkeypatch)
+    serial = _quale_text(spec, [range(2048)])
+    late = _late_non_surjective_system()
+    error = _serial_error(late, [range(2048)])
+    monkeypatch.setattr("distmeas.cli._quale_worker", worker)
+    assert _quale_text(spec, _split(2048, 3)) == serial
+    assert _serial_error(late, _split(2048, 3)) == error
+
+
+def test_quale_range_that_cannot_be_forked_is_written_by_this_process(monkeypatch):
+    spec = _quale_11_system(monkeypatch)
+    serial = _quale_text(spec, [range(2048)])
+    fork = os.fork
+    for refused in ({1}, {1, 2}):
+        calls = []
+
+        def fork_under_a_process_limit():
+            calls.append(None)
+            if len(calls) in refused:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_under_a_process_limit)
+        assert _quale_text(spec, _split(2048, 3)) == serial
+        assert len(calls) == 2
