@@ -1,5 +1,6 @@
-"""Entanglement of measurements over partitions of source occasions, the
-two-input closed forms, rectangularity, and product decomposition.
+"""Entanglement of measurements over partitions of source occasions, and the
+rectangularity and product decomposition of two-input functions. The
+two-input closed form of entanglement is oracle.gamma_counts.
 
 Entanglement compares the measurement performed by a subsystem with the
 tensor product of the measurements its blocks perform independently; it is
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BudgetExceeded, NotAPartition, NotSurjective
 from .lattice import Subsystem
 from .measure import _cross, _divergence, _log_table, _measurements, _posterior
-from .oracle import ExactBits, FunctionTable, _preimage, gamma_counts
+from .oracle import FunctionTable, _preimage
 from .stoch import Distribution
 from .system import SystemSpec
 
@@ -108,13 +109,6 @@ def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
         pk = _posterior(spec, _block_subsystem(sub, block), d_out)
         terms = memo[key] = (_divergence(spec, pk), _cross(spec, p, pk, _log_table(pk)))
     return terms
-
-
-def gamma_closed_form_two_source(g: FunctionTable, z: str) -> ExactBits:
-    """Entanglement of a two-input function at output z, from slice counts."""
-    if len(g.factors) != 2:
-        raise NotAPartition("closed form needs a two-input function")
-    return gamma_counts(g, z)
 
 
 def is_rectangular(g: FunctionTable, z: str) -> tuple[bool, tuple | None]:

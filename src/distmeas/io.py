@@ -29,13 +29,16 @@ Automaton documents::
       "neighborhoods": {"a": ["c", "a", "b"], ...},   # or [["c", 2], ...] for lag 2
       "rules": {"a": {"kind": "life"}
                      | {"kind": "table", "table": {"0,0,0": "0", ...}}
-                     | {"kind": "hopfield", "weights": ["1", "-1"], "temperature": "1"}},
+                     | {"kind": "hopfield", "weights": ["1", "-1"], "temperature": "1"}
+                     | {"0": {"kind": "life"}, "1": {"kind": "table", ...}}},  # by time
       "window": [0, 1],
       "initial": {"a": "1", "b": {"distribution": ["1/2", "1/2"]}}
     }
 
 Table keys are comma-joined symbols in neighborhood order. Life rules take
-the cell's own position in its neighborhood as the self slot.
+the cell's own position in its neighborhood as the self slot. Lags and window
+bounds are JSON integers. A rule by time is keyed by times written in ASCII
+digits with an optional "-", and each of its values is a rule with a kind.
 """
 
 from __future__ import annotations
@@ -320,9 +323,11 @@ def automaton_from_document(doc: dict) -> AutomatonSpec:
         for c, symbols in doc.get("alphabets", {}).items():
             alphabets[str(c)] = alphabet(symbols)
         neighborhoods = {
-            str(c): [(str(n[0]), int(n[1])) if isinstance(n, list) else str(n) for n in nbrs]
+            str(c): [(str(n[0]), _json_int(n[1], f"lag of {n[0]!r} for cell {c!r}"))
+                     if isinstance(n, list) else str(n) for n in nbrs]
             for c, nbrs in doc["neighborhoods"].items()}
-        window = (int(doc["window"][0]), int(doc["window"][1]))
+        window = (_json_int(doc["window"][0], "window start"),
+                  _json_int(doc["window"][1], "window end"))
         rule_docs = doc["rules"]
         init_docs = doc["initial"]
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
@@ -333,7 +338,7 @@ def automaton_from_document(doc: dict) -> AutomatonSpec:
     for cell, rdoc in rule_docs.items():
         cell = str(cell)
         nbrs = neighborhoods.get(cell, [])
-        rules[cell] = _rule_from_document(cell, rdoc, nbrs, alphabets)
+        rules[cell] = _rule_from_document(cell, rdoc, nbrs)
 
     initial = {}
     for cell, idoc in init_docs.items():
@@ -352,9 +357,33 @@ def automaton_from_document(doc: dict) -> AutomatonSpec:
     return automaton(cells, neighborhoods, rules, window, initial, alphabets)
 
 
-def _rule_from_document(cell, rdoc, nbrs, alphabets):
-    if isinstance(rdoc, dict) and set(rdoc) and all(k.isdigit() or (k[:1] == "-" and k[1:].isdigit()) for k in rdoc):
-        return {int(t): _rule_from_document(cell, sub, nbrs, alphabets) for t, sub in rdoc.items()}
+def _json_int(value: Any, what: str) -> int:
+    """value, which must be a JSON integer: not a float, a string or a boolean."""
+    if type(value) is not int:
+        raise DocumentError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+# a time of a rule by time, in ASCII digits: str.isdigit also accepts
+# superscript digits, which int() refuses
+_TIME_KEY = re.compile(r"-?[0-9]+")
+
+
+def _rule_from_document(cell, rdoc, nbrs):
+    """One rule, or a rule per time when every key of rdoc is a time. Each
+    rule has a kind, so a rule per time holds no rules per time."""
+    if isinstance(rdoc, dict) and rdoc and all(_TIME_KEY.fullmatch(k) for k in rdoc):
+        rules = {}
+        for t, sub in rdoc.items():
+            try:
+                time = int(t)
+            except ValueError:  # more digits than int() reads
+                raise DocumentError(
+                    f"rule for {cell!r} has a {len(t)}-character time key") from None
+            if not isinstance(sub, dict) or "kind" not in sub:
+                raise DocumentError(f"rule for {cell!r} at time {time} needs a 'kind'")
+            rules[time] = _rule_from_document(cell, sub, nbrs)
+        return rules
     if not isinstance(rdoc, dict) or "kind" not in rdoc:
         raise DocumentError(f"rule for {cell!r} needs a 'kind'")
     kind = rdoc["kind"]

@@ -46,11 +46,9 @@ from .stoch import (
     canonical_space,
     compose,
     dual,
-    lift_function,
     projection,
-    uniform,
 )
-from .system import Occasion, SystemSpec
+from .system import SystemSpec
 
 PairSet = frozenset[tuple[str, str]]
 
@@ -463,16 +461,8 @@ def descent_counterexample() -> tuple[Section, Section]:
     independent joint over two bits, both with uniform marginals)."""
     z_space = canonical_space({"vZ": BINARY})
     xy_space = canonical_space({"vX": BINARY, "vY": BINARY})
-    xor = lift_function(xy_space, z_space,
-                        {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"})
-    host = SystemSpec(
-        (Occasion("vX", BINARY), Occasion("vY", BINARY), Occasion("vZ", BINARY)),
-        frozenset({("vX", "vZ"), ("vY", "vZ")}),
-        {"vZ": xor},
-        {"vX": uniform(canonical_space({"vX": BINARY})),
-         "vY": uniform(canonical_space({"vY": BINARY}))},
-    )
-    both = top(host)
+    pairs = frozenset({("vX", "vZ"), ("vY", "vZ")})
+    both = Subsystem(pairs, pairs)
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
     correlated = StochasticMatrix(

@@ -21,8 +21,8 @@ m_D(x|_D) / |S_C - S_D|. An output's support and the posteriors at it are
 memoised on the spec per output; the maps restricting one space's states to
 another's are lattice's memoised ones. A sum of the form
 sum_x p(x) log2 q(x|_Q) reads q's log table (_cross), which the lattice
-command's arrows and entangle's block terms share. Only the public results
-(MeasurementResult) hold Fraction distributions, built by _spread. Tests pin
+command's arrows and entangle's block terms share. No report builds a
+Fraction distribution on the whole system: _spread does, for tests that pin
 the posterior times the uniform factor to measure(extend(...)) with exact
 equality.
 """
@@ -273,41 +273,14 @@ def _cross(spec: SystemSpec, p: _Record, q: _Record, logs: Sequence[float | None
     return sum(a / pt * logs[j] for a, j in zip(p.weights, restrict) if a)
 
 
-@dataclass(frozen=True)
-class MeasurementResult:
-    """A fine measurement compared against a coarser context."""
-
-    subsystem: Subsystem
-    context: Subsystem | None
-    output: Distribution
-    fine: Distribution
-    coarse: Distribution
-    ei_bits: float
-
-
-def _fine_and_coarse(spec: SystemSpec, sub: Subsystem, context: Subsystem | None,
-                     d_out: Distribution) -> tuple[_Record, _Record]:
-    if context is not None and not context.is_null:
-        if not context.effective <= sub.effective:
-            raise ContextNotContained(
-                f"context {sorted(context.effective)} is not contained in "
-                f"{sorted(sub.effective)}")
-    fine = _posterior(spec, sub, d_out)
-    return fine, _posterior(spec, bottom(spec) if context is None else context, d_out)
-
-
-def measurement_report(spec: SystemSpec, sub: Subsystem,
-                       context: Subsystem | None,
-                       d_out: Distribution) -> MeasurementResult:
-    """Measurements of subsystem and context at d_out plus their divergence."""
-    fine, coarse = _fine_and_coarse(spec, sub, context, d_out)
-    return MeasurementResult(sub, context, d_out, _spread(spec, fine), _spread(spec, coarse),
-                             _divergence(spec, fine, (coarse,)))
-
-
 def effective_information(spec: SystemSpec, sub: Subsystem,
                           context: Subsystem | None,
                           d_out: Distribution) -> float:
     """Bits of precision the subsystem's measurement adds over the context's."""
-    fine, coarse = _fine_and_coarse(spec, sub, context, d_out)
-    return _divergence(spec, fine, (coarse,))
+    if context is None:
+        context = bottom(spec)
+    elif not context.effective <= sub.effective:
+        raise ContextNotContained(
+            f"context {sorted(context.effective)} is not contained in "
+            f"{sorted(sub.effective)}")
+    return _divergence(spec, _posterior(spec, sub, d_out), (_posterior(spec, context, d_out),))

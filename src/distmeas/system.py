@@ -11,6 +11,7 @@ one-factor space. Occasions without sources carry a Distribution instead
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -252,24 +253,15 @@ def _mechanism_from_rule(auto: AutomatonSpec, cell: str, t: int) -> tuple[tuple[
     domain = canonical_space(
         {occ: a for a, occ in slots if occ is not None})
 
-    absent = [(i, a) for i, (a, occ) in enumerate(slots) if occ is None]
-    n_absent = 1
-    for _, a in absent:
-        n_absent *= len(a)
+    n_absent = math.prod(len(a) for a, occ in slots if occ is None)
 
     def column(joint: tuple[str, ...]) -> list[Fraction]:
         by_occ = dict(zip(domain.factor_ids, joint))
         acc = [Fraction(0)] * len(out_alpha)
-        fills = [[None] * len(slots)]
-        for i, (a, occ) in enumerate(slots):
-            if occ is None:
-                fills = [f[:i] + [s] + f[i + 1:] for f in fills for s in a.symbols]
-            else:
-                for f in fills:
-                    f[i] = by_occ[occ]
         share = Fraction(1, n_absent)
-        for f in fills:
-            key = tuple(f)
+        # the present slots' symbols with every combination of the absent slots'
+        for key in itertools.product(*(a.symbols if occ is None else (by_occ[occ],)
+                                       for a, occ in slots)):
             if isinstance(rule, StochasticMatrix):
                 col = rule.cols[rule.domain.index_of(key)]
                 for i, v in enumerate(col):

@@ -42,7 +42,8 @@ from distmeas.lattice import (
 )
 from distmeas.measure import (
     effective_information,
-    measurement_report,
+    extend,
+    measure,
     system_output_space,
 )
 from distmeas.oracle import (
@@ -384,7 +385,7 @@ def test_criterion_9a_small_system_full_analysis():
     out_space = system_output_space(spec)
     d_out = dirac(out_space, ("0",) * len(out_space.factors))
     subs = list(enumerate_subsystems(spec))
-    fine = {s.effective: measurement_report(spec, s, None, d_out).fine for s in subs}
+    fine = {s.effective: measure(extend(spec, s), d_out) for s in subs}
     arrows = 0
     for s in subs:
         for e in sorted(edges):

@@ -800,9 +800,19 @@ def test_unroll_dashed_cell_id_is_a_document_error(tmp_path, capsys):
     {"neighborhoods": {"a": [["a"], "b"], "b": ["a", "b"]}},
     {"initial": {"a": "1", "b": "0", "zz": {"distribution": ["1/2", "1/2"]}}},
     {"rules": {"a": {"kind": "table", "table": [1]}, "b": {"kind": "life"}}},
+    {"neighborhoods": {"a": [["a", 1.9], "b"], "b": ["a", "b"]}},
+    {"neighborhoods": {"a": [["a", True], "b"], "b": ["a", "b"]}},
+    {"window": [0, 1.8]},
+    {"window": ["0", 1]},
+    {"rules": {"a": {"\u00b2": {"kind": "life"}}, "b": {"kind": "life"}}},
+    {"rules": {"a": {"1" * 5000: {"kind": "life"}}, "b": {"kind": "life"}}},
+    {"rules": {"a": {"1": {"1": {"kind": "life"}}}, "b": {"kind": "life"}}},
 ], ids=["rules-not-an-object", "initial-not-an-object", "alphabets-not-an-object",
         "neighborhoods-not-an-object", "distribution-not-a-list", "lag-not-an-integer",
-        "entry-without-lag", "distribution-of-unknown-cell", "table-not-an-object"])
+        "entry-without-lag", "distribution-of-unknown-cell", "table-not-an-object",
+        "lag-a-float", "lag-a-boolean", "window-end-a-float", "window-start-a-string",
+        "time-key-a-non-ascii-digit", "time-key-of-5000-digits",
+        "rule-by-time-in-rule-by-time"])
 def test_unroll_malformed_automaton_document_is_a_document_error(tmp_path, capsys, change):
     auto = {
         "format_version": 1,

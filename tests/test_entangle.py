@@ -19,7 +19,6 @@ from distmeas.entangle import (
     _block_terms,
     entanglement,
     enumerate_partitions,
-    gamma_closed_form_two_source,
     is_rectangular,
     partition_of,
     product_decomposition,
@@ -114,8 +113,8 @@ def test_whole_partition_has_zero_gamma():
 # -- closed form ---------------------------------------------------------------
 
 def test_closed_form_xor():
-    assert gamma_closed_form_two_source(xor_table(), "0").bits == 1.0
-    assert gamma_closed_form_two_source(xor_table(), "1").bits == 1.0
+    assert gamma_counts(xor_table(), "0").bits == 1.0
+    assert gamma_counts(xor_table(), "1").bits == 1.0
 
 
 def test_closed_form_vanishes_on_products():
@@ -124,18 +123,18 @@ def test_closed_form_vanishes_on_products():
     for _ in range(20):
         g = random_product_function(rng, 3, 3)
         for z in g.attained():
-            assert gamma_closed_form_two_source(g, z).is_zero()
+            assert gamma_counts(g, z).is_zero()
 
 
 def test_closed_form_and():
-    got = gamma_closed_form_two_source(and_table(), "0")
+    got = gamma_counts(and_table(), "0")
     assert abs(got.bits - math.log2(27 / 16) / 3) <= TOL
 
 
 def test_closed_form_requires_attained_output():
     g = FunctionTable((BINARY, BINARY), BINARY, ("0", "0", "0", "0"))
     with pytest.raises(NotInImage):
-        gamma_closed_form_two_source(g, "1")
+        gamma_counts(g, "1")
 
 
 # -- rectangularity --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -15,14 +16,12 @@ from distmeas.fixtures import (
 )
 from distmeas.lattice import bottom, enumerate_subsystems, source_space, subsystem, top
 from distmeas.measure import (
-    MeasurementResult,
     _posterior,
     _Record,
     _spread,
     effective_information,
     extend,
     measure,
-    measurement_report,
     null_mechanism,
     system_input_space,
     system_output_space,
@@ -276,12 +275,15 @@ def test_ei_invariant_under_symbol_permutation():
             assert abs(v1 - v2) <= 1e-15
 
 
-def test_measurement_report_carries_distributions(and_spec):
-    rep = measurement_report(and_spec, top(and_spec), None, d_out_for(and_spec, "1"))
-    assert rep.fine.weights == (0, 0, 0, 1)
-    assert rep.coarse == uniform(system_input_space(and_spec))
-    assert rep.ei_bits == 2.0
-    assert math.isfinite(rep.ei_bits)
+def test_spread_measurements_carry_distributions(and_spec):
+    d_out = d_out_for(and_spec, "1")
+    fine = _spread(and_spec, _posterior(and_spec, top(and_spec), d_out))
+    coarse = _spread(and_spec, _posterior(and_spec, bottom(and_spec), d_out))
+    assert fine.weights == (0, 0, 0, 1)
+    assert coarse == uniform(system_input_space(and_spec))
+    ei = effective_information(and_spec, top(and_spec), None, d_out)
+    assert ei == 2.0
+    assert math.isfinite(ei)
 
 
 # -- glued-row measurements against the reference operators --------------------
@@ -410,21 +412,30 @@ def _kernel_hosts():
     return hosts
 
 
-def test_effective_information_is_the_reports_ei():
+def _spread_measurements(spec, sub, context, d_out):
+    """(ei, fine, coarse): the subsystem's and the context's measurements as
+    Fraction distributions on the whole system, each posterior read through
+    the measure module's _posterior, so that a patched reference is used."""
+    posterior = importlib.import_module("distmeas.measure")._posterior
+    fine = _spread(spec, posterior(spec, sub, d_out))
+    coarse = _spread(spec, posterior(spec, bottom(spec) if context is None else context, d_out))
+    return effective_information(spec, sub, context, d_out), fine, coarse
+
+
+def test_effective_information_is_kl_of_the_spread_measurements():
     for spec in _kernel_hosts():
         subs = list(enumerate_subsystems(spec))
         for d_out in _output_distributions(spec):
             for sub in subs:
                 for context in [None] + [c for c in subs if c.effective <= sub.effective]:
                     try:
-                        rep = measurement_report(spec, sub, context, d_out)
+                        ei, fine, coarse = _spread_measurements(spec, sub, context, d_out)
                     except UnsupportedOutput:
                         continue
-                    assert effective_information(spec, sub, context, d_out) == rep.ei_bits
+                    assert abs(ei - kl_divergence(fine, coarse)) <= 1e-12
 
 
 def test_reports_equal_reference_built_reports(monkeypatch):
-    import importlib
     from distmeas.entangle import entanglement, enumerate_partitions
 
     def reports():
@@ -439,32 +450,33 @@ def test_reports_equal_reference_built_reports(monkeypatch):
                 for sub in enumerate_subsystems(spec):
                     for part in enumerate_partitions(sub.source_ids()):
                         out.append(entanglement(spec, sub, part, d_out))
-                    out.append(measurement_report(spec, whole, sub, d_out))
-                    out.append(measurement_report(spec, sub, None, d_out))
+                    out.append(_spread_measurements(spec, whole, sub, d_out))
+                    out.append(_spread_measurements(spec, sub, None, d_out))
                     out.append(effective_information(spec, whole, sub, d_out))
         return out
 
     fast = reports()
-    # the reference is slow, so memoise it for one pass, which keeps its specs
-    # and (in its measurement reports) its outputs alive
+    # the reference is slow, so memoise it for one pass, whose specs stay alive
+    # through it; each entry keeps its output alive, so that no id is reused
     measured = {}
 
     def by_reference(spec, sub, d_out):
         key = (id(spec), sub.effective, id(d_out))
         if key not in measured:
-            measured[key] = _posterior_by_reference(spec, sub, d_out)
-        return measured[key]
+            measured[key] = d_out, _posterior_by_reference(spec, sub, d_out)
+        return measured[key][1]
 
     # the package re-exports a function named measure, so fetch the modules
     for name in ("distmeas.entangle", "distmeas.measure"):
         monkeypatch.setattr(importlib.import_module(name), "_posterior", by_reference)
     reference = reports()
     assert fast == reference
-    # both passes share the divergence on S_C; the reference reports' fine and
+    # both passes share the divergence on S_C; the reference pass's fine and
     # coarse are measure(extend(...)), so pin it to the whole-system KL
     for rep in reference:
-        if isinstance(rep, MeasurementResult):
-            assert abs(rep.ei_bits - kl_divergence(rep.fine, rep.coarse)) <= 1e-12
+        if isinstance(rep, tuple):
+            ei, fine, coarse = rep
+            assert abs(ei - kl_divergence(fine, coarse)) <= 1e-12
 
 
 def test_measurements_read_their_own_specs_submechanisms():
