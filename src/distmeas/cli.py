@@ -36,6 +36,7 @@ from .lattice import (
 )
 from .measure import (
     _cross,
+    _ei,
     _glued_posterior,
     _log_table,
     effective_information,
@@ -284,8 +285,11 @@ def cmd_gamma(args) -> int:
     if args.all_partitions:
         parts = list(enumerate_partitions(sub.source_ids()))
     elif args.partition is not None:
-        parts = [partition_of(
-            [blk.split(",") for blk in args.partition.split("|")])]
+        blocks = [blk.split(",") for blk in args.partition.split("|")]
+        if any("" in blk for blk in blocks):
+            raise DocumentError(
+                f"bad partition {args.partition!r}: expected like a,b|c (no empty source ids)")
+        parts = [partition_of(blocks)]
     else:
         raise DocumentError("need --partition or --all-partitions")
     # every report is computed before anything is printed, so a failing run
@@ -313,10 +317,9 @@ def cmd_lattice(args) -> int:
     The arrow D -> B is labelled ei(B / D) = sum_x p_B log2 p_B
     - sum_x p_B(x) log2 p_D(x|_D) + log2(|S_B| / |S_D|). The first sum is
     kept once per node and D's log table is made once, when D's arrows are
-    written. Equal records give exactly 0, the two sums being the same
-    float sums. A record that spreads D's evenly over B's extra sources
-    gives a float near 0 of either sign, so labels print through _bits,
-    never as -0.00000."""
+    written. The label is measure._ei, the formula effective_information
+    uses, so it equals ei --subsystem B --context D exactly, and a record
+    that spreads D's evenly over B's extra sources gives exactly 0."""
     spec = _valid(docio.load_system(args.path))
     d_out = _parse_output(spec, args.output)
     edges = _edges_within_budget(spec, args.max_edges)
@@ -345,9 +348,7 @@ def cmd_lattice(args) -> int:
             logs = _log_table(d)
             bigger = [m | 1 << i for i in range(len(edges)) if not m >> i & 1]
             for b in sorted(bigger, key=keys.__getitem__):
-                p = posteriors[b]
-                ei = (neg_entropy[b] - _cross(spec, p, d, logs)
-                      + math.log2(p.space.dim // d.space.dim))
+                ei = _ei(spec, posteriors[b], neg_entropy[b], d, logs)
                 fh.write(f'  "{src}" -> "{keys[b]}" [label="{_bits(ei, 5)}"];\n')
         fh.write("}\n")
 

@@ -6,7 +6,8 @@ Entanglement compares the measurement performed by a subsystem with the
 tensor product of the measurements its blocks perform independently; it is
 zero exactly when the measurement splits into independent submeasurements.
 It is computed on the subsystem's own inputs S_C, as a sum of one memoised
-term per block, so a subsystem's partitions share their block terms.
+term per block, so a subsystem's partitions share their block terms. Block
+ei is measure._ei, and measure._is_product decides an exact-zero gamma.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, NotAPartition, NotSurjective
-from .lattice import Subsystem
-from .measure import _cross, _divergence, _log_table, _measurements, _posterior
+from .lattice import Subsystem, bottom
+from .measure import _ROUNDING, _cross, _ei, _is_product, _log_table, _measurements, _posterior
 from .oracle import FunctionTable, _preimage
 from .stoch import Distribution
 from .system import SystemSpec
@@ -65,8 +66,8 @@ def entanglement(spec: SystemSpec, sub: Subsystem, part: Partition,
     With p the subsystem's posterior on S_C and p_k block k's,
     gamma = sum_x p log2 p - sum_k sum_x p(x) log2 p_k(x|_k): one memoised
     term per block (_block_terms), the whole source set being the block
-    whose term is sum_x p log2 p. A sum within rounding of 0 is recomputed
-    state by state, which gives exactly 0.0 when p is the product.
+    whose term is sum_x p log2 p. A nonzero sum within rounding of 0 is
+    exactly 0.0 when p is the product of the p_k (measure._is_product).
     """
     srcs = set(sub.source_ids())
     if part.members() != srcs:
@@ -78,16 +79,12 @@ def entanglement(spec: SystemSpec, sub: Subsystem, part: Partition,
         ei, cross = _block_terms(spec, sub, block, d_out)
         per_block_ei.append(ei)
         gamma -= cross
-    if abs(gamma) < _ROUNDING:
-        whole = _posterior(spec, sub, d_out)
-        blocks = [_posterior(spec, _block_subsystem(sub, block), d_out) for block in part.blocks]
-        gamma = _divergence(spec, whole, blocks)
+    if gamma and abs(gamma) < _ROUNDING and _is_product(
+            spec, _posterior(spec, sub, d_out),
+            [_posterior(spec, _block_subsystem(sub, block), d_out) for block in part.blocks]):
+        gamma = 0.0
     return EntanglementReport(
         part, gamma, tuple(per_block_ei), ei_whole, ei_whole - sum(per_block_ei))
-
-
-# below this a block sum may be rounding error around an exact zero
-_ROUNDING = 1e-9
 
 
 def _block_subsystem(sub: Subsystem, block: Sequence[str]) -> Subsystem:
@@ -100,14 +97,17 @@ def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
     """(ei of block k's own measurement p_k, sum_x p(x) log2 p_k(x|_k)) for
     one block of sub's sources, p being sub's measurement. p_k averages the
     same nonnegative mechanism entries as p, so it has weight wherever p
-    does. Memoised per output by (sub's effective pairs, block)."""
+    does. Both terms read p_k's log table; the ei is against the null
+    posterior. Memoised per output by (sub's effective pairs, block)."""
     memo = _measurements(spec, d_out).memo
     key = (sub.effective, block)
     terms = memo.get(key)
     if terms is None:
         p = _posterior(spec, sub, d_out)
         pk = _posterior(spec, _block_subsystem(sub, block), d_out)
-        terms = memo[key] = (_divergence(spec, pk), _cross(spec, p, pk, _log_table(pk)))
+        null, logs = _posterior(spec, bottom(spec), d_out), _log_table(pk)
+        terms = memo[key] = (_ei(spec, pk, _cross(spec, pk, pk, logs), null, [0.0]),
+                             _cross(spec, p, pk, logs))
     return terms
 
 

@@ -373,13 +373,17 @@ def _rule_from_document(cell, rdoc, nbrs):
     """One rule, or a rule per time when every key of rdoc is a time. Each
     rule has a kind, so a rule per time holds no rules per time."""
     if isinstance(rdoc, dict) and rdoc and all(_TIME_KEY.fullmatch(k) for k in rdoc):
-        rules = {}
+        rules, keys = {}, {}
         for t, sub in rdoc.items():
             try:
                 time = int(t)
             except ValueError:  # more digits than int() reads
                 raise DocumentError(
                     f"rule for {cell!r} has a {len(t)}-character time key") from None
+            if time in keys:  # such as "1" and "01", or "0" and "-0"
+                raise DocumentError(
+                    f"rule for {cell!r} has time keys {keys[time]!r} and {t!r} for time {time}")
+            keys[time] = t
             if not isinstance(sub, dict) or "kind" not in sub:
                 raise DocumentError(f"rule for {cell!r} at time {time} needs a 'kind'")
             rules[time] = _rule_from_document(cell, sub, nbrs)

@@ -262,9 +262,9 @@ def crosscheck(tables, label: str = "crosscheck") -> CrosscheckReport:
                 report.mismatches.append(f"{tag} exact relative-ei identity broke")
             check(f"{tag} rel == top - partial", rel_x, ei_top - ei_x)
 
-            # rectangular preimage iff zero entanglement
+            # rectangular preimage iff exactly zero entanglement
             report.checks += 1
             rect, _ = is_rectangular(g, z)
-            if rect != gamma_o.is_zero() or rect != (gamma < _TOLERANCE):
+            if rect != gamma_o.is_zero() or rect != (gamma == 0.0):
                 report.mismatches.append(f"{tag} rectangularity/entanglement disagree")
     return report

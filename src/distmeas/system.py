@@ -189,12 +189,12 @@ def automaton(cells, neighborhoods, rules, window, initial, alphabets=None) -> A
         entries = []
         for n in nbrs:
             if isinstance(n, (tuple, list)):
-                entries.append((str(n[0]), int(n[1])))
+                entries.append((str(n[0]), _integer(n[1], f"lag of {n[0]!r} for cell {cell!r}")))
             else:
                 entries.append((str(n), 1))
         norm[str(cell)] = tuple(entries)
-    spec = AutomatonSpec(cells, norm, dict(rules), (int(window[0]), int(window[1])),
-                         dict(initial), dict(alphabets or {}))
+    window = (_integer(window[0], "window start"), _integer(window[1], "window end"))
+    spec = AutomatonSpec(cells, norm, dict(rules), window, dict(initial), dict(alphabets or {}))
     for cell in cells:
         if cell not in spec.neighborhoods:
             raise InvalidAutomaton(f"cell {cell!r} has no neighborhood")
@@ -208,6 +208,13 @@ def automaton(cells, neighborhoods, rules, window, initial, alphabets=None) -> A
         if cell not in spec.initial:
             raise InvalidAutomaton(f"cell {cell!r} has no initial condition")
     return spec
+
+
+def _integer(value, what: str) -> int:
+    """value, which must be an int: not a float, a string or a bool."""
+    if type(value) is not int:
+        raise InvalidAutomaton(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 def _rule_at(auto: AutomatonSpec, cell: str, t: int):

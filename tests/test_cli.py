@@ -10,11 +10,15 @@ import tempfile
 import threading
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distmeas.cli import (
     _SUBSYSTEMS_PER_WORKER,
+    _bits,
     _quale_ranges,
     _quale_worker,
     _write_quale,
@@ -29,6 +33,7 @@ from distmeas.io import (
     system_from_document,
     system_to_document,
 )
+from distmeas.entangle import entanglement, partition_of
 from distmeas.errors import NotSurjective, UnsupportedOutput
 from distmeas.lattice import (
     _glued_rows,
@@ -38,6 +43,7 @@ from distmeas.lattice import (
     build_quale,
     enumerate_subsystems,
     source_space,
+    subsystem,
     target_space,
     top,
 )
@@ -45,6 +51,7 @@ from distmeas.measure import (
     _glued_posterior,
     _posterior,
     _spread,
+    effective_information,
     extend,
     measure,
     system_output_space,
@@ -59,6 +66,7 @@ from distmeas.stoch import (
     kl_divergence,
     lift_function,
     make_matrix,
+    matrix_from_columns,
     uniform,
 )
 from distmeas.system import Occasion, SystemSpec
@@ -470,13 +478,21 @@ def test_gamma_gap_that_rounds_to_zero_prints_unsigned(capsys, tmp_path, monkeyp
     assert (label, gamma, gap) == ("s0|s1,s2", "0.000000000", "0.000000000")
 
 
-@pytest.mark.parametrize("partition", ["vX|vY", "vX,vY|", ""])
+@pytest.mark.parametrize("partition", ["vX|vY"])
 def test_gamma_bad_partition_prints_nothing(capsys, partition):
-    # vY is not a source of the subsystem, and "" is no occasion
+    # vY is not a source of the subsystem
     code, out, err = run(capsys, "gamma", XOR, "--subsystem", "vX-vZ",
                          "--partition", partition, "--output", "vZ=0")
     assert code == 1 and err.startswith("error:") and "NotAPartition" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("partition", ["vX,vY|", "", "vX|", "vX,|vY", "|vX", "vX||vY", ",vX|vY"])
+def test_gamma_empty_block_name_is_a_document_error(capsys, partition):
+    code, out, err = run(capsys, "gamma", XOR, "--partition", partition, "--output", "vZ=0")
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad partition {partition!r}: "
+                   "expected like a,b|c (no empty source ids)\n")
 
 
 # -- lattice -----------------------------------------------------------------------
@@ -677,6 +693,108 @@ def test_lattice_labels_never_print_negative_zero(capsys, tmp_path, host):
         _assert_zero_labels(spec, arrows, d_out)
 
 
+
+def _label_floats(doc, output_arg):
+    """(source key, destination key, the float the label prints) for each
+    arrow the lattice command writes, read by wrapping cli._bits."""
+    floats = []
+
+    def capture(x, places=9):
+        floats.append(x)
+        return _bits(x, places)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("distmeas.cli._bits", capture):
+        dot = os.path.join(tmp, "lattice.dot")
+        assert main(["lattice", doc, "--output", output_arg, "--dot", dot]) == 0
+        with open(dot, encoding="utf-8") as fh:
+            arrows = [m.groups()[:2] for m in map(DOT_ARROW.match, fh.read().splitlines()) if m]
+    assert len(arrows) == len(floats)
+    return [(src, dst, x) for (src, dst), x in zip(arrows, floats)]
+
+
+def _assert_labels_are_ei(spec, doc, output_arg, d_out):
+    subs = {_key(s): s for s in enumerate_subsystems(spec)}
+    labels = _label_floats(doc, output_arg)
+    assert len(labels) == len(subs) * len(spec.edges) // 2
+    for src, dst, x in labels:
+        assert x == effective_information(spec, subs[dst], subs[src], d_out), (src, dst, x)
+
+
+def test_lattice_labels_are_effective_information(tmp_path, monkeypatch):
+    # every label is the float ei --subsystem B --context D prints, to the last bit
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "bench"))
+    from workloads import WORKLOADS
+    work = WORKLOADS["lattice-8"](99, str(tmp_path))
+    work.write_inputs()
+    spec = load_system(work.doc_path)
+    d_out = dirac(system_output_space(spec), ("0", "0", "0", "0"))
+    _assert_labels_are_ei(spec, work.doc_path, work.OUTPUT, d_out)
+
+
+@st.composite
+def ignoring_hosts(draw):
+    """Two or three sources with two or three symbols, and one or two binary
+    targets that read every source but heed only some: a column depends only
+    on the symbols of the heeded sources."""
+    sources = [f"s{i}" for i in range(draw(st.integers(2, 3)))]
+    targets = [f"t{i}" for i in range(draw(st.integers(1, 2)))]
+    alphabets = {s: alphabet(range(draw(st.integers(2, 3)))) for s in sources}
+    domain = canonical_space({s: alphabets[s] for s in sources})
+    mechanisms = {}
+    for t in targets:
+        heeded = [domain.position(s) for s in sorted(draw(st.sets(st.sampled_from(sources))))]
+        columns = {}
+        for x in domain.iter_symbols():
+            key = tuple(x[k] for k in heeded)
+            if key not in columns:
+                a = Fraction(draw(st.integers(1, 9)), 10)
+                columns[key] = (a, 1 - a)
+        mechanisms[t] = matrix_from_columns(
+            domain, canonical_space({t: BINARY}),
+            [columns[tuple(x[k] for k in heeded)] for x in domain.iter_symbols()])
+    return SystemSpec(
+        tuple(Occasion(s, alphabets[s]) for s in sources)
+        + tuple(Occasion(t, BINARY) for t in targets),
+        frozenset((s, t) for s in sources for t in targets), mechanisms,
+        {s: uniform(canonical_space({s: alphabets[s]})) for s in sources})
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=ignoring_hosts(), output=st.sampled_from(["dirac", "mixed"]))
+def test_lattice_labels_are_effective_information_on_hosts_that_ignore_sources(spec, output):
+    d_out = _produced_output(spec, output)
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, dist = os.path.join(tmp, "host.json"), os.path.join(tmp, "dist.json")
+        save_system(spec, doc)
+        with open(dist, "w", encoding="utf-8") as fh:
+            json.dump({"weights": [str(w) for w in d_out.weights]}, fh)
+        _assert_labels_are_ei(spec, doc, "@" + dist, d_out)
+
+
+def test_ignored_ternary_source_gives_exact_zeros(tmp_path):
+    # t reads a and c but ignores c, so the measurement of {a-t, c-t} is that
+    # of a-t spread evenly over c: ei, gamma and the label are exactly 0.0,
+    # where the float sums alone leave about 2e-16
+    ternary = alphabet("012")
+    domain = canonical_space({"a": ternary, "c": ternary})
+    p_one = {"0": Fraction(1, 10), "1": Fraction(1, 2), "2": Fraction(9, 10)}
+    columns = [(1 - p_one[a], p_one[a]) for a, _ in domain.iter_symbols()]
+    spec = SystemSpec(
+        (Occasion("a", ternary), Occasion("c", ternary), Occasion("t", BINARY)),
+        frozenset({("a", "t"), ("c", "t")}),
+        {"t": matrix_from_columns(domain, canonical_space({"t": BINARY}), columns)},
+        {s: uniform(canonical_space({s: ternary})) for s in ("a", "c")})
+    doc = tmp_path / "host.json"
+    save_system(spec, str(doc))
+    d_out = dirac(system_output_space(spec), ("1",))
+    a_t = subsystem(spec, [("a", "t")])
+    assert effective_information(spec, top(spec), a_t, d_out) == 0.0
+    assert entanglement(spec, top(spec), partition_of([["a"], ["c"]]), d_out).gamma_bits == 0.0
+    labels = {(src, dst): x for src, dst, x in _label_floats(str(doc), "t=1")}
+    assert labels["a-t", "a-t,c-t"] == 0.0
+    assert labels["null", "c-t"] == 0.0
+
+
 def test_lattice_unattained_output_fails_as_ei_does(capsys, tmp_path):
     doc = tmp_path / "double-and.json"
     save_system(double_and_system(), str(doc))
@@ -827,6 +945,27 @@ def test_unroll_malformed_automaton_document_is_a_document_error(tmp_path, capsy
     path.write_text(json.dumps(auto))
     code, out, err = run(capsys, "unroll", str(path))
     assert code == 2 and err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("first, second", [("1", "01"), ("01", "1"), ("0", "-0"), ("1", "001")])
+def test_unroll_time_keys_naming_one_time_are_a_document_error(tmp_path, capsys, first, second):
+    # read as ints the two keys name one time, and one rule would silently replace the other
+    joints = ["0,0", "0,1", "1,0", "1,1"]
+    auto = {
+        "format_version": 1,
+        "cells": ["a", "b"],
+        "neighborhoods": {"a": ["a", "b"], "b": ["a", "b"]},
+        "rules": {"a": {first: {"kind": "table", "table": {j: "0" for j in joints}},
+                        second: {"kind": "table", "table": {j: "1" for j in joints}}},
+                  "b": {"kind": "life"}},
+        "window": [0, 1],
+        "initial": {"a": "1", "b": "0"},
+    }
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps(auto))
+    code, out, err = run(capsys, "unroll", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and repr(first) in err and repr(second) in err
 
 
 # -- oracle-check -------------------------------------------------------------------

@@ -556,6 +556,22 @@ def test_measurements_are_finite_on_sparse_hosts(spec, data):
         assert all(math.isfinite(float(label)) for label in labels)
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(spec=sparse_hosts(), data=st.data())
+def test_report_ei_is_effective_information(spec, data):
+    # a report's ei_whole and block ei are the floats ei prints, to the last bit
+    out = system_output_space(spec)
+    d_out = dirac(out, out.symbols_at(data.draw(st.sampled_from(_attained(spec, out)))))
+    for sub in enumerate_subsystems(spec):
+        whole = effective_information(spec, sub, None, d_out)
+        for part in enumerate_partitions(sub.source_ids()):
+            rep = entanglement(spec, sub, part, d_out)
+            assert rep.ei_whole == whole
+            for block, ei in zip(part.blocks, rep.per_block_ei):
+                pairs = [p for p in sub.effective if p[0] in block]
+                assert ei == effective_information(spec, subsystem(spec, pairs), None, d_out)
+
 # -- the additivity identity ------------------------------------------------------
 
 @settings(max_examples=30, deadline=None)

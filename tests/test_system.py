@@ -169,6 +169,18 @@ def test_unroll_arity_mismatch():
         unroll(auto)
 
 
+@pytest.mark.parametrize("lag, window", [
+    (1.5, (0, 2)), (True, (0, 2)), ("1", (0, 2)),
+    (1, (0, 2.9)), (1, (0.0, 2)), (1, (False, 2)), (1, ("0", 2)),
+], ids=["lag-a-float", "lag-a-bool", "lag-a-string", "window-end-a-float",
+        "window-start-a-float", "window-start-a-bool", "window-start-a-string"])
+def test_automaton_refuses_non_integer_lags_and_window_bounds(lag, window):
+    # int() would truncate 1.5 to lag 1 and 2.9 to window end 2
+    with pytest.raises(InvalidAutomaton, match="must be an integer"):
+        automaton(cells=["a"], neighborhoods={"a": [("a", lag)]}, rules={"a": identity_rule()},
+                  window=window, initial={"a": "0"})
+
+
 @given(st.integers(2, 4), st.integers(2, 3), st.data())
 def test_unroll_always_validates(n_cells, steps, data):
     cells = [f"c{i}" for i in range(n_cells)]
