@@ -179,16 +179,26 @@ def _quale_ranges(spec, edges) -> list[range]:
 
 def _write_quale(fh, spec, edges, ranges: list[range]) -> None:
     """Write the quale document to fh, ranges being contiguous ranges of
-    masks that cover them all in order.
+    masks that cover them all in order, by _write_ranges."""
 
-    This process writes the sections of the first range to fh. Each later
-    range is written by a worker forked for it into an anonymous temporary
-    file, which is copied into fh in range order. A worker only saves time:
-    where os.fork fails, or the worker does not end well (it raised, or a
-    signal killed it), this process writes that range itself, by the call a
-    worker makes. So the bytes are the serial ones, and an error is raised
-    where a serial run raises it, as the same exception. Every worker is
-    killed, if still running, and reaped before this returns or raises.
+    def write_range(f, masks):
+        docio.write_sections(f, edges, _quale_rows(spec, edges, masks))
+
+    docio.write_quale(fh, lambda f: _write_ranges(f, ranges, write_range))
+
+
+def _write_ranges(fh, ranges: list[range], write_range) -> None:
+    """Write to fh what write_range(f, masks) writes to a file f for each of
+    ranges in turn.
+
+    This process writes the first range to fh. Each later range is written
+    by a worker forked for it into an anonymous temporary file, which is
+    copied into fh in range order. A worker only saves time: where os.fork
+    fails, or the worker does not end well (it raised, or a signal killed
+    it), this process writes that range to fh itself. So the bytes are the
+    serial ones, and an error is raised where a serial run raises it, as the
+    same exception. Every worker is killed, if still running, and reaped
+    before this returns or raises.
     """
     parent = os.getpid()
     later = []  # (masks, part, pid of its worker or None) per range after the first
@@ -203,15 +213,22 @@ def _write_quale(fh, spec, edges, ranges: list[range]) -> None:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _quale_worker(part, spec, edges, masks, parent, sigmask)
+                    _range_worker(part, write_range, masks, parent, sigmask)
                 live.add(pid)
             except OSError:
                 pass  # no worker: this process writes the range
             finally:
                 later.append((masks, part, pid))
                 signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
-        docio.write_quale(fh, edges, _quale_rows(spec, edges, ranges[0]),
-                          _reaped(spec, edges, later, live))
+        write_range(fh, ranges[0])
+        for masks, part, pid in later:
+            ended_well = pid is not None and os.waitpid(pid, 0)[1] == 0  # exit status 0
+            live.discard(pid)
+            if ended_well:
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
+            else:
+                write_range(fh, masks)
     finally:
         for pid in live:
             os.kill(pid, signal.SIGKILL)
@@ -220,39 +237,24 @@ def _write_quale(fh, spec, edges, ranges: list[range]) -> None:
             part.close()
 
 
-def _reaped(spec, edges, later: list, live: set):
-    """Each later range's file of sections, in range order: as its worker
-    wrote it if the worker ended well, and else as this process writes it
-    there in its place. A reaped worker leaves live."""
-    for masks, part, pid in later:
-        ended_well = pid is not None and os.waitpid(pid, 0)[1] == 0  # exit status 0
-        live.discard(pid)
-        part.seek(0)
-        if not ended_well:
-            part.truncate()
-            docio.write_sections(part, edges, _quale_rows(spec, edges, masks))
-            part.seek(0)
-        yield part
-
-
-def _quale_worker(part, spec, edges, masks: range, parent: int, sigmask):
-    """The body of a forked worker: write the sections of masks to part and
-    end the process, with status 0 once they are written and 1 on any
-    error. It never returns. It stops when the process that forked it is
-    gone. It ignores SIGINT, ^C being the parent's to handle, and then takes
-    sigmask as its signal mask."""
+def _range_worker(part, write_range, masks: range, parent: int, sigmask):
+    """The body of a forked worker: run write_range(part, masks) and end the
+    process, with status 0 once it has returned and 1 on any error. It never
+    returns. It stops before its next mask when the process that forked it
+    is gone. It ignores SIGINT, ^C being the parent's to handle, and then
+    takes sigmask as its signal mask."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.pthread_sigmask(signal.SIG_SETMASK, sigmask)
 
-        def glued():
-            for item in _quale_rows(spec, edges, masks):
+        def watched():
+            for mask in masks:
                 if os.getppid() != parent:
                     raise ChildProcessError("the parent process is gone")
-                yield item
+                yield mask
 
-        docio.write_sections(part, edges, glued())
+        write_range(part, watched())
         part.flush()
         code = 0
     finally:

@@ -9,20 +9,17 @@ from .stoch import BINARY, canonical_space, lift_function, uniform
 from .system import Occasion, SystemSpec
 
 
-def two_input_system(g: FunctionTable,
-                     names: tuple[str, str, str] = ("vX", "vY", "vZ")) -> SystemSpec:
+def two_input_system(g: FunctionTable) -> SystemSpec:
     """The fan-in system vX -> vZ <- vY computing a two-input function."""
     if len(g.factors) != 2:
         raise ValueError("two_input_system needs a two-input table")
-    nx, ny, nz = names
+    nx, ny, nz = "vX", "vY", "vZ"
     ax, ay = g.factors
     az = g.codomain
     domain = canonical_space({nx: ax, ny: ay})
     codomain = canonical_space({nz: az})
-    order = [domain.position(n) for n in (nx, ny)]
-    mapping = {}
-    for joint in domain.iter_symbols():
-        mapping[joint] = g.value(tuple(joint[p] for p in order))
+    # vX sorts before vY, so a joint input lists x then y, as g takes them
+    mapping = {joint: g.value(joint) for joint in domain.iter_symbols()}
     return SystemSpec(
         (Occasion(nx, ax), Occasion(ny, ay), Occasion(nz, az)),
         frozenset({(nx, nz), (ny, nz)}),
@@ -32,12 +29,11 @@ def two_input_system(g: FunctionTable,
     )
 
 
-def single_function_system(f: FunctionTable,
-                           names: tuple[str, str] = ("vX", "vY")) -> SystemSpec:
+def single_function_system(f: FunctionTable) -> SystemSpec:
     """The one-edge system vX -> vY computing a single-input function."""
     if len(f.factors) != 1:
         raise ValueError("single_function_system needs a one-input table")
-    nx, ny = names
+    nx, ny = "vX", "vY"
     ax, ay = f.factors[0], f.codomain
     domain = canonical_space({nx: ax})
     codomain = canonical_space({ny: ay})

@@ -45,12 +45,11 @@ from __future__ import annotations
 
 import json
 import re
-import shutil
 from fractions import Fraction
 from math import gcd
 from typing import Any
 
-from .errors import DocumentError, NonStochastic
+from .errors import DocumentError, InvalidAutomaton, NonStochastic
 from .stoch import (
     Distribution,
     ProductSpace,
@@ -65,6 +64,7 @@ from .system import (
     AutomatonSpec,
     Occasion,
     SystemSpec,
+    _check_rule_inputs,
     automaton,
     hopfield_rule,
     life_rule,
@@ -88,29 +88,26 @@ def _json_array(items: list[str], indent: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + " " * indent + "]"
 
 
-def write_quale(fh, edges, glued, rest) -> None:
-    """Write the quale document to fh, one section at a time.
+def write_quale(fh, write_body) -> None:
+    """Write the quale document to fh, write_body(fh) writing its sections
+    as write_sections writes them, beginning with the null subsystem's.
 
-    glued yields the sections as lattice._quale_rows does over edges,
-    beginning with the null subsystem's; rest holds readable text files of
-    the sections that follow, as write_sections writes them, and is read
-    in order after glued. The text is that of json.dumps(doc, indent=2)
-    plus a newline for doc = {"format_version": ..., "sections": [...]},
-    each section being {"subsystem": ["src-trg", ...], "outputs": [...],
-    "inputs": [...], "matrix": [[format_rational(entry), ...] per column]},
-    but no more than one section is held at a time.
+    The text is that of json.dumps(doc, indent=2) plus a newline for
+    doc = {"format_version": ..., "sections": [...]}, each section being
+    {"subsystem": ["src-trg", ...], "outputs": [...], "inputs": [...],
+    "matrix": [[format_rational(entry), ...] per column]}, but no more than
+    one section is held at a time.
     """
     fh.write('{\n  "format_version": %d,\n  "sections": [' % FORMAT_VERSION)
-    write_sections(fh, edges, glued, "\n")
-    for part in rest:
-        shutil.copyfileobj(part, fh)
+    write_body(fh)
     fh.write("\n  ]\n}\n")
 
 
-def write_sections(fh, edges, glued, sep: str = ",\n") -> None:
+def write_sections(fh, edges, glued) -> None:
     """Write the text of each section glued yields, (mask, output space,
-    input space, rows, row sums) as lattice._quale_rows yields them, to fh:
-    sep before the first and a comma and a newline before every other.
+    input space, rows, row sums) as lattice._quale_rows yields them, to fh,
+    each after a newline, and after a comma too unless its mask is 0: the
+    null subsystem's section is the quale's first.
     Column i of a section is rows[i] over row_sums[i]; bit i of the mask
     stands for edges[i] (sorted, so the mask's bits in increasing order are
     the subsystem's pairs in sorted order). Each pair's name and each
@@ -133,13 +130,13 @@ def write_sections(fh, edges, glued, sep: str = ",\n") -> None:
             _json_array([str(n // g) if (g := gcd(n, t)) == t else f'"{n // g}/{t // g}"'
                          for n in row], 8)
             for row, t in zip(rows, row_sums)]
+        sep = ",\n" if mask else "\n"
         fh.write(f'{sep}    {{\n'
                  f'      "subsystem": {_json_array(pairs, 6)},\n'
                  f'      "outputs": {id_array(outputs)},\n'
                  f'      "inputs": {id_array(inputs)},\n'
                  f'      "matrix": {_json_array(matrix, 6)}\n'
                  '    }')
-        sep = ",\n"
 
 
 # "n" or "n/d" in ASCII digits, as documents write probabilities
@@ -396,6 +393,7 @@ def _rule_from_document(cell, rdoc, nbrs):
                           if (n if isinstance(n, str) else n[0]) == cell]
         if not self_positions:
             raise DocumentError(f"life rule for {cell!r} needs the cell in its own neighborhood")
+        _check_rule_inputs(cell, [2] * len(nbrs))  # an entry per binary input
         return life_rule(len(nbrs), self_index=self_positions[0])
     if kind == "table":
         try:
@@ -417,6 +415,10 @@ def _rule_from_document(cell, rdoc, nbrs):
                                f"hopfield snap_denominator of {cell!r}")
         if snap.denominator != 1:
             raise DocumentError(f"hopfield snap_denominator of {cell!r} must be an integer, not {snap}")
+        if len(weights) != len(nbrs):
+            raise InvalidAutomaton(
+                f"rule arity of {cell!r} does not match neighborhood size {len(nbrs)}")
+        _check_rule_inputs(cell, [2] * len(nbrs))  # a column per binary input
         return hopfield_rule(weights, temperature, int(snap))
     raise DocumentError(f"unknown rule kind {kind!r} for {cell!r}")
 

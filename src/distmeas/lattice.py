@@ -152,11 +152,11 @@ def _parts(sub: Subsystem) -> Parts:
 
 
 def _walk(spec: SystemSpec, edges: Sequence[tuple[str, str]],
-          masks: range | None = None) -> Iterator[tuple[int, Parts, ProductSpace]]:
+          masks: Iterable[int] | None = None) -> Iterator[tuple[int, Parts, ProductSpace]]:
     """Every subsystem over edges (the host's edges, sorted) as (mask, parts,
     S_C), in binary counting order of mask, bit i standing for edges[i];
     parts is _parts of the subsystem. masks (every mask by default) limits
-    the walk to a range of them.
+    the walk to the masks it yields, in its order.
 
     Everything comes from bit operations on the mask. Each target's part is
     cached by the target's sub-mask (the sub-masks of different targets
@@ -340,7 +340,7 @@ class Quale:
 
 
 def _quale_rows(spec: SystemSpec, edges: Sequence[tuple[str, str]],
-                masks: range | None = None):
+                masks: Iterable[int] | None = None):
     """The quale's glued rows, one subsystem at a time.
 
     Yields (mask, output space A_C, input space S_C, rows, row sums) for

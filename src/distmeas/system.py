@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
+    BudgetExceeded,
     EmptyWindow,
     InvalidAutomaton,
     LengthMismatch,
@@ -227,12 +228,43 @@ def _rule_at(auto: AutomatonSpec, cell: str, t: int):
     return rule
 
 
-def _rule_arity(rule) -> int:
+# the most joint inputs a rule may have: a rule is built as a table entry or
+# a column for each of them before it can be refused
+_RULE_INPUTS_BUDGET = 2 ** 16
+
+
+def _check_rule_inputs(cell: str, sizes: Sequence[int]) -> None:
+    """Raise BudgetExceeded when a rule of cell over inputs of these alphabet
+    sizes has more joint inputs than _RULE_INPUTS_BUDGET."""
+    count = math.prod(sizes)
+    if count > _RULE_INPUTS_BUDGET:
+        raise BudgetExceeded(
+            f"the rule of {cell!r} has {count} joint inputs over its {len(sizes)} "
+            f"neighbors, over the budget of {_RULE_INPUTS_BUDGET}")
+
+
+def _check_rule(auto: AutomatonSpec, cell: str, rule) -> None:
+    """Raise InvalidAutomaton unless rule takes the neighborhood of cell: a
+    matrix over as many inputs, or a table each of whose keys has a symbol
+    of each neighbor's alphabet, in neighborhood order."""
+    nbrs = auto.neighborhoods[cell]
     if isinstance(rule, StochasticMatrix):
-        return len(rule.domain.factors)
+        if len(rule.domain.factors) != len(nbrs):
+            raise InvalidAutomaton(
+                f"rule arity of {cell!r} does not match neighborhood size {len(nbrs)}")
+        return
     if not rule:
-        raise InvalidAutomaton("empty rule table")
-    return len(next(iter(rule.keys())))
+        raise InvalidAutomaton(f"empty rule table for {cell!r}")
+    for key in rule:
+        if len(key) != len(nbrs):
+            raise InvalidAutomaton(
+                f"rule of {cell!r} has key {key} of {len(key)} symbols, for a "
+                f"neighborhood of {len(nbrs)}")
+        for symbol, (k, _) in zip(key, nbrs):
+            if symbol not in auto.alphabet_of(k).symbols:
+                raise InvalidAutomaton(
+                    f"rule of {cell!r} has key {key}, whose {symbol!r} is not a symbol "
+                    f"of {k!r}")
 
 
 def _mechanism_from_rule(auto: AutomatonSpec, cell: str, t: int) -> tuple[tuple[str, ...], object]:
@@ -244,10 +276,9 @@ def _mechanism_from_rule(auto: AutomatonSpec, cell: str, t: int) -> tuple[tuple[
     """
     t_alpha = auto.window[0]
     nbrs = auto.neighborhoods[cell]
+    _check_rule_inputs(cell, [len(auto.alphabet_of(k)) for k, _ in nbrs])
     rule = _rule_at(auto, cell, t)
-    if _rule_arity(rule) != len(nbrs):
-        raise InvalidAutomaton(
-            f"rule arity of {cell!r} does not match neighborhood size {len(nbrs)}")
+    _check_rule(auto, cell, rule)
     out_alpha = auto.alphabet_of(cell)
     out_space = canonical_space({f"{cell}@{t}": out_alpha})
 

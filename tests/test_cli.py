@@ -20,7 +20,7 @@ from distmeas.cli import (
     _SUBSYSTEMS_PER_WORKER,
     _bits,
     _quale_ranges,
-    _quale_worker,
+    _range_worker,
     _write_quale,
     build_parser,
     main,
@@ -32,6 +32,7 @@ from distmeas.io import (
     save_system,
     system_from_document,
     system_to_document,
+    write_sections,
 )
 from distmeas.entangle import entanglement, partition_of
 from distmeas.errors import NotSurjective, UnsupportedOutput
@@ -947,6 +948,56 @@ def test_unroll_malformed_automaton_document_is_a_document_error(tmp_path, capsy
     assert code == 2 and err.startswith("error:") and out == ""
 
 
+@pytest.mark.parametrize("key", ["0,0,0", "0,7"], ids=["three-symbols", "7-of-b"])
+def test_unroll_table_key_that_does_not_fit_is_a_domain_error(tmp_path, capsys, key):
+    table = {"0,0": "0", "0,1": "1", "1,0": "1", "1,1": "0", key: "1"}
+    auto = {
+        "format_version": 1,
+        "cells": ["a", "b"],
+        "neighborhoods": {"a": ["a", "b"], "b": ["a", "b"]},
+        "rules": {"a": {"kind": "table", "table": table}, "b": {"kind": "life"}},
+        "window": [0, 1],
+        "initial": {"a": "1", "b": "0"},
+    }
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps(auto))
+    code, out, err = run(capsys, "unroll", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: InvalidAutomaton: rule of 'a' has key ")
+    assert repr(tuple(key.split(","))) in err
+
+
+def _not_built(*args, **kwargs):
+    raise AssertionError("built a rule that unroll refuses")
+
+
+@pytest.mark.parametrize("size, rule, error", [
+    (30, {"kind": "life"}, "BudgetExceeded: the rule of 'c0' has 1073741824 joint inputs"),
+    (17, {"kind": "hopfield", "weights": ["1"] * 17, "temperature": "1"},
+     "BudgetExceeded: the rule of 'c0' has 131072 joint inputs"),
+    (2, {"kind": "hopfield", "weights": ["1"] * 40, "temperature": "1"},
+     "InvalidAutomaton: rule arity of 'c0' does not match neighborhood size 2"),
+], ids=["life-of-30-cells", "hopfield-of-17-cells", "hopfield-of-40-weights-on-2-cells"])
+def test_unroll_refuses_a_rule_over_budget_before_building_it(tmp_path, capsys, monkeypatch,
+                                                              size, rule, error):
+    monkeypatch.setattr("distmeas.io.life_rule", _not_built)
+    monkeypatch.setattr("distmeas.io.hopfield_rule", _not_built)
+    cells = [f"c{i}" for i in range(size)]
+    auto = {
+        "format_version": 1,
+        "cells": cells,
+        "neighborhoods": {c: cells for c in cells},
+        "rules": {"c0": {"0": rule, "1": rule}},
+        "window": [0, 1],
+        "initial": {c: "0" for c in cells},
+    }
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps(auto))
+    code, out, err = run(capsys, "unroll", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {error}")
+
+
 @pytest.mark.parametrize("first, second", [("1", "01"), ("01", "1"), ("0", "-0"), ("1", "001")])
 def test_unroll_time_keys_naming_one_time_are_a_document_error(tmp_path, capsys, first, second):
     # read as ints the two keys name one time, and one rule would silently replace the other
@@ -1253,7 +1304,9 @@ def test_quale_worker_stops_when_its_parent_is_gone():
         pid = os.fork()
         if pid == 0:  # a parent pid that is not this worker's
             try:
-                _quale_worker(part, spec, sorted(spec.edges), range(4), -1, set())
+                _range_worker(part, lambda f, masks: write_sections(
+                    f, sorted(spec.edges), _quale_rows(spec, sorted(spec.edges), masks)),
+                    range(4), -1, set())
             finally:
                 os._exit(3)
         for _ in range(1000):  # ten seconds at most
@@ -1289,7 +1342,7 @@ def test_quale_range_of_a_failed_worker_is_written_by_this_process(monkeypatch, 
     serial = _quale_text(spec, [range(2048)])
     late = _late_non_surjective_system()
     error = _serial_error(late, [range(2048)])
-    monkeypatch.setattr("distmeas.cli._quale_worker", worker)
+    monkeypatch.setattr("distmeas.cli._range_worker", worker)
     assert _quale_text(spec, _split(2048, 3)) == serial
     assert _serial_error(late, _split(2048, 3)) == error
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from distmeas.errors import (
+    BudgetExceeded,
     EmptyWindow,
     InvalidAutomaton,
     LengthMismatch,
@@ -14,6 +16,7 @@ from distmeas.errors import (
 from distmeas.stoch import (
     BINARY,
     ProductSpace,
+    alphabet,
     canonical_space,
     dirac,
     make_matrix,
@@ -166,6 +169,38 @@ def test_unroll_arity_mismatch():
         cells=["c"], neighborhoods={"c": ["c", "c"]}, rules={"c": identity_rule()},
         window=(0, 1), initial={"c": "0"})
     with pytest.raises(InvalidAutomaton):
+        unroll(auto)
+
+
+XOR_RULE = {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"}
+
+
+@pytest.mark.parametrize("key", [("0", "0", "0"), ("0",), ("0", "7"), ("2", "1")],
+                         ids=["three-symbols", "one-symbol", "7-of-b", "2-of-a"])
+def test_unroll_refuses_a_table_key_after_the_first_that_does_not_fit(key):
+    # the first key fits the neighborhood (a, b); a later one does not
+    auto = automaton(
+        cells=["a", "b"], neighborhoods={"a": ["a", "b"], "b": ["b"]},
+        rules={"a": {**XOR_RULE, key: "1"}, "b": identity_rule()},
+        window=(0, 1), initial={"a": "0", "b": "0"})
+    with pytest.raises(InvalidAutomaton, match=re.escape(f"rule of 'a' has key {key}")):
+        unroll(auto)
+
+
+def test_rule_inputs_budget_is_priced_before_a_rule_is_read():
+    from distmeas.system import _RULE_INPUTS_BUDGET, _check_rule_inputs
+    _check_rule_inputs("a", [2] * 16)
+    _check_rule_inputs("a", [_RULE_INPUTS_BUDGET, 1])
+    with pytest.raises(BudgetExceeded, match="'a' has 131072 joint inputs"):
+        _check_rule_inputs("a", [2] * 17)
+    # eleven ternary neighbors: 3^11 inputs, refused before the table's
+    # arity is looked at
+    cells = [f"c{i}" for i in range(11)]
+    auto = automaton(
+        cells=cells, neighborhoods={c: cells for c in cells},
+        rules={c: identity_rule() for c in cells}, window=(0, 1),
+        initial={c: "0" for c in cells}, alphabets={c: alphabet("012") for c in cells})
+    with pytest.raises(BudgetExceeded, match="'c0' has 177147 joint inputs"):
         unroll(auto)
 
 
