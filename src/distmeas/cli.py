@@ -363,7 +363,8 @@ def cmd_unroll(args) -> int:
     if args.steps is not None:
         if args.steps < 1:
             raise DocumentError("--steps must be >= 1")
-        doc = {**doc, "window": [0, args.steps - 1]}
+        if isinstance(doc, dict):  # anything else is refused as a document below
+            doc = {**doc, "window": [0, args.steps - 1]}
     auto = docio.automaton_from_document(doc)
     spec = _valid(unroll(auto))
     text = json.dumps(docio.system_to_document(spec), indent=2, sort_keys=True) + "\n"

@@ -65,6 +65,7 @@ from .system import (
     Occasion,
     SystemSpec,
     _check_rule_inputs,
+    _integer,
     automaton,
     hopfield_rule,
     life_rule,
@@ -320,11 +321,11 @@ def automaton_from_document(doc: dict) -> AutomatonSpec:
         for c, symbols in doc.get("alphabets", {}).items():
             alphabets[str(c)] = alphabet(symbols)
         neighborhoods = {
-            str(c): [(str(n[0]), _json_int(n[1], f"lag of {n[0]!r} for cell {c!r}"))
+            str(c): [(str(n[0]), _integer(n[1], f"lag of {n[0]!r} for cell {c!r}", DocumentError))
                      if isinstance(n, list) else str(n) for n in nbrs]
             for c, nbrs in doc["neighborhoods"].items()}
-        window = (_json_int(doc["window"][0], "window start"),
-                  _json_int(doc["window"][1], "window end"))
+        window = (_integer(doc["window"][0], "window start", DocumentError),
+                  _integer(doc["window"][1], "window end", DocumentError))
         rule_docs = doc["rules"]
         init_docs = doc["initial"]
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
@@ -352,13 +353,6 @@ def automaton_from_document(doc: dict) -> AutomatonSpec:
             initial[str(cell)] = str(idoc)
 
     return automaton(cells, neighborhoods, rules, window, initial, alphabets)
-
-
-def _json_int(value: Any, what: str) -> int:
-    """value, which must be a JSON integer: not a float, a string or a boolean."""
-    if type(value) is not int:
-        raise DocumentError(f"{what} must be an integer, not {value!r}")
-    return value
 
 
 # a time of a rule by time, in ASCII digits: str.isdigit also accepts

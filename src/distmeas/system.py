@@ -11,7 +11,6 @@ one-factor space. Occasions without sources carry a Distribution instead
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,8 +31,11 @@ from .stoch import (
     Distribution,
     ProductSpace,
     StochasticMatrix,
+    _restriction_table,
+    _trusted_matrix,
     canonical_space,
     dirac,
+    identity,
     matrix_from_columns,
     rational,
 )
@@ -156,20 +158,17 @@ def validate(spec: SystemSpec) -> list[Violation]:
 
 # -- automata ---------------------------------------------------------------
 
-RuleTable = Mapping[tuple, str]
-Rule = "RuleTable | StochasticMatrix | Mapping[int, RuleTable | StochasticMatrix]"
-
-
 @dataclass(frozen=True)
 class AutomatonSpec:
     """A cellular automaton to be unrolled over a finite window.
 
     neighborhoods list the inputs of each cell in rule order; entries are
-    cell ids (lag 1) or (cell id, lag) pairs. Rules are deterministic tables
-    keyed by neighborhood-ordered symbol tuples, stochastic matrices whose
-    columns follow the same positional order, or {time: rule} mappings for
-    mechanisms that change over time. initial gives each cell's state at the
-    window start as a symbol or a Distribution.
+    cell ids (lag 1) or (cell id, lag) pairs. A rule is a table from every
+    neighborhood-ordered symbol tuple to a symbol of the cell (unroll reads it
+    as its 0/1 matrix), a stochastic matrix from the neighbors' alphabets, in
+    that order, onto the cell's symbols, or a {time: rule} mapping of such
+    rules. initial gives each cell's state at the window start as a symbol or
+    a Distribution.
     """
 
     cells: tuple[str, ...]
@@ -190,11 +189,13 @@ def automaton(cells, neighborhoods, rules, window, initial, alphabets=None) -> A
         entries = []
         for n in nbrs:
             if isinstance(n, (tuple, list)):
-                entries.append((str(n[0]), _integer(n[1], f"lag of {n[0]!r} for cell {cell!r}")))
+                entries.append((str(n[0]), _integer(n[1], f"lag of {n[0]!r} for cell {cell!r}",
+                                                    InvalidAutomaton)))
             else:
                 entries.append((str(n), 1))
         norm[str(cell)] = tuple(entries)
-    window = (_integer(window[0], "window start"), _integer(window[1], "window end"))
+    window = (_integer(window[0], "window start", InvalidAutomaton),
+              _integer(window[1], "window end", InvalidAutomaton))
     spec = AutomatonSpec(cells, norm, dict(rules), window, dict(initial), dict(alphabets or {}))
     for cell in cells:
         if cell not in spec.neighborhoods:
@@ -211,10 +212,11 @@ def automaton(cells, neighborhoods, rules, window, initial, alphabets=None) -> A
     return spec
 
 
-def _integer(value, what: str) -> int:
-    """value, which must be an int: not a float, a string or a bool."""
+def _integer(value, what: str, error: type[Exception]) -> int:
+    """value, which must be an int: not a float, a string or a bool; else
+    error, saying what must be one."""
     if type(value) is not int:
-        raise InvalidAutomaton(f"{what} must be an integer, not {value!r}")
+        raise error(f"{what} must be an integer, not {value!r}")
     return value
 
 
@@ -243,18 +245,26 @@ def _check_rule_inputs(cell: str, sizes: Sequence[int]) -> None:
             f"neighbors, over the budget of {_RULE_INPUTS_BUDGET}")
 
 
-def _check_rule(auto: AutomatonSpec, cell: str, rule) -> None:
-    """Raise InvalidAutomaton unless rule takes the neighborhood of cell: a
-    matrix over as many inputs, or a table each of whose keys has a symbol
-    of each neighbor's alphabet, in neighborhood order."""
+def _rule_matrix(auto: AutomatonSpec, cell: str, rule) -> StochasticMatrix:
+    """rule as a stochastic matrix from cell's neighbors, in order, onto cell's
+    symbols (a table as its 0/1 columns), or InvalidAutomaton naming cell."""
     nbrs = auto.neighborhoods[cell]
+    _check_rule_inputs(cell, [len(auto.alphabet_of(k)) for k, _ in nbrs])
+    outputs = canonical_space({"out": auto.alphabet_of(cell)})
     if isinstance(rule, StochasticMatrix):
         if len(rule.domain.factors) != len(nbrs):
             raise InvalidAutomaton(
                 f"rule arity of {cell!r} does not match neighborhood size {len(nbrs)}")
-        return
-    if not rule:
-        raise InvalidAutomaton(f"empty rule table for {cell!r}")
+        for (_, a), (k, _) in zip(rule.domain.factors, nbrs):
+            if a != auto.alphabet_of(k):
+                raise InvalidAutomaton(f"rule of {cell!r} reads {a.symbols} from {k!r}, not "
+                                       f"{auto.alphabet_of(k).symbols}")
+        if rule.codomain.dim != outputs.dim:
+            raise InvalidAutomaton(f"rule of {cell!r} has {rule.codomain.dim} outputs, for the "
+                                   f"{outputs.dim} symbols of {cell!r}")
+        return rule
+    if not isinstance(rule, Mapping):
+        raise InvalidAutomaton(f"rule of {cell!r} is neither a table nor a stochastic matrix")
     for key in rule:
         if len(key) != len(nbrs):
             raise InvalidAutomaton(
@@ -265,55 +275,48 @@ def _check_rule(auto: AutomatonSpec, cell: str, rule) -> None:
                 raise InvalidAutomaton(
                     f"rule of {cell!r} has key {key}, whose {symbol!r} is not a symbol "
                     f"of {k!r}")
+    inputs = ProductSpace(tuple((f"n{i}", auto.alphabet_of(k)) for i, (k, _) in enumerate(nbrs)))
+    units = dict(zip(auto.alphabet_of(cell).symbols, identity(outputs).cols))
+    cols = []
+    for joint in inputs.iter_symbols():
+        if joint not in rule:
+            raise InvalidAutomaton(f"rule of {cell!r} undefined on {joint}")
+        if str(rule[joint]) not in units:
+            raise InvalidAutomaton(f"rule of {cell!r} has key {joint}, whose value "
+                                   f"{rule[joint]!r} is not a symbol of {cell!r}")
+        cols.append(units[str(rule[joint])])
+    return _trusted_matrix(inputs, outputs, tuple(cols))
 
 
-def _mechanism_from_rule(auto: AutomatonSpec, cell: str, t: int) -> tuple[tuple[str, ...], object]:
-    """Build (present source ids, mechanism or distribution) for cell@t.
+def _mechanism_from_rule(auto: AutomatonSpec, cell: str, t: int, rule: StochasticMatrix):
+    """Build (present source ids, mechanism or distribution) for cell@t from
+    rule, its rule at t as _rule_matrix returns it.
 
     Neighborhood entries pointing before the window start are averaged out
     uniformly (extrinsic noise); if nothing remains the result is the rule's
     uniform average, a Distribution.
     """
-    t_alpha = auto.window[0]
-    nbrs = auto.neighborhoods[cell]
-    _check_rule_inputs(cell, [len(auto.alphabet_of(k)) for k, _ in nbrs])
-    rule = _rule_at(auto, cell, t)
-    _check_rule(auto, cell, rule)
-    out_alpha = auto.alphabet_of(cell)
-    out_space = canonical_space({f"{cell}@{t}": out_alpha})
-
-    slots = []  # (neighbor alphabet, present occasion id or None)
-    for k, lag in nbrs:
-        src_t = t - lag
-        occ = f"{k}@{src_t}" if src_t >= t_alpha else None
-        slots.append((auto.alphabet_of(k), occ))
-    present = sorted({occ for _, occ in slots if occ is not None})
-    domain = canonical_space(
-        {occ: a for a, occ in slots if occ is not None})
-
-    n_absent = math.prod(len(a) for a, occ in slots if occ is None)
-
-    def column(joint: tuple[str, ...]) -> list[Fraction]:
-        by_occ = dict(zip(domain.factor_ids, joint))
-        acc = [Fraction(0)] * len(out_alpha)
-        share = Fraction(1, n_absent)
-        # the present slots' symbols with every combination of the absent slots'
-        for key in itertools.product(*(a.symbols if occ is None else (by_occ[occ],)
-                                       for a, occ in slots)):
-            if isinstance(rule, StochasticMatrix):
-                col = rule.cols[rule.domain.index_of(key)]
-                for i, v in enumerate(col):
-                    acc[i] += share * v
-            else:
-                if key not in rule:
-                    raise InvalidAutomaton(f"rule of {cell!r} undefined on {key}")
-                acc[out_alpha.index(str(rule[key]))] += share
-        return acc
-
-    cols = [column(joint) for joint in domain.iter_symbols()]
+    present = {}  # (alphabet, stride in the rule's inputs) by occasion id
+    offsets = [0]  # the rule's input index of each combination of the absent slots
+    stride = rule.domain.dim
+    for k, lag in auto.neighborhoods[cell]:
+        a = auto.alphabet_of(k)
+        stride //= len(a)
+        if t - lag < auto.window[0]:
+            offsets = [o + d * stride for o in offsets for d in range(len(a))]
+        else:  # an occasion in two slots reads the same digit in both
+            occ = f"{k}@{t - lag}"
+            present[occ] = (a, stride + present.get(occ, (a, 0))[1])
+    domain = canonical_space({occ: a for occ, (a, _) in present.items()})
+    base = [0]  # the rule's input index of each joint input of domain, the absent slots at 0
+    for a, stride in (present[occ] for occ in domain.factor_ids):
+        base = [b + d * stride for b in base for d in range(len(a))]
+    cols = tuple(tuple(sum(v) / len(offsets) for v in zip(*(rule.cols[b + o] for o in offsets)))
+                 for b in base)
+    out_space = canonical_space({f"{cell}@{t}": auto.alphabet_of(cell)})
     if not present:
-        return (), Distribution(out_space, tuple(cols[0]))
-    return tuple(present), matrix_from_columns(domain, out_space, cols)
+        return (), Distribution(out_space, cols[0])
+    return domain.factor_ids, _trusted_matrix(domain, out_space, cols)  # averages of stochastic columns
 
 
 def unroll(auto: AutomatonSpec) -> SystemSpec:
@@ -325,6 +328,7 @@ def unroll(auto: AutomatonSpec) -> SystemSpec:
     edges = set()
     mechanisms = {}
     sources = {}
+    matrices = {}  # each rule in use as _rule_matrix returns it, by (cell, id of the rule)
     for t in range(t_alpha, t_omega + 1):
         for cell in auto.cells:
             occ_id = f"{cell}@{t}"
@@ -337,12 +341,14 @@ def unroll(auto: AutomatonSpec) -> SystemSpec:
                 else:
                     sources[occ_id] = dirac(out_space, str(init))
                 continue
-            present, mech = _mechanism_from_rule(auto, cell, t)
+            rule = _rule_at(auto, cell, t)
+            if (cell, id(rule)) not in matrices:
+                matrices[cell, id(rule)] = _rule_matrix(auto, cell, rule)
+            present, mech = _mechanism_from_rule(auto, cell, t, matrices[cell, id(rule)])
             if not present:
                 sources[occ_id] = mech
                 continue
-            for src in present:
-                edges.add((src, occ_id))
+            edges.update((src, occ_id) for src in present)
             mechanisms[occ_id] = mech
     return SystemSpec(tuple(occasions), frozenset(edges), mechanisms, sources)
 

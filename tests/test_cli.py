@@ -5,6 +5,7 @@ import os
 import random
 import re
 import signal
+import stat
 import sys
 import tempfile
 import threading
@@ -346,6 +347,33 @@ def test_quale_out_through_a_symlink_replaces_its_target(capsys, tmp_path):
     assert link.is_symlink()
     assert target.read_text(encoding="utf-8") == _reference_quale_text(xor_system())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def _life_pair(tmp_path):
+    """The path of a two-cell life automaton document in tmp_path."""
+    path = tmp_path / "life.json"
+    path.write_text(json.dumps({
+        "format_version": 1,
+        "cells": ["a", "b"],
+        "neighborhoods": {"a": ["a", "b"], "b": ["a", "b"]},
+        "rules": {c: {"kind": "life"} for c in "ab"},
+        "window": [0, 1],
+        "initial": {"a": "1", "b": "0"},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda p: ["quale", XOR, "--out", os.devnull],
+    lambda p: ["lattice", XOR, "--output", "vZ=0", "--dot", os.devnull],
+    lambda p: ["unroll", _life_pair(p), "--out", os.devnull],
+], ids=["quale", "lattice", "unroll"])
+def test_publish_copies_into_an_existing_device_and_never_replaces_it(capsys, tmp_path, argv):
+    # a file that exists and is not regular gets a copy: replacing the
+    # device by the temporary file would turn it into a regular file
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out, err) == (0, "", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_quale_out_in_a_missing_directory_is_an_io_error(capsys, tmp_path):
@@ -967,6 +995,35 @@ def test_unroll_table_key_that_does_not_fit_is_a_domain_error(tmp_path, capsys, 
     assert repr(tuple(key.split(","))) in err
 
 
+@pytest.mark.parametrize("change, error", [
+    ({"rules": {"a": {"kind": "table", "table": {"0,0": "0", "0,1": "7", "1,0": "1", "1,1": "0"}},
+                "b": {"kind": "life"}}},
+     "rule of 'a' has key ('0', '1'), whose value '7' is not a symbol of 'a'"),
+    ({"alphabets": {"b": ["0", "1", "2"]}, "neighborhoods": {"a": ["a", "b"], "b": ["b"]},
+      "rules": {"a": {"kind": "hopfield", "weights": ["1", "-1"], "temperature": "1"},
+                "b": {"kind": "table", "table": {"0": "1", "1": "2", "2": "0"}}}},
+     "rule of 'a' reads ('0', '1') from 'b', not ('0', '1', '2')"),
+    ({"alphabets": {"a": ["0", "1", "2"]}, "neighborhoods": {"a": ["b"], "b": ["b"]},
+      "rules": {"a": {"kind": "hopfield", "weights": ["1"], "temperature": "1"},
+                "b": {"kind": "life"}}},
+     "rule of 'a' has 2 outputs, for the 3 symbols of 'a'"),
+], ids=["table-value-not-a-symbol", "hopfield-over-a-ternary-neighbor",
+        "hopfield-on-a-ternary-cell"])
+def test_unroll_rule_that_does_not_fit_its_cell_is_a_domain_error(tmp_path, capsys, change, error):
+    auto = {
+        "format_version": 1,
+        "cells": ["a", "b"],
+        "neighborhoods": {"a": ["a", "b"], "b": ["a", "b"]},
+        "window": [0, 1],
+        "initial": {"a": "1", "b": "0"},
+        **change,
+    }
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps(auto))
+    code, out, err = run(capsys, "unroll", str(path))
+    assert (code, out, err) == (1, "", f"error: InvalidAutomaton: {error}\n")
+
+
 def _not_built(*args, **kwargs):
     raise AssertionError("built a rule that unroll refuses")
 
@@ -1129,6 +1186,57 @@ def test_unrolled_life_window_exceeds_quale_budget(capsys, tmp_path):
     code, _, err = run(capsys, "quale", str(out_path), "--max-edges", "8")
     assert code == 1
     assert "BudgetExceeded" in err
+
+
+def _json_file(tmp_path, value, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(value))
+    return str(path)
+
+
+def _xor_with_a_source_for_vQ(tmp_path):
+    doc = json.loads(open(XOR, encoding="utf-8").read())
+    doc["sources"]["vQ"] = ["1/2", "1/2"]
+    return _json_file(tmp_path, doc)
+
+
+def _hopfield_without_temperature(tmp_path):
+    return _json_file(tmp_path, {
+        "format_version": 1,
+        "cells": ["a"],
+        "neighborhoods": {"a": ["a"]},
+        "rules": {"a": {"kind": "hopfield", "weights": ["1"]}},
+        "window": [0, 1],
+        "initial": {"a": "0"},
+    })
+
+
+@pytest.mark.parametrize("argv", [
+    lambda p: ["ei", XOR, "--subsystem", "vX", "--output", "vZ=0"],
+    lambda p: ["ei", _json_file(p, system_to_document(double_and_system())),
+               "--subsystem", "all", "--output", "0"],
+    lambda p: ["ei", XOR, "--subsystem", "all", "--output", "vQ=0"],
+    lambda p: ["gamma", XOR, "--output", "vZ=0"],
+    lambda p: ["unroll", _life_pair(p), "--steps", "0"],
+    lambda p: ["oracle-check", "--random", "2", "--dims", "3x3"],
+    lambda p: ["validate", _json_file(p, [])],
+    lambda p: ["unroll", _json_file(p, [])],
+    lambda p: ["unroll", _json_file(p, []), "--steps", "2"],
+    lambda p: ["validate", _xor_with_a_source_for_vQ(p)],
+    lambda p: ["unroll", _hopfield_without_temperature(p)],
+    lambda p: ["ei", XOR, "--subsystem", "all", "--output", "@" + _json_file(p, [], "out.json")],
+    lambda p: ["ei", XOR, "--subsystem", "all",
+               "--output", "@" + _json_file(p, {"weights": ["1"]}, "out.json")],
+], ids=["subsystem-edge-without-a-dash", "bare-output-of-two-targets",
+        "output-of-an-unknown-occasion", "gamma-without-a-partition-flag", "unroll-steps-0",
+        "oracle-dims-of-two-sizes", "system-document-a-list", "automaton-document-a-list",
+        "automaton-document-a-list-with-steps", "source-of-an-unknown-occasion",
+        "hopfield-without-temperature", "output-file-not-an-object",
+        "output-file-of-the-wrong-weight-count"])
+def test_parse_error_is_one_error_line_and_exit_2(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.endswith("\n") and err.count("\n") == 1
 
 
 # -- determinism --------------------------------------------------------------------

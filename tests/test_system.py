@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,11 @@ from distmeas.stoch import (
     canonical_space,
     dirac,
     make_matrix,
+    matrix_from_columns,
+    uniform,
 )
 from distmeas.system import (
+    Occasion,
     SystemSpec,
     automaton,
     hopfield_rule,
@@ -72,6 +76,32 @@ def test_sourceless_occasion_with_mechanism_flagged(xor_spec):
                                                  [[1, 0], [0, 1]])),
         dict(xor_spec.sources))
     assert "UnexpectedMechanism" in kinds(validate(bad))
+
+
+Z = canonical_space({"vZ": BINARY})
+
+
+@pytest.mark.parametrize("kind, change", [
+    ("DuplicateOccasion", {"occasions": (Occasion("vX", BINARY),)}),
+    ("UnknownOccasion", {"mechanisms": {"ghost": make_matrix(
+        canonical_space({"vX": BINARY}), canonical_space({"ghost": BINARY}), [[1, 0], [0, 1]])}}),
+    ("UnknownOccasion", {"sources": {"ghost": uniform(canonical_space({"ghost": BINARY}))}}),
+    ("DomainMismatch", {"mechanisms": {"vZ": make_matrix(
+        canonical_space({"vX": BINARY}), Z, [[1, 0], [0, 1]])}}),
+    ("CodomainMismatch", {"mechanisms": {"vZ": make_matrix(
+        canonical_space({"vX": BINARY, "vY": BINARY}), canonical_space({"vW": BINARY}),
+        [[1, 0, 0, 1], [0, 1, 1, 0]])}}),
+    ("UnexpectedSource", {"sources": {"vZ": uniform(Z)}}),
+    ("SourceSpaceMismatch", {"sources": {"vX": uniform(canonical_space({"vY": BINARY}))}}),
+], ids=["duplicate-occasion", "mechanism-of-an-unknown-occasion",
+        "source-of-an-unknown-occasion", "domain-mismatch", "codomain-mismatch",
+        "unexpected-source", "source-space-mismatch"])
+def test_validate_reports_the_one_violation_of_a_mutated_xor(xor_spec, kind, change):
+    bad = SystemSpec(
+        xor_spec.occasions + change.get("occasions", ()), xor_spec.edges,
+        {**xor_spec.mechanisms, **change.get("mechanisms", {})},
+        {**xor_spec.sources, **change.get("sources", {})})
+    assert kinds(validate(bad)) == [kind]
 
 
 # -- unroll -------------------------------------------------------------------
@@ -202,6 +232,129 @@ def test_rule_inputs_budget_is_priced_before_a_rule_is_read():
         initial={c: "0" for c in cells}, alphabets={c: alphabet("012") for c in cells})
     with pytest.raises(BudgetExceeded, match="'c0' has 177147 joint inputs"):
         unroll(auto)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"neighborhoods": {}}, "cell 'a' has no neighborhood"),
+    ({"neighborhoods": {"a": ["z"]}}, "neighborhood of 'a' references unknown cell 'z'"),
+    ({"neighborhoods": {"a": [("a", 0)]}}, "lag must be >= 1, got 0 for 'a'"),
+    ({"neighborhoods": {"a": [("a", -2)]}}, "lag must be >= 1, got -2 for 'a'"),
+    ({"rules": {}}, "cell 'a' has no rule"),
+    ({"initial": {}}, "cell 'a' has no initial condition"),
+], ids=["no-neighborhood", "unknown-neighbor", "lag-0", "lag-negative", "no-rule", "no-initial"])
+def test_automaton_refuses_a_cell_it_cannot_unroll(change, message):
+    args = {"cells": ["a"], "neighborhoods": {"a": ["a"]}, "rules": {"a": identity_rule()},
+            "window": (0, 1), "initial": {"a": "0"}}
+    with pytest.raises(InvalidAutomaton, match=f"^{re.escape(message)}$"):
+        automaton(**{**args, **change})
+
+
+ON_A = canonical_space({"out": BINARY})
+
+
+@pytest.mark.parametrize("rule, message", [
+    ({("0",): "0"}, "rule of 'a' undefined on ('1',)"),
+    ({("0",): "0", ("1",): "2"},
+     "rule of 'a' has key ('1',), whose value '2' is not a symbol of 'a'"),
+    ("life", "rule of 'a' is neither a table nor a stochastic matrix"),
+    (make_matrix(ProductSpace((("n0", alphabet("10")),)), ON_A, [[1, 0], [0, 1]]),
+     "rule of 'a' reads ('1', '0') from 'a', not ('0', '1')"),
+    (make_matrix(ProductSpace((("n0", BINARY),)), canonical_space({"out": alphabet("012")}),
+                 [[1, 0], [0, 1], [0, 0]]),
+     "rule of 'a' has 3 outputs, for the 2 symbols of 'a'"),
+    (hopfield_rule([1, 1], 1), "rule arity of 'a' does not match neighborhood size 1"),
+], ids=["table-missing-an-input", "table-value-not-a-symbol", "neither", "matrix-over-another-alphabet",
+        "matrix-onto-three-outputs", "matrix-of-two-inputs"])
+def test_unroll_refuses_a_rule_that_does_not_fit_its_cell(rule, message):
+    auto = automaton(cells=["a"], neighborhoods={"a": ["a"]}, rules={"a": rule},
+                     window=(0, 1), initial={"a": "0"})
+    with pytest.raises(InvalidAutomaton, match=f"^{re.escape(message)}$"):
+        unroll(auto)
+
+
+def test_unroll_converts_each_rule_of_a_cell_once(monkeypatch):
+    import distmeas.system
+    convert = distmeas.system._rule_matrix
+    calls = Counter()
+
+    def counted(auto, cell, rule):
+        calls[cell] += 1
+        return convert(auto, cell, rule)
+
+    monkeypatch.setattr(distmeas.system, "_rule_matrix", counted)
+    flip = {("0",): "1", ("1",): "0"}
+    shared = identity_rule()
+    auto = automaton(
+        cells=["a", "b", "c"], neighborhoods={c: [c] for c in "abc"},
+        rules={"a": shared, "b": shared, "c": {1: shared, 2: flip, 3: shared, 4: flip}},
+        window=(0, 4), initial={c: "0" for c in "abc"})
+    unroll(auto)
+    # a table is checked against each cell that uses it
+    assert calls == {"a": 1, "b": 1, "c": 2}
+
+
+def _reference_columns(auto, cell, t):
+    """The columns (or the weights) of cell@t, each summed over every
+    combination of the symbols of the slots before the window, one rule
+    input at a time."""
+    rule = auto.rules[cell]
+    nbrs = auto.neighborhoods[cell]
+    out_symbols = auto.alphabet_of(cell).symbols
+    domain = canonical_space({f"{k}@{t - lag}": auto.alphabet_of(k)
+                              for k, lag in nbrs if t - lag >= auto.window[0]})
+    cols = []
+    for joint in domain.iter_symbols():
+        by_occ = dict(zip(domain.factor_ids, joint))
+        keys = list(itertools.product(*(
+            (by_occ[f"{k}@{t - lag}"],) if t - lag >= auto.window[0] else auto.alphabet_of(k).symbols
+            for k, lag in nbrs)))
+        acc = [Fraction(0)] * len(out_symbols)
+        for key in keys:
+            if isinstance(rule, dict):
+                acc[out_symbols.index(rule[key])] += Fraction(1, len(keys))
+            else:
+                for i, v in enumerate(rule.cols[rule.domain.index_of(key)]):
+                    acc[i] += v / len(keys)
+        cols.append(tuple(acc))
+    return domain.factor_ids, tuple(cols)
+
+
+@st.composite
+def lagged_automata(draw):
+    """Up to three cells of one to three symbols, each reading one to three
+    (cell, lag) slots, lags up to 3, by a random table or matrix."""
+    cells = [f"c{i}" for i in range(draw(st.integers(1, 3)))]
+    alphabets = {c: alphabet(range(draw(st.integers(1, 3)))) for c in cells}
+    nbrs, rules = {}, {}
+    for c in cells:
+        nbrs[c] = draw(st.lists(st.tuples(st.sampled_from(cells), st.integers(1, 3)),
+                                min_size=1, max_size=3))
+        inputs = ProductSpace(tuple((f"n{i}", alphabets[k]) for i, (k, _) in enumerate(nbrs[c])))
+        n_out = len(alphabets[c])
+        if draw(st.booleans()):
+            rules[c] = {joint: draw(st.sampled_from(alphabets[c].symbols))
+                        for joint in inputs.iter_symbols()}
+        else:
+            cols = []
+            for _ in range(inputs.dim):
+                raw = draw(st.lists(st.integers(0, 3), min_size=n_out, max_size=n_out))
+                cols.append([Fraction(v, sum(raw)) for v in raw] if sum(raw) else [1] + [0] * (n_out - 1))
+            rules[c] = matrix_from_columns(inputs, canonical_space({"out": alphabets[c]}), cols)
+    return automaton(cells=cells, neighborhoods=nbrs, rules=rules, window=(0, 3),
+                     initial={c: "0" for c in cells}, alphabets=alphabets)
+
+
+@given(lagged_automata())
+def test_unrolled_mechanisms_average_the_rule_over_the_slots_before_the_window(auto):
+    spec = unroll(auto)
+    for t in range(1, 4):
+        for cell in auto.cells:
+            present, cols = _reference_columns(auto, cell, t)
+            if present:
+                mech = spec.mechanisms[f"{cell}@{t}"]
+                assert (mech.domain.factor_ids, mech.cols) == (present, cols)
+            else:
+                assert spec.sources[f"{cell}@{t}"].weights == cols[0]
 
 
 @pytest.mark.parametrize("lag, window", [
