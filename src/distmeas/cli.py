@@ -96,6 +96,14 @@ def _parse_output(spec, text: str):
     return dirac(out_space, tuple(assignments[f] for f in out_space.factor_ids))
 
 
+def _budgeted_edges(spec, max_edges: int):
+    """The host's edges, sorted, or BudgetExceeded when there are more than
+    max_edges (--max-edges), which must be >= 0."""
+    if max_edges < 0:
+        raise DocumentError("--max-edges must be >= 0")
+    return _edges_within_budget(spec, max_edges)
+
+
 def _valid(spec):
     """spec, or an Error naming each of its violations on one line."""
     violations = validate(spec)
@@ -263,7 +271,7 @@ def _range_worker(part, write_range, masks: range, parent: int, sigmask):
 
 def cmd_quale(args) -> int:
     spec = _valid(docio.load_system(args.path))
-    edges = _edges_within_budget(spec, args.max_edges)
+    edges = _budgeted_edges(spec, args.max_edges)
     ranges = _quale_ranges(spec, edges)
     _publish(args.out, lambda fh: _write_quale(fh, spec, edges, ranges))
     return 0
@@ -287,7 +295,7 @@ def cmd_gamma(args) -> int:
     if args.all_partitions:
         parts = list(enumerate_partitions(sub.source_ids()))
     elif args.partition is not None:
-        blocks = [blk.split(",") for blk in args.partition.split("|")]
+        blocks = [[k.strip() for k in blk.split(",")] for blk in args.partition.split("|")]
         if any("" in blk for blk in blocks):
             raise DocumentError(
                 f"bad partition {args.partition!r}: expected like a,b|c (no empty source ids)")
@@ -324,7 +332,7 @@ def cmd_lattice(args) -> int:
     that spreads D's evenly over B's extra sources gives exactly 0."""
     spec = _valid(docio.load_system(args.path))
     d_out = _parse_output(spec, args.output)
-    edges = _edges_within_budget(spec, args.max_edges)
+    edges = _budgeted_edges(spec, args.max_edges)
     # each subsystem is measured once, so the posteriors skip _posterior's memo
     posteriors = [_glued_posterior(spec, parts, domain, d_out)
                   for _, parts, domain in _walk(spec, edges)]

@@ -9,41 +9,33 @@ from .stoch import BINARY, canonical_space, lift_function, uniform
 from .system import Occasion, SystemSpec
 
 
+def _function_system(table: FunctionTable, inputs: tuple[str, ...], output: str) -> SystemSpec:
+    """The system computing table at output from the uniform sources inputs,
+    which sort in the order the table takes its inputs."""
+    alphabets = dict(zip(inputs, table.factors))
+    domain = canonical_space(alphabets)
+    codomain = canonical_space({output: table.codomain})
+    mapping = {joint: table.value(joint) for joint in domain.iter_symbols()}
+    return SystemSpec(
+        (*(Occasion(k, a) for k, a in alphabets.items()), Occasion(output, table.codomain)),
+        frozenset((k, output) for k in inputs),
+        {output: lift_function(domain, codomain, mapping)},
+        {k: uniform(canonical_space({k: a})) for k, a in alphabets.items()},
+    )
+
+
 def two_input_system(g: FunctionTable) -> SystemSpec:
     """The fan-in system vX -> vZ <- vY computing a two-input function."""
     if len(g.factors) != 2:
         raise ValueError("two_input_system needs a two-input table")
-    nx, ny, nz = "vX", "vY", "vZ"
-    ax, ay = g.factors
-    az = g.codomain
-    domain = canonical_space({nx: ax, ny: ay})
-    codomain = canonical_space({nz: az})
-    # vX sorts before vY, so a joint input lists x then y, as g takes them
-    mapping = {joint: g.value(joint) for joint in domain.iter_symbols()}
-    return SystemSpec(
-        (Occasion(nx, ax), Occasion(ny, ay), Occasion(nz, az)),
-        frozenset({(nx, nz), (ny, nz)}),
-        {nz: lift_function(domain, codomain, mapping)},
-        {nx: uniform(canonical_space({nx: ax})),
-         ny: uniform(canonical_space({ny: ay}))},
-    )
+    return _function_system(g, ("vX", "vY"), "vZ")
 
 
 def single_function_system(f: FunctionTable) -> SystemSpec:
     """The one-edge system vX -> vY computing a single-input function."""
     if len(f.factors) != 1:
         raise ValueError("single_function_system needs a one-input table")
-    nx, ny = "vX", "vY"
-    ax, ay = f.factors[0], f.codomain
-    domain = canonical_space({nx: ax})
-    codomain = canonical_space({ny: ay})
-    mapping = {joint: f.value(joint) for joint in domain.iter_symbols()}
-    return SystemSpec(
-        (Occasion(nx, ax), Occasion(ny, ay)),
-        frozenset({(nx, ny)}),
-        {ny: lift_function(domain, codomain, mapping)},
-        {nx: uniform(domain)},
-    )
+    return _function_system(f, ("vX",), "vY")
 
 
 def xor_table() -> FunctionTable:

@@ -390,9 +390,11 @@ def _rule_from_document(cell, rdoc, nbrs):
         _check_rule_inputs(cell, [2] * len(nbrs))  # an entry per binary input
         return life_rule(len(nbrs), self_index=self_positions[0])
     if kind == "table":
+        # a key joins one symbol per neighbor with ","; a cell without
+        # neighbors has one joint input, the empty key ""
         try:
             return {
-                tuple(str(k).split(",")): str(v)
+                tuple(str(k).split(",")) if nbrs or k != "" else (): str(v)
                 for k, v in rdoc["table"].items()}
         except (AttributeError, KeyError, TypeError) as exc:
             raise DocumentError(f"malformed table rule for {cell!r}: {exc}") from None

@@ -285,7 +285,8 @@ def _glued_rows(spec: SystemSpec, parts: Parts, domain: ProductSpace,
     (_submechanism_numerators) read through the restriction from domain to
     their own inputs. With at (one symbol index per target, in id order)
     only the row at that output is computed, as the single element of the
-    result.
+    result. The null subsystem, with no parts, is the empty product: the
+    one row [1] over the scalar space.
     """
     rows = None
     for (l, inside), o in zip(parts, at or repeat(None)):
@@ -298,7 +299,7 @@ def _glued_rows(spec: SystemSpec, parts: Parts, domain: ProductSpace,
         # later targets are less significant in the output space
         rows = vecs if rows is None else [
             [x * y for x, y in zip(r, v)] for r in rows for v in vecs]
-    return rows
+    return [[1]] if rows is None else rows
 
 
 @dataclass(frozen=True)
@@ -347,14 +348,12 @@ def _quale_rows(spec: SystemSpec, edges: Sequence[tuple[str, str]],
     every mask of _walk(spec, edges, masks), in its order, rows being
     _glued_rows' numerators. The section over the subsystem is the glued
     mechanism's dual, whose column i is rows[i] divided by row_sums[i]; the
-    per-target scales cancel in that division. The null subsystem yields
-    ((1,),) over the scalar spaces. Raises NotSurjective, when it reaches
-    it, for a subsystem whose glued mechanism misses an output.
+    per-target scales cancel in that division. The null subsystem is no
+    special case: its rows are the empty product [[1]] over the scalar
+    spaces. Raises NotSurjective, when it reaches it, for a subsystem whose
+    glued mechanism misses an output.
     """
     for mask, parts, domain in _walk(spec, edges, masks):
-        if not parts:
-            yield mask, domain, domain, ((1,),), (1,)
-            continue
         codomain = _occasion_space(spec, tuple(l for l, _ in parts))
         rows = _glued_rows(spec, parts, domain)
         row_sums = [sum(r) for r in rows]

@@ -191,8 +191,6 @@ def _glued_posterior(spec: SystemSpec, parts: Parts, domain: ProductSpace,
     the subsystem's targets' symbols. The rows of a mixed output are summed
     over one common denominator, the record's total, which is reduced with
     the weights by their one gcd."""
-    if not parts:
-        return _Record(domain, (1,), 1)
     rows = []
     for w, at in _measurements(spec, d_out).support:
         (glued,) = _glued_rows(spec, parts, domain, [at[l] for l, _ in parts])

@@ -90,10 +90,7 @@ class ProductSpace:
         return tuple(fid for fid, _ in self.factors)
 
     def alphabet_of(self, factor_id: str) -> Alphabet:
-        for fid, a in self.factors:
-            if fid == factor_id:
-                return a
-        raise UnknownFactor(f"factor {factor_id!r} not in space {self.factor_ids}")
+        return self.factors[self.position(factor_id)][1]
 
     def index_of(self, symbols: Sequence[str]) -> int:
         """Mixed-radix joint index, first factor most significant."""
@@ -114,11 +111,7 @@ class ProductSpace:
         return tuple(reversed(out))
 
     def symbols_at(self, index: int) -> tuple[str, ...]:
-        out: list[str] = []
-        for fid, a in reversed(self.factors):
-            index, r = divmod(index, len(a))
-            out.append(a.symbols[r])
-        return tuple(reversed(out))
+        return tuple(a.symbols[d] for (_, a), d in zip(self.factors, self.digits_at(index)))
 
     def iter_symbols(self):
         for i in range(self.dim):
@@ -264,9 +257,7 @@ def uniform(space_: ProductSpace) -> Distribution:
 def dirac(space_: ProductSpace, symbols: Sequence[str] | str) -> Distribution:
     if isinstance(symbols, str):
         symbols = (symbols,)
-    idx = space_.index_of(symbols)
-    return Distribution(
-        space_, tuple(ONE if i == idx else ZERO for i in range(space_.dim)))
+    return Distribution(space_, _point(space_.dim, space_.index_of(symbols)))
 
 
 def make_matrix(domain: ProductSpace, codomain: ProductSpace,
@@ -276,10 +267,7 @@ def make_matrix(domain: ProductSpace, codomain: ProductSpace,
         raise NonStochastic(
             f"table is {len(entries)}x{len(entries[0]) if entries else 0}, "
             f"expected {codomain.dim}x{domain.dim}")
-    cols = tuple(
-        tuple(rational(entries[i][j]) for i in range(codomain.dim))
-        for j in range(domain.dim))
-    return StochasticMatrix(domain, codomain, cols)
+    return matrix_from_columns(domain, codomain, list(zip(*entries)))
 
 
 def matrix_from_columns(domain: ProductSpace, codomain: ProductSpace,
@@ -292,13 +280,28 @@ def matrix_from_columns(domain: ProductSpace, codomain: ProductSpace,
 def _trusted_matrix(domain: ProductSpace, codomain: ProductSpace,
                     cols: tuple[tuple[Fraction, ...], ...]) -> StochasticMatrix:
     """Construct without re-validating. Only for internal hot paths whose
-    columns are stochastic by construction (normalized integer rows), and for
-    the document loader, which checks each distinct column once itself."""
+    columns are stochastic by construction (normalized integer rows, point
+    masses), and for the document loader, which checks each distinct column
+    once itself."""
     m = object.__new__(StochasticMatrix)
     object.__setattr__(m, "domain", domain)
     object.__setattr__(m, "codomain", codomain)
     object.__setattr__(m, "cols", cols)
     return m
+
+
+def _point(n: int, i: int) -> tuple[Fraction, ...]:
+    """The point mass at index i of an n-state space."""
+    return tuple(ONE if k == i else ZERO for k in range(n))
+
+
+def _deterministic(domain: ProductSpace, codomain: ProductSpace,
+                   images: Iterable[int]) -> StochasticMatrix:
+    """The 0/1 matrix whose column j is the point mass at images[j], the
+    codomain index of domain state j; point masses are stochastic by
+    construction, so it is not re-validated."""
+    n = codomain.dim
+    return _trusted_matrix(domain, codomain, tuple(_point(n, i) for i in images))
 
 
 def _as_symbol_tuple(value) -> tuple[str, ...]:
@@ -317,26 +320,20 @@ def lift_function(domain: ProductSpace, codomain: ProductSpace,
     table: dict[int, int] = {}
     for key, val in mapping.items():
         table[domain.index_of(_as_symbol_tuple(key))] = codomain.index_of(_as_symbol_tuple(val))
-    cols = []
-    for j in range(domain.dim):
-        if j not in table:
-            raise UnknownSymbol(
-                f"function undefined on {domain.symbols_at(j)}")
-        target = table[j]
-        cols.append(tuple(ONE if i == target else ZERO for i in range(codomain.dim)))
-    return StochasticMatrix(domain, codomain, tuple(cols))
+    try:
+        images = [table[j] for j in range(domain.dim)]
+    except KeyError as exc:
+        raise UnknownSymbol(f"function undefined on {domain.symbols_at(exc.args[0])}") from None
+    return _deterministic(domain, codomain, images)
 
 
 def identity(space_: ProductSpace) -> StochasticMatrix:
-    n = space_.dim
-    return StochasticMatrix(
-        space_, space_,
-        tuple(tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n)))
+    return _deterministic(space_, space_, range(space_.dim))
 
 
 def terminal(space_: ProductSpace) -> StochasticMatrix:
     """The map onto the scalar space (every column is the single entry 1)."""
-    return StochasticMatrix(space_, SCALAR, ((ONE,),) * space_.dim)
+    return _deterministic(space_, SCALAR, [0] * space_.dim)
 
 
 def compose(second: StochasticMatrix, first: StochasticMatrix) -> StochasticMatrix:
@@ -400,12 +397,7 @@ def dual(m: StochasticMatrix) -> StochasticMatrix:
 def projection(space_: ProductSpace, kept_ids: Iterable[str]) -> StochasticMatrix:
     """Deterministic map sending each joint Dirac to its kept sub-Dirac."""
     sub = space_.subspace(kept_ids)
-    restrict = _restriction_table(space_, sub)
-    n = sub.dim
-    cols = tuple(
-        tuple(ONE if i == restrict[j] else ZERO for i in range(n))
-        for j in range(space_.dim))
-    return StochasticMatrix(space_, sub, cols)
+    return _deterministic(space_, sub, _restriction_table(space_, sub))
 
 
 def diagonal(source: ProductSpace, targets: Sequence[ProductSpace]) -> StochasticMatrix:
@@ -415,7 +407,9 @@ def diagonal(source: ProductSpace, targets: Sequence[ProductSpace]) -> Stochasti
     alphabet. If the concatenated blocks would repeat a factor id, every
     block's ids are qualified with the block position ("0.x", "1.x", ...).
     """
-    restricts = [_restriction_table(source, t) for t in targets]
+    images = [0] * source.dim  # the targets' restrictions, as mixed-radix digits
+    for t in targets:
+        images = [i * t.dim + r for i, r in zip(images, _restriction_table(source, t))]
     all_ids = [fid for t in targets for fid in t.factor_ids]
     if len(set(all_ids)) != len(all_ids):
         blocks = [
@@ -424,15 +418,7 @@ def diagonal(source: ProductSpace, targets: Sequence[ProductSpace]) -> Stochasti
     else:
         blocks = list(targets)
     codomain = ProductSpace(tuple(f for b in blocks for f in b.factors))
-    dims = [t.dim for t in targets]
-    n = codomain.dim
-    cols = []
-    for j in range(source.dim):
-        idx = 0
-        for restrict, d in zip(restricts, dims):
-            idx = idx * d + restrict[j]
-        cols.append(tuple(ONE if i == idx else ZERO for i in range(n)))
-    return StochasticMatrix(source, codomain, tuple(cols))
+    return _deterministic(source, codomain, images)
 
 
 def with_spaces(m: StochasticMatrix, domain: ProductSpace | None = None,

@@ -31,11 +31,10 @@ from .stoch import (
     Distribution,
     ProductSpace,
     StochasticMatrix,
-    _restriction_table,
+    _deterministic,
     _trusted_matrix,
     canonical_space,
     dirac,
-    identity,
     matrix_from_columns,
     rational,
 )
@@ -276,16 +275,16 @@ def _rule_matrix(auto: AutomatonSpec, cell: str, rule) -> StochasticMatrix:
                     f"rule of {cell!r} has key {key}, whose {symbol!r} is not a symbol "
                     f"of {k!r}")
     inputs = ProductSpace(tuple((f"n{i}", auto.alphabet_of(k)) for i, (k, _) in enumerate(nbrs)))
-    units = dict(zip(auto.alphabet_of(cell).symbols, identity(outputs).cols))
-    cols = []
+    index = {s: i for i, s in enumerate(auto.alphabet_of(cell).symbols)}
+    images = []
     for joint in inputs.iter_symbols():
         if joint not in rule:
             raise InvalidAutomaton(f"rule of {cell!r} undefined on {joint}")
-        if str(rule[joint]) not in units:
+        if str(rule[joint]) not in index:
             raise InvalidAutomaton(f"rule of {cell!r} has key {joint}, whose value "
                                    f"{rule[joint]!r} is not a symbol of {cell!r}")
-        cols.append(units[str(rule[joint])])
-    return _trusted_matrix(inputs, outputs, tuple(cols))
+        images.append(index[str(rule[joint])])
+    return _deterministic(inputs, outputs, images)
 
 
 def _mechanism_from_rule(auto: AutomatonSpec, cell: str, t: int, rule: StochasticMatrix):
@@ -362,13 +361,13 @@ def life_rule(neighborhood_size: int, self_index: int = 0) -> dict[tuple[str, ..
     if not 0 <= self_index < neighborhood_size:
         raise InvalidAutomaton(
             f"self_index {self_index} outside neighborhood of size {neighborhood_size}")
+    inputs = ProductSpace(tuple((f"n{i}", BINARY) for i in range(neighborhood_size)))
     table = {}
-    for idx in range(2 ** neighborhood_size):
-        bits = tuple((idx >> (neighborhood_size - 1 - i)) & 1 for i in range(neighborhood_size))
-        self_on = bits[self_index] == 1
-        others = sum(bits) - bits[self_index]
+    for joint in inputs.iter_symbols():
+        self_on = joint[self_index] == "1"
+        others = joint.count("1") - self_on
         alive = others == 3 or (self_on and others == 2)
-        table[tuple(str(b) for b in bits)] = "1" if alive else "0"
+        table[joint] = "1" if alive else "0"
     return table
 
 

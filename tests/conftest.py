@@ -64,3 +64,12 @@ def deterministic_tables(draw, max_in=4, max_out=3):
     nout = draw(st.integers(1, max_out))
     values = draw(st.lists(st.integers(0, nout - 1), min_size=nin, max_size=nin))
     return {str(i): str(v) for i, v in enumerate(values)}, nin, nout
+
+
+def assert_point_masses(m):
+    """m is accepted by the validating constructor, and each of its columns
+    is one entry 1 and otherwise 0."""
+    assert StochasticMatrix(m.domain, m.codomain, m.cols) == m
+    for col in m.cols:
+        assert len(col) == m.codomain.dim
+        assert col.count(1) == 1 and col.count(0) == len(col) - 1

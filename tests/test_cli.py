@@ -516,6 +516,16 @@ def test_gamma_bad_partition_prints_nothing(capsys, partition):
     assert out == ""
 
 
+def test_gamma_strips_whitespace_around_partition_ids(capsys):
+    want = run(capsys, "gamma", XOR, "--partition", "vX|vY", "--output", "vZ=0")
+    assert want[0] == 0
+    assert run(capsys, "gamma", XOR, "--partition", " vX | vY ", "--output", "vZ=0") == want
+    code, out, err = run(capsys, "gamma", XOR, "--partition", "vX|  ", "--output", "vZ=0")
+    assert (code, out) == (2, "")
+    assert err == ("error: bad partition 'vX|  ': "
+                   "expected like a,b|c (no empty source ids)\n")
+
+
 @pytest.mark.parametrize("partition", ["vX,vY|", "", "vX|", "vX,|vY", "|vX", "vX||vY", ",vX|vY"])
 def test_gamma_empty_block_name_is_a_document_error(capsys, partition):
     code, out, err = run(capsys, "gamma", XOR, "--partition", partition, "--output", "vZ=0")
@@ -995,6 +1005,28 @@ def test_unroll_table_key_that_does_not_fit_is_a_domain_error(tmp_path, capsys, 
     assert repr(tuple(key.split(","))) in err
 
 
+def test_unroll_reads_the_empty_table_key_of_a_cell_without_neighbors(tmp_path, capsys):
+    auto = {
+        "format_version": 1,
+        "cells": ["a"],
+        "neighborhoods": {"a": []},
+        "rules": {"a": {"kind": "table", "table": {"": "1"}}},
+        "window": [0, 1],
+        "initial": {"a": "0"},
+    }
+    code, out, err = run(capsys, "unroll", _json_file(tmp_path, auto))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert "a@1" not in doc["mechanisms"]
+    assert doc["sources"]["a@1"] == [0, 1]  # the point mass at "1"
+    # any other key is still one symbol too many for no neighbors
+    auto["rules"]["a"]["table"] = {"0": "1"}
+    code, out, err = run(capsys, "unroll", _json_file(tmp_path, auto))
+    assert (code, out) == (1, "")
+    assert err == ("error: InvalidAutomaton: rule of 'a' has key ('0',) of 1 symbols, "
+                   "for a neighborhood of 0\n")
+
+
 @pytest.mark.parametrize("change, error", [
     ({"rules": {"a": {"kind": "table", "table": {"0,0": "0", "0,1": "7", "1,0": "1", "1,1": "0"}},
                 "b": {"kind": "life"}}},
@@ -1227,12 +1259,15 @@ def _hopfield_without_temperature(tmp_path):
     lambda p: ["ei", XOR, "--subsystem", "all", "--output", "@" + _json_file(p, [], "out.json")],
     lambda p: ["ei", XOR, "--subsystem", "all",
                "--output", "@" + _json_file(p, {"weights": ["1"]}, "out.json")],
+    lambda p: ["quale", XOR, "--max-edges", "-1"],
+    lambda p: ["lattice", XOR, "--output", "vZ=0", "--max-edges", "-3"],
 ], ids=["subsystem-edge-without-a-dash", "bare-output-of-two-targets",
         "output-of-an-unknown-occasion", "gamma-without-a-partition-flag", "unroll-steps-0",
         "oracle-dims-of-two-sizes", "system-document-a-list", "automaton-document-a-list",
         "automaton-document-a-list-with-steps", "source-of-an-unknown-occasion",
         "hopfield-without-temperature", "output-file-not-an-object",
-        "output-file-of-the-wrong-weight-count"])
+        "output-file-of-the-wrong-weight-count", "quale-negative-max-edges",
+        "lattice-negative-max-edges"])
 def test_parse_error_is_one_error_line_and_exit_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv(tmp_path))
     assert (code, out) == (2, "")

@@ -38,7 +38,7 @@ from distmeas.stoch import (
     with_spaces,
 )
 
-from conftest import deterministic_tables, spaces, stochastic_matrices
+from conftest import assert_point_masses, deterministic_tables, spaces, stochastic_matrices
 
 X = space(("x", BINARY))
 Y = space(("y", BINARY))
@@ -361,6 +361,21 @@ def test_diagonal_mixed_blocks_by_enumeration():
             hot = [i for i, v in enumerate(col) if v != 0]
             joint = XY.index_of((x, y)) * 2 + Y.index_of((y,))
             assert hot == [joint]
+
+
+@given(spaces(), spaces(), st.data())
+def test_deterministic_constructors_build_valid_point_masses(s, codomain, data):
+    ids = s.factor_ids
+    subsets = st.sets(st.sampled_from(ids)) if ids else st.just(set())
+    for m in (identity(s), terminal(s), projection(s, data.draw(subsets)),
+              diagonal(s, [s.subspace(kept) for kept in data.draw(st.lists(subsets, max_size=2))])):
+        assert_point_masses(m)
+    images = data.draw(st.lists(st.integers(0, codomain.dim - 1),
+                                min_size=s.dim, max_size=s.dim))
+    lifted = lift_function(s, codomain, {s.symbols_at(j): codomain.symbols_at(i)
+                                         for j, i in enumerate(images)})
+    assert_point_masses(lifted)
+    assert [col.index(1) for col in lifted.cols] == images
 
 
 def test_diagonal_unknown_factor():

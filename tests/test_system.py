@@ -27,6 +27,7 @@ from distmeas.stoch import (
 from distmeas.system import (
     Occasion,
     SystemSpec,
+    _rule_matrix,
     automaton,
     hopfield_rule,
     hopfield_weights,
@@ -34,6 +35,8 @@ from distmeas.system import (
     unroll,
     validate,
 )
+
+from conftest import alphabets, assert_point_masses, spaces
 
 
 def kinds(violations):
@@ -317,6 +320,22 @@ def _reference_columns(auto, cell, t):
                     acc[i] += v / len(keys)
         cols.append(tuple(acc))
     return domain.factor_ids, tuple(cols)
+
+
+@given(spaces(), alphabets(), st.data())
+def test_a_table_rule_is_read_as_valid_point_masses(inputs, out, data):
+    # each factor of inputs is a neighbor of cell c, read at lag 1
+    rule = {joint: data.draw(st.sampled_from(out.symbols)) for joint in inputs.iter_symbols()}
+    neighbors = inputs.factor_ids
+    auto = automaton(
+        cells=(*neighbors, "c"),
+        neighborhoods={**{k: [] for k in neighbors}, "c": neighbors},
+        rules={**{k: {(): "0"} for k in neighbors}, "c": rule},
+        window=(0, 1), initial={k: "0" for k in (*neighbors, "c")},
+        alphabets={**dict(inputs.factors), "c": out})
+    m = _rule_matrix(auto, "c", rule)
+    assert_point_masses(m)
+    assert [out.symbols[col.index(1)] for col in m.cols] == list(rule.values())
 
 
 @st.composite
