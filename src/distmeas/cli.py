@@ -93,6 +93,11 @@ def _parse_output(spec, text: str):
         raise DocumentError(
             f"output must assign exactly the target occasions {out_space.factor_ids}; "
             f"missing {sorted(missing)}, unknown {sorted(extra)}")
+    for occ, a in out_space.factors:
+        if assignments[occ] not in a.symbols:
+            raise DocumentError(
+                f"output assigns {occ!r} the symbol {assignments[occ]!r}, "
+                f"not in its alphabet {a.symbols}")
     return dirac(out_space, tuple(assignments[f] for f in out_space.factor_ids))
 
 
@@ -201,11 +206,11 @@ def _write_ranges(fh, ranges: list[range], write_range) -> None:
 
     This process writes the first range to fh. Each later range is written
     by a worker forked for it into an anonymous temporary file, which is
-    copied into fh in range order. A worker only saves time: where os.fork
-    fails, or the worker does not end well (it raised, or a signal killed
-    it), this process writes that range to fh itself. So the bytes are the
-    serial ones, and an error is raised where a serial run raises it, as the
-    same exception. Every worker is killed, if still running, and reaped
+    copied into fh in range order (_copy_part). A worker only saves time:
+    where os.fork fails, or the worker does not end well (it raised, or a
+    signal killed it), this process writes that range to fh itself. So the
+    bytes are the serial ones, and an error is raised where a serial run
+    raises it, as the same exception. Every worker is killed, if still running, and reaped
     before this returns or raises.
     """
     parent = os.getpid()
@@ -233,8 +238,7 @@ def _write_ranges(fh, ranges: list[range], write_range) -> None:
             ended_well = pid is not None and os.waitpid(pid, 0)[1] == 0  # exit status 0
             live.discard(pid)
             if ended_well:
-                part.seek(0)
-                shutil.copyfileobj(part, fh)
+                _copy_part(part, fh)
             else:
                 write_range(fh, masks)
     finally:
@@ -243,6 +247,19 @@ def _write_ranges(fh, ranges: list[range], write_range) -> None:
             os.waitpid(pid, 0)
         for _, part, _ in later:
             part.close()
+
+
+def _copy_part(part, fh) -> None:
+    """Append the whole of a worker's text file part to fh: as bytes, from
+    buffer to buffer, where fh is a text file in part's encoding (flushed
+    first, so the bytes land after its text), and through text otherwise,
+    as for an io.StringIO."""
+    part.seek(0)
+    if getattr(fh, "encoding", None) != part.encoding:
+        shutil.copyfileobj(part, fh)
+    else:
+        fh.flush()
+        shutil.copyfileobj(part.buffer, fh.buffer)
 
 
 def _range_worker(part, write_range, masks: range, parent: int, sigmask):
@@ -327,9 +344,10 @@ def cmd_lattice(args) -> int:
     The arrow D -> B is labelled ei(B / D) = sum_x p_B log2 p_B
     - sum_x p_B(x) log2 p_D(x|_D) + log2(|S_B| / |S_D|). The first sum is
     kept once per node and D's log table is made once, when D's arrows are
-    written. The label is measure._ei, the formula effective_information
-    uses, so it equals ei --subsystem B --context D exactly, and a record
-    that spreads D's evenly over B's extra sources gives exactly 0."""
+    written, which is in one string. The label is measure._ei, the formula
+    effective_information uses, so it equals ei --subsystem B --context D
+    exactly, and a record that spreads D's evenly over B's extra sources
+    gives exactly 0."""
     spec = _valid(docio.load_system(args.path))
     d_out = _parse_output(spec, args.output)
     edges = _budgeted_edges(spec, args.max_edges)
@@ -357,9 +375,10 @@ def cmd_lattice(args) -> int:
             d = posteriors[m]
             logs = _log_table(d)
             bigger = [m | 1 << i for i in range(len(edges)) if not m >> i & 1]
-            for b in sorted(bigger, key=keys.__getitem__):
-                ei = _ei(spec, posteriors[b], neg_entropy[b], d, logs)
-                fh.write(f'  "{src}" -> "{keys[b]}" [label="{_bits(ei, 5)}"];\n')
+            fh.write("".join(
+                f'  "{src}" -> "{keys[b]}" '
+                f'[label="{_bits(_ei(spec, posteriors[b], neg_entropy[b], d, logs), 5)}"];\n'
+                for b in sorted(bigger, key=keys.__getitem__)))
         fh.write("}\n")
 
     _publish(args.dot, write)

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, NotAPartition, NotSurjective
 from .lattice import Subsystem, bottom
-from .measure import _ROUNDING, _cross, _ei, _is_product, _log_table, _measurements, _posterior
+from .measure import _ROUNDING, _cross, _ei, _is_product, _log_terms, _measurements, _posterior
 from .oracle import FunctionTable, _preimage
 from .stoch import Distribution
 from .system import SystemSpec
@@ -97,16 +97,17 @@ def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
     """(ei of block k's own measurement p_k, sum_x p(x) log2 p_k(x|_k)) for
     one block of sub's sources, p being sub's measurement. p_k averages the
     same nonnegative mechanism entries as p, so it has weight wherever p
-    does. Both terms read p_k's log table; the ei is against the null
-    posterior. Memoised per output by (sub's effective pairs, block)."""
+    does. Both terms read p_k's log table (measure._log_terms); the ei is
+    against the null posterior. Memoised per output by (sub's effective
+    pairs, block)."""
     memo = _measurements(spec, d_out).memo
     key = (sub.effective, block)
     terms = memo.get(key)
     if terms is None:
         p = _posterior(spec, sub, d_out)
-        pk = _posterior(spec, _block_subsystem(sub, block), d_out)
-        null, logs = _posterior(spec, bottom(spec), d_out), _log_table(pk)
-        terms = memo[key] = (_ei(spec, pk, _cross(spec, pk, pk, logs), null, [0.0]),
+        pk, logs, neg_entropy = _log_terms(spec, _block_subsystem(sub, block), d_out)
+        null = _posterior(spec, bottom(spec), d_out)
+        terms = memo[key] = (_ei(spec, pk, neg_entropy, null, [0.0]),
                              _cross(spec, p, pk, logs))
     return terms
 

@@ -10,11 +10,11 @@ stochastic map from A_C back to S_C; the quale assigns to each subsystem the
 dual of its glued mechanism. Glued mechanisms are computed on integers by one
 kernel (_glued_rows), which multiplies each target's submechanism rows, kept
 as integer numerators over the submechanism's own inputs, read through the
-restriction map from S_C; no other module reads those rows. The kernel
-reads a subsystem as its parts, (target, inside sources) per target (_parts);
-the lattice of subsystems is enumerated with its parts and input spaces by
-one walk over edge bitmasks (_walk), which the quale stream and the lattice
-command share.
+restriction map from S_C and memoised per S_C; no other module reads those
+rows. The kernel reads a subsystem as its parts, (target, inside sources)
+per target (_parts); the lattice of subsystems is enumerated with its parts
+and input spaces by one walk over edge bitmasks (_walk), which the quale
+stream and the lattice command share.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -275,7 +275,7 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
 
 
 def _glued_rows(spec: SystemSpec, parts: Parts, domain: ProductSpace,
-                at: Sequence[int] | None = None) -> Sequence[Sequence[int]]:
+                at: Mapping[str, int] | None = None) -> Sequence[Sequence[int]]:
     """The glue kernel: integer numerators of a glued mechanism's rows.
 
     parts is the subsystem's (target, inside sources) pairs in target id
@@ -283,22 +283,31 @@ def _glued_rows(spec: SystemSpec, parts: Parts, domain: ProductSpace,
     mechanism at output i of A_C and input j of domain, a product of scaled
     submechanism entries, one per target: each target's rows
     (_submechanism_numerators) read through the restriction from domain to
-    their own inputs. With at (one symbol index per target, in id order)
-    only the row at that output is computed, as the single element of the
-    result. The null subsystem, with no parts, is the empty product: the
-    one row [1] over the scalar space.
+    their own inputs. With at (a symbol index by target id, for every target
+    of parts) only the row at that output is computed, as the single element
+    of the result. The null subsystem, with no parts, is the empty product:
+    the one row [1] over the scalar space.
+
+    Each target's rows read through the restriction onto domain are
+    memoised in spec._glue_memo by (target, inside, domain ids), the
+    submechanism's own rows themselves where its space is domain.
     """
+    memo = spec._glue_memo
     rows = None
-    for (l, inside), o in zip(parts, at or repeat(None)):
-        own, vecs = _submechanism_numerators(spec, l, inside)
-        if o is not None:
-            vecs = (vecs[o],)
-        if own.factor_ids != domain.factor_ids:
-            restrict = _restriction(spec, domain, own)
-            vecs = [[v[j] for j in restrict] for v in vecs]
+    for l, inside in parts:
+        key = (l, inside, domain.factor_ids)
+        vecs = memo.get(key)
+        if vecs is None:
+            own, vecs = _submechanism_numerators(spec, l, inside)
+            if own.factor_ids != domain.factor_ids:
+                restrict = _restriction(spec, domain, own)
+                vecs = tuple(tuple(map(v.__getitem__, restrict)) for v in vecs)
+            memo[key] = vecs
+        if at is not None:
+            vecs = (vecs[at[l]],)
         # later targets are less significant in the output space
         rows = vecs if rows is None else [
-            [x * y for x, y in zip(r, v)] for r in rows for v in vecs]
+            list(map(mul, r, v)) for r in rows for v in vecs]
     return [[1]] if rows is None else rows
 
 

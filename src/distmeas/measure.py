@@ -22,9 +22,14 @@ states to another's are lattice's memoised ones. Every ei, the lattice
 command's arrows and entangle's block terms included, is one formula (_ei) of
 sums sum_x p(x) log2 q(x|_Q) that read q's log table (_cross), and one
 integer test (_is_product) decides whether a sum within rounding of 0 is
-exactly 0. No report builds a Fraction distribution on the whole system:
-_spread does, for tests that pin the posterior times the uniform factor to
-measure(extend(...)) with exact equality.
+exactly 0. A log table (_log_table) holds 0.0 where q has no weight. Every
+measurement is finite by construction, a zero of q being a zero of p, so a
+cross term sums every state of p's space through C-level iterators, and the
+terms at p's zeros are +-0.0, which leave the bits of the sum unchanged. A
+record's log table and sum_x p log2 p are memoised per output beside its
+posterior (_log_terms). No report builds a Fraction distribution on the
+whole system: _spread does, for tests that pin the posterior times the
+uniform factor to measure(extend(...)) with exact equality.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv, mul, truediv
 from typing import NamedTuple, Sequence
 
 from .errors import ContextNotContained, SpaceMismatch, UnsupportedOutput
@@ -137,7 +144,8 @@ class _Output(NamedTuple):
 
     support lists the outputs d_out gives weight, in state order, as pairs
     of (weight, symbol index by system target id, in id order). memo holds
-    posteriors by effective pairs (_posterior) and entangle's block terms."""
+    posteriors by effective pairs (_posterior), their log tables and
+    sums sum_x p log2 p (_log_terms), and entangle's block terms."""
 
     d_out: Distribution
     support: list[tuple[Fraction, dict[str, int]]]
@@ -181,6 +189,22 @@ def _posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> _Record
     return posterior
 
 
+def _log_terms(spec: SystemSpec, sub: Subsystem,
+               d_out: Distribution) -> tuple[_Record, list[float], float]:
+    """The subsystem's posterior p at d_out (_posterior), its log table
+    (_log_table) and sum_x p log2 p: what every ei and block term reads of a
+    record. Memoised per output beside the posterior, by (sub's effective
+    pairs, "logs")."""
+    memo = _measurements(spec, d_out).memo
+    key = (sub.effective, "logs")
+    terms = memo.get(key)
+    if terms is None:
+        p = _posterior(spec, sub, d_out)
+        logs = _log_table(p)
+        terms = memo[key] = (p, logs, _cross(spec, p, p, logs))
+    return terms
+
+
 def _glued_posterior(spec: SystemSpec, parts: Parts, domain: ProductSpace,
                      d_out: Distribution) -> _Record:
     """_posterior of the subsystem whose glue kernel parts (lattice._parts)
@@ -193,7 +217,7 @@ def _glued_posterior(spec: SystemSpec, parts: Parts, domain: ProductSpace,
     the weights by their one gcd."""
     rows = []
     for w, at in _measurements(spec, d_out).support:
-        (glued,) = _glued_rows(spec, parts, domain, [at[l] for l, _ in parts])
+        (glued,) = _glued_rows(spec, parts, domain, at)
         total = sum(glued)
         if total == 0:
             symbols = tuple(a.symbols[k] for (_, a), k in zip(d_out.space.factors, at.values()))
@@ -209,7 +233,9 @@ def _glued_posterior(spec: SystemSpec, parts: Parts, domain: ProductSpace,
             scale = w.numerator * (denominator // (w.denominator * total))
             weights = [n + scale * v for n, v in zip(weights, glued)]
     g = math.gcd(denominator, *weights)
-    return _Record(domain, tuple(n // g for n in weights), denominator // g)
+    if g > 1:
+        weights = map(floordiv, weights, repeat(g))
+    return _Record(domain, tuple(weights), denominator // g)
 
 
 def _spread(spec: SystemSpec, posterior: _Record) -> Distribution:
@@ -222,19 +248,27 @@ def _spread(spec: SystemSpec, posterior: _Record) -> Distribution:
     return Distribution(in_space, tuple(weights[i] for i in restrict))
 
 
-def _log_table(q: _Record) -> list[float | None]:
-    """log2 q(x) for each state x of q's space; None where q(x) is 0."""
+def _log_table(q: _Record) -> list[float]:
+    """log2 q(x) for each state x of q's space, and 0.0 where q(x) is 0.
+
+    A zero of q is a zero of every record whose cross term reads q's table
+    (_cross), so the entry 0.0 is only ever multiplied by a zero weight."""
     log_total = math.log2(q.total)
-    return [math.log2(n) - log_total if n else None for n in q.weights]
+    return [math.log2(n) - log_total if n else 0.0 for n in q.weights]
 
 
-def _cross(spec: SystemSpec, p: _Record, q: _Record, logs: Sequence[float | None]) -> float:
+def _cross(spec: SystemSpec, p: _Record, q: _Record, logs: Sequence[float]) -> float:
     """sum_x p(x) log2 q(x|_Q) in bits, for a record q on a subspace Q of p's
     space that has weight wherever p does, given q's log table (_log_table).
-    With q = p it is sum_x p log2 p, the negative of p's entropy."""
-    restrict = _restriction(spec, p.space, q.space)
-    pt = p.total
-    return sum(a / pt * logs[j] for a, j in zip(p.weights, restrict) if a)
+    With q = p it is sum_x p log2 p, the negative of p's entropy.
+
+    Every state of p's space is summed, by C-level iterators: a state where p
+    has no weight adds +-0.0, which leaves the bits of the sum as they are.
+    Where Q is p's space, q's table is read without the restriction map."""
+    probs = map(truediv, p.weights, repeat(p.total))
+    if q.space.factor_ids == p.space.factor_ids:
+        return sum(map(mul, probs, logs))
+    return sum(map(mul, probs, map(logs.__getitem__, _restriction(spec, p.space, q.space))))
 
 
 def _is_product(spec: SystemSpec, p: _Record, factors: Sequence[_Record]) -> bool:
@@ -259,7 +293,7 @@ _ROUNDING = 1e-9
 
 
 def _ei(spec: SystemSpec, p: _Record, neg_entropy: float, q: _Record,
-        logs: Sequence[float | None]) -> float:
+        logs: Sequence[float]) -> float:
     """ei(B / D) = sum_x p log2 p - sum_x p(x) log2 q(x|_D) + log2(|S_B| / |S_D|)
     in bits, for the posteriors p of B and q of D within B, given the first
     sum and q's log table (unread when S_D has one state, where the second
@@ -281,5 +315,6 @@ def effective_information(spec: SystemSpec, sub: Subsystem,
         raise ContextNotContained(
             f"context {sorted(context.effective)} is not contained in "
             f"{sorted(sub.effective)}")
-    p, q = _posterior(spec, sub, d_out), _posterior(spec, context, d_out)
-    return _ei(spec, p, _cross(spec, p, p, _log_table(p)), q, _log_table(q))
+    p, _, neg_entropy = _log_terms(spec, sub, d_out)
+    q, logs, _ = _log_terms(spec, context, d_out)
+    return _ei(spec, p, neg_entropy, q, logs)

@@ -77,9 +77,11 @@ class SystemSpec:
     def _glue_memo(self) -> dict:
         # lattice's source and target spaces, its submechanisms' integer rows
         # by (target, inside source ids), each target's scaled full mechanism
-        # among them, and its restriction maps by (domain ids, subspace ids),
-        # which every target, measure and entangle share; and measure's
-        # output supports, posteriors and entangle's block terms per output.
+        # among them, those rows read through the restriction onto a domain
+        # by (target, inside source ids, domain ids), and its restriction
+        # maps by (domain ids, subspace ids), which every target, measure and
+        # entangle share; and measure's output supports, posteriors, their
+        # log terms and entangle's block terms per output.
         # It lives as long as the spec, which is never changed after it is
         # built
         return {}

@@ -26,7 +26,7 @@ from distmeas.cli import (
     build_parser,
     main,
 )
-from distmeas.fixtures import and_system, data_path, xor_system
+from distmeas.fixtures import and_system, data_path, two_input_system, xor_system
 from distmeas.io import (
     format_rational,
     load_system,
@@ -39,6 +39,7 @@ from distmeas.entangle import entanglement, partition_of
 from distmeas.errors import NotSurjective, UnsupportedOutput
 from distmeas.lattice import (
     _glued_rows,
+    _masked,
     _parts,
     _quale_rows,
     _walk,
@@ -58,6 +59,7 @@ from distmeas.measure import (
     measure,
     system_output_space,
 )
+from distmeas.oracle import FunctionTable
 from distmeas.stoch import (
     BINARY,
     _restriction_table,
@@ -73,7 +75,13 @@ from distmeas.stoch import (
 )
 from distmeas.system import Occasion, SystemSpec
 from test_acceptance import _positive_random_system
-from test_lattice import chain_system, copy_source_system, positive_system, three_target_system
+from test_lattice import (
+    chain_system,
+    copy_source_system,
+    joint_table_oracle,
+    positive_system,
+    three_target_system,
+)
 from test_measure import double_and_system
 
 XOR = data_path("xor.json")
@@ -436,6 +444,20 @@ def test_output_assigning_an_occasion_twice_or_nothing_is_a_parse_error(
     assert (code, out) == (2, "") and err.startswith(f"error: output {output!r} ")
 
 
+@pytest.mark.parametrize("output", ["vZ=7", "7", "vZ= 00", "vW=0,vZ=2"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_ARGS))
+def test_output_symbol_outside_the_alphabet_is_a_parse_error(capsys, tmp_path, command, output):
+    host = XOR
+    if "vW" in output:  # a host with two targets, vW and vZ
+        host = str(tmp_path / "double-and.json")
+        save_system(double_and_system(), host)
+    code, out, err = run(capsys, command, host, *OUTPUT_ARGS[command], "--output", output)
+    symbol = output.rpartition("=")[2].strip()
+    assert (code, out) == (2, "")
+    assert err == (f"error: output assigns 'vZ' the symbol {symbol!r}, "
+                   "not in its alphabet ('0', '1')\n")
+
+
 def test_ei_context_not_contained(capsys):
     code, _, err = run(capsys, "ei", XOR, "--subsystem", "vX-vZ",
                        "--context", "vY-vZ", "--output", "vZ=0")
@@ -768,6 +790,40 @@ def test_lattice_labels_are_effective_information(tmp_path, monkeypatch):
     spec = load_system(work.doc_path)
     d_out = dirac(system_output_space(spec), ("0", "0", "0", "0"))
     _assert_labels_are_ei(spec, work.doc_path, work.OUTPUT, d_out)
+
+
+@pytest.mark.parametrize("host, output", [
+    ("and", "vZ=0"), ("and", "vZ=1"),
+    ("2x3", "vZ=0"), ("2x3", "vZ=1"), ("2x3", "vZ=2"), ("2x3", "mixed"),
+    ("double-and", "vW=0,vZ=0"), ("double-and", "vW=1,vZ=1")])
+def test_lattice_labels_are_effective_information_at_zero_posterior_weights(
+        tmp_path, host, output):
+    # deterministic hosts: posteriors are zero on some inputs, where the log
+    # tables hold 0.0 and the cross terms add +-0.0. The two AND gates of
+    # double-and read each (target, inside) block through several domains
+    if host == "and":
+        spec, doc = and_system(), AND
+    elif host == "double-and":
+        spec, doc = double_and_system(), str(tmp_path / "double-and.json")
+        save_system(spec, doc)
+    else:
+        table = FunctionTable((BINARY, alphabet("012")), alphabet("012"),
+                              ("0", "0", "1", "2", "1", "0"))
+        spec, doc = two_input_system(table), str(tmp_path / "2x3.json")
+        save_system(spec, doc)
+    out_space = system_output_space(spec)
+    if output == "mixed":
+        d_out = distribution(out_space, [Fraction(1, 2), Fraction(1, 2)]
+                             + [0] * (out_space.dim - 2))
+        with open(tmp_path / "dist.json", "w", encoding="utf-8") as fh:
+            json.dump({"weights": [str(w) for w in d_out.weights]}, fh)
+        output = "@" + str(tmp_path / "dist.json")
+    else:
+        d_out = dirac(out_space, tuple(a[-1] for a in output.split(",")))
+    zeros = [sub for sub in enumerate_subsystems(spec)
+             if 0 in _posterior(spec, sub, d_out).weights]
+    assert zeros
+    _assert_labels_are_ei(spec, doc, output, d_out)
 
 
 @st.composite
@@ -1330,6 +1386,35 @@ def test_quale_written_in_ranges_has_the_serial_bytes(monkeypatch, host):
     assert serial == _reference_quale_text(spec)
     for n in (2, 3):
         assert _quale_text(spec, _split(count, n)) == serial, n
+        # a worker's file is copied as bytes into a file with a binary buffer
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
+            _write_quale(fh, spec, sorted(spec.edges), _split(count, n))
+            _assert_no_child_process()
+            fh.seek(0)
+            assert fh.read() == serial, n
+
+
+@pytest.mark.parametrize("host", [_quale_11_system, _mixed_radix_system],
+                         ids=["quale-11", "mixed-radix"])
+def test_glued_rows_read_each_block_through_every_domain_as_the_joint_table(
+        monkeypatch, host):
+    # one (target, inside sources) block is read through the restriction onto
+    # several domains, and memoised per domain: on one spec, every mask's
+    # rows, whole and at every output, are the joint table's
+    spec = host(monkeypatch)
+    edges = sorted(spec.edges)
+    averaged = {}
+    for mask, parts, domain in _walk(spec, edges):
+        sub = _masked(edges, mask)
+        codomain = target_space(spec, sub)
+        single = [_glued_rows(spec, parts, domain,
+                              dict(zip(codomain.factor_ids, codomain.digits_at(i))))
+                  for i in range(codomain.dim)]
+        rows = [list(r) for r in _glued_rows(spec, parts, domain)]
+        assert [[list(r) for r in one] for one in single] == [[r] for r in rows]
+        cols = [[Fraction(v, sum(col)) for v in col] for col in zip(*rows)]
+        assert matrix_from_columns(domain, codomain, cols) == joint_table_oracle(
+            spec, sub, averaged), mask
 
 
 @pytest.mark.parametrize("host", sorted(WALK_HOSTS))

@@ -95,10 +95,16 @@ def chain_system():
                       {"va": uniform(canonical_space({"va": BINARY}))})
 
 
-def joint_table_oracle(spec, sub):
+def joint_table_oracle(spec, sub, averaged=None):
     """Independent construction of the glued mechanism: for each joint input
     and output, multiply each target's full-mechanism probability averaged
-    uniformly over its inputs outside the subsystem."""
+    uniformly over its inputs outside the subsystem.
+
+    averaged (a dict, empty at first) keeps those averages by (target, its
+    inside sources' symbols, its output symbol), for callers that build the
+    oracle of many subsystems of one spec."""
+    if averaged is None:
+        averaged = {}
     s_space = source_space(spec, sub)
     a_space = target_space(spec, sub)
     cols = []
@@ -111,14 +117,17 @@ def joint_table_oracle(spec, sub):
             for l in sub.target_ids():
                 mech = spec.mechanisms[l]
                 inside = {k for (k, t) in sub.effective if t == l}
-                total = F(0)
-                count = 0
-                for full in mech.domain.iter_symbols():
-                    if any(full[mech.domain.position(k)] != fixed[k] for k in inside):
-                        continue
-                    count += 1
-                    total += mech.p((want[l],), full)
-                p *= total / count
+                key = (l, frozenset((k, fixed[k]) for k in inside), want[l])
+                if key not in averaged:
+                    total = F(0)
+                    count = 0
+                    for full in mech.domain.iter_symbols():
+                        if any(full[mech.domain.position(k)] != fixed[k] for k in inside):
+                            continue
+                        count += 1
+                        total += mech.p((want[l],), full)
+                    averaged[key] = total / count
+                p *= averaged[key]
             col.append(p)
         cols.append(col)
     return matrix_from_columns(s_space, a_space, cols)
