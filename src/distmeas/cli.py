@@ -8,6 +8,7 @@ deterministic given identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -18,8 +19,6 @@ import sys
 import tempfile
 import threading
 from array import array
-from bisect import bisect_left
-from itertools import accumulate
 
 from . import io as docio
 from .entangle import entanglement, enumerate_partitions, partition_of
@@ -27,7 +26,6 @@ from .errors import BudgetExceeded, DocumentError, Error
 from .lattice import (
     Subsystem,
     _edges_within_budget,
-    _occasion_space,
     _quale_rows,
     _walk,
     bottom,
@@ -122,6 +120,12 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _refuse_directory(out: str | None) -> None:
+    """Raise what open(out, "w") raises where out is a directory, before any work."""
+    if out and os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+
+
 def _publish(out: str | None, write) -> None:
     """Run write(fh) on a temporary file; publish what it wrote only once it
     has returned, so a failing run writes nothing.
@@ -130,6 +134,7 @@ def _publish(out: str | None, write) -> None:
     written to. Standard output (out is None) and other kinds of file, such
     as devices, get a copy of an anonymous temporary file.
     """
+    _refuse_directory(out)
     target = os.path.realpath(out) if out else None
     if target is None or (os.path.exists(target) and not os.path.isfile(target)):
         with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
@@ -158,7 +163,7 @@ def _publish(out: str | None, write) -> None:
         raise
 
 
-# the fewest subsystems per process, on average, so that nothing forks below
+# the fewest subsystems per process, so that nothing forks below
 # twice this many. On a 2-vCPU VM a worker costs 4-7 ms beyond its sections
 # (fork, a cold submechanism memo, reaping and copying its file; measured as
 # a one-section worker against none) and a section 40-80 us, so a worker's
@@ -166,28 +171,20 @@ def _publish(out: str | None, write) -> None:
 _SUBSYSTEMS_PER_WORKER = 2 ** 10
 
 
-def _quale_ranges(spec, edges) -> list[range]:
-    """The masks of the quale's subsystems split into contiguous ranges, one
-    per process that writes them: one per CPU this process may run on, as
-    long as each range holds _SUBSYSTEMS_PER_WORKER subsystems on average.
-    One range, nothing being forked, where os.fork is missing or another
-    thread is alive (a forked child would hold only the calling thread).
-
-    The ranges cut the walk where the estimated work, sum |A_C| |S_C| (the
-    entries of the sections), reaches each equal share of the total.
-    """
-    count = 1 << len(edges)
+def _quale_ranges(count: int) -> list[range]:
+    """The masks 0, ..., count - 1 split into contiguous ranges of equal
+    length (to one mask), one per process that writes them: one per CPU
+    this process may run on, as long as each range holds
+    _SUBSYSTEMS_PER_WORKER subsystems. One range, nothing being forked,
+    where os.fork is missing or another thread is alive (a forked child
+    would hold only the calling thread). The sections differ in size; a cut
+    at equal entries would cost a walk over every subsystem, about as long
+    as the imbalance it removes (README)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n = min(cpus, count // _SUBSYSTEMS_PER_WORKER)
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [range(count)]
-    # 8 bytes a subsystem; floats, as the sums are estimates that may be
-    # too large for a machine integer
-    done = array("d", accumulate(
-        _occasion_space(spec, tuple(l for l, _ in parts)).dim * domain.dim
-        for _, parts, domain in _walk(spec, edges)))
-    cuts = [0, *(bisect_left(done, done[-1] * k / n) for k in range(1, n)), count]
-    return [range(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+    return [range(k * count // n, (k + 1) * count // n) for k in range(n)]
 
 
 def _write_quale(fh, spec, edges, ranges: list[range]) -> None:
@@ -289,7 +286,7 @@ def _range_worker(part, write_range, masks: range, parent: int, sigmask):
 def cmd_quale(args) -> int:
     spec = _valid(docio.load_system(args.path))
     edges = _budgeted_edges(spec, args.max_edges)
-    ranges = _quale_ranges(spec, edges)
+    ranges = _quale_ranges(1 << len(edges))
     _publish(args.out, lambda fh: _write_quale(fh, spec, edges, ranges))
     return 0
 
@@ -351,6 +348,7 @@ def cmd_lattice(args) -> int:
     spec = _valid(docio.load_system(args.path))
     d_out = _parse_output(spec, args.output)
     edges = _budgeted_edges(spec, args.max_edges)
+    _refuse_directory(args.dot)
     # each subsystem is measured once, so the posteriors skip _posterior's memo
     posteriors = [_glued_posterior(spec, parts, domain, d_out)
                   for _, parts, domain in _walk(spec, edges)]

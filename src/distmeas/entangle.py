@@ -7,7 +7,7 @@ tensor product of the measurements its blocks perform independently; it is
 zero exactly when the measurement splits into independent submeasurements.
 It is computed on the subsystem's own inputs S_C, as a sum of one memoised
 term per block, so a subsystem's partitions share their block terms. Block
-ei is measure._ei, and measure._is_product decides an exact-zero gamma.
+ei is effective_information; measure._is_product decides an exact-zero gamma.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, NotAPartition, NotSurjective
-from .lattice import Subsystem, bottom
-from .measure import _ROUNDING, _cross, _ei, _is_product, _log_terms, _measurements, _posterior
+from .lattice import Subsystem
+from .measure import (
+    _ROUNDING, _cross, _is_product, _log_terms, _measurements, _posterior, effective_information)
 from .oracle import FunctionTable, _preimage
 from .stoch import Distribution
 from .system import SystemSpec
@@ -98,17 +99,16 @@ def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
     one block of sub's sources, p being sub's measurement. p_k averages the
     same nonnegative mechanism entries as p, so it has weight wherever p
     does. Both terms read p_k's log table (measure._log_terms); the ei is
-    against the null posterior. Memoised per output by (sub's effective
-    pairs, block)."""
+    effective_information against the null context. Memoised per output by
+    (sub's effective pairs, block)."""
     memo = _measurements(spec, d_out).memo
     key = (sub.effective, block)
     terms = memo.get(key)
     if terms is None:
-        p = _posterior(spec, sub, d_out)
-        pk, logs, neg_entropy = _log_terms(spec, _block_subsystem(sub, block), d_out)
-        null = _posterior(spec, bottom(spec), d_out)
-        terms = memo[key] = (_ei(spec, pk, neg_entropy, null, [0.0]),
-                             _cross(spec, p, pk, logs))
+        block_sub = _block_subsystem(sub, block)
+        pk, logs, _ = _log_terms(spec, block_sub, d_out)
+        terms = memo[key] = (effective_information(spec, block_sub, None, d_out),
+                             _cross(spec, _posterior(spec, sub, d_out), pk, logs))
     return terms
 
 

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -389,6 +390,23 @@ def test_quale_out_in_a_missing_directory_is_an_io_error(capsys, tmp_path):
     code, out, err = run(capsys, "quale", XOR, "--out", str(out_file))
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(out_file) in err
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["quale", AND, "--out", d],
+    lambda d: ["lattice", AND, "--output", "vZ=0", "--dot", d],
+], ids=["quale", "lattice"])
+def test_directory_destination_is_refused_before_any_subsystem_is_measured(
+        capsys, monkeypatch, tmp_path, argv):
+    def walk(*args, **kwargs):
+        raise AssertionError("a subsystem was measured")
+        yield
+
+    monkeypatch.setattr("distmeas.lattice._walk", walk)
+    monkeypatch.setattr("distmeas.cli._walk", walk)
+    code, out, err = run(capsys, *argv(str(tmp_path)))
+    assert (code, out, err) == (2, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_quale_budget_exceeded_creates_no_out_file(capsys, tmp_path):
@@ -1428,32 +1446,55 @@ def test_walk_over_a_mask_range_is_that_slice_of_the_full_walk(host):
 
 
 def test_quale_ranges_split_the_masks_only_when_forking_pays(monkeypatch):
-    big = _quale_11_system(monkeypatch)
-    edges = sorted(big.edges)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    ranges = _quale_ranges(big, edges)
     # three CPUs, but each range takes _SUBSYSTEMS_PER_WORKER subsystems or more
-    assert len(ranges) == 2 ** len(edges) // _SUBSYSTEMS_PER_WORKER == 2
-    assert [m for r in ranges for m in r] == list(range(2 ** len(edges)))
-    # cut where the entries written, sum |A_C| |S_C|, are shared out evenly
-    work = [target_space(big, s).dim * source_space(big, s).dim
-            for s in enumerate_subsystems(big)]
-    shares = [sum(work[m] for m in r) for r in ranges]
-    assert abs(shares[0] - shares[1]) <= max(work)
+    assert _quale_ranges(2048) == [range(1024), range(1024, 2048)]
+    assert 2048 // _SUBSYSTEMS_PER_WORKER == 2
     # the benchmark self-test's 32-subsystem quale
-    from workloads import bipartite_document
-    small = system_from_document(bipartite_document(5, 2, 3, {("s0", "t0")}))
-    assert _quale_ranges(small, sorted(small.edges)) == [range(32)]
+    assert _quale_ranges(32) == [range(32)]
+    # a 4,096-subsystem host: one range per CPU, contiguous, covering every
+    # mask in order, their lengths within one of each other
+    for cpus in (2, 3, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        ranges = _quale_ranges(4096)
+        assert len(ranges) == cpus
+        assert all(r.step == 1 for r in ranges)
+        assert [m for r in ranges for m in r] == list(range(4096))
+        lengths = [len(r) for r in ranges]
+        assert max(lengths) - min(lengths) <= 1 and min(lengths) >= _SUBSYSTEMS_PER_WORKER
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _quale_ranges(big, edges) == [range(2048)]
+    assert _quale_ranges(2048) == [range(2048)]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(threading, "active_count", lambda: 2)
-    assert _quale_ranges(big, edges) == [range(2048)]
+    assert _quale_ranges(2048) == [range(2048)]
     monkeypatch.undo()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.delattr(os, "fork")
-    assert _quale_ranges(big, edges) == [range(2048)]
+    assert _quale_ranges(2048) == [range(2048)]
+
+
+def test_quale_cut_into_ranges_walks_each_subsystem_once(capsys, monkeypatch, tmp_path):
+    # no subsystem is walked to cut the ranges: this process walks each of
+    # its own masks once (every mask, where a worker could not fork)
+    spec = _quale_11_system(monkeypatch)
+    doc = tmp_path / "quale-11.json"
+    save_system(spec, str(doc))
+    walked = Counter()
+
+    def walk(spec, edges, masks=None):
+        for item in _walk(spec, edges, masks):
+            walked[item[0]] += 1
+            yield item
+
+    monkeypatch.setattr("distmeas.lattice._walk", walk)
+    monkeypatch.setattr("distmeas.cli._walk", walk)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out_file = tmp_path / "quale.json"
+    assert run(capsys, "quale", str(doc), "--out", str(out_file)) == (0, "", "")
+    _assert_no_child_process()
+    assert max(walked.values()) == 1
+    assert sorted(walked) in (list(range(1024)), list(range(2048)))
 
 
 def _xor_of_y_and_z(u):
@@ -1488,7 +1529,7 @@ def test_quale_failing_in_its_last_range_is_the_serial_failure(capsys, tmp_path)
     edges = sorted(spec.edges)
     doc = tmp_path / "late.json"
     save_system(spec, str(doc))
-    ranges = _quale_ranges(spec, edges)
+    ranges = _quale_ranges(2 ** len(edges))
     assert ranges[-1].start <= 1920
     line = f"error: NotSurjective: {_serial_error(spec, [range(2048)])}\n"
     assert "('y', 'u0'), ('y', 'u1'), ('z', 'u0'), ('z', 'u1')" in line
