@@ -121,8 +121,10 @@ def cmd_validate(args) -> int:
 
 
 def _refuse_directory(out: str | None) -> None:
-    """Raise what open(out, "w") raises where out is a directory, before any work."""
-    if out and os.path.isdir(out):
+    """Raise what open(out, "w") raises where out is "" or a directory, before any work."""
+    if out == "":
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    if out is not None and os.path.isdir(out):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
 
 
@@ -135,7 +137,7 @@ def _publish(out: str | None, write) -> None:
     as devices, get a copy of an anonymous temporary file.
     """
     _refuse_directory(out)
-    target = os.path.realpath(out) if out else None
+    target = None if out is None else os.path.realpath(out)
     if target is None or (os.path.exists(target) and not os.path.isfile(target)):
         with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
             write(fh)

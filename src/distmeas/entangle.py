@@ -7,7 +7,7 @@ tensor product of the measurements its blocks perform independently; it is
 zero exactly when the measurement splits into independent submeasurements.
 It is computed on the subsystem's own inputs S_C, as a sum of one memoised
 term per block, so a subsystem's partitions share their block terms. Block
-ei is effective_information; measure._is_product decides an exact-zero gamma.
+ei is effective_information; measure._is_product alone decides a zero gamma.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BudgetExceeded, NotAPartition, NotSurjective
 from .lattice import Subsystem
 from .measure import (
-    _ROUNDING, _cross, _is_product, _log_terms, _measurements, _posterior, effective_information)
+    _cross, _is_product, _log_terms, _measurements, _posterior, _Record, effective_information)
 from .oracle import FunctionTable, _preimage
 from .stoch import Distribution
 from .system import SystemSpec
@@ -67,22 +67,26 @@ def entanglement(spec: SystemSpec, sub: Subsystem, part: Partition,
     With p the subsystem's posterior on S_C and p_k block k's,
     gamma = sum_x p log2 p - sum_k sum_x p(x) log2 p_k(x|_k): one memoised
     term per block (_block_terms), the whole source set being the block
-    whose term is sum_x p log2 p. A nonzero sum within rounding of 0 is
-    exactly 0.0 when p is the product of the p_k (measure._is_product).
+    whose term is sum_x p log2 p. gamma is exactly 0.0, however the sum
+    rounds, when p is the product of the p_k: first at state 0 of S_C, which
+    restricts to every block's state 0, then by measure._is_product.
     """
-    srcs = set(sub.source_ids())
-    if part.members() != srcs:
+    sources = sub.source_ids()
+    if part.members() != set(sources):
         raise NotAPartition(
-            f"blocks {part.label()!r} do not partition sources {sorted(srcs)}")
-    ei_whole, gamma = _block_terms(spec, sub, sub.source_ids(), d_out)
+            f"blocks {part.label()!r} do not partition sources {list(sources)}")
+    ei_whole, gamma, p = _block_terms(spec, sub, sources, d_out)
     per_block_ei = []
+    records = []
+    at_zero, total = 1, 1  # prod_k p_k(state 0) = at_zero / total
     for block in part.blocks:
-        ei, cross = _block_terms(spec, sub, block, d_out)
+        ei, cross, pk = _block_terms(spec, sub, block, d_out)
         per_block_ei.append(ei)
         gamma -= cross
-    if gamma and abs(gamma) < _ROUNDING and _is_product(
-            spec, _posterior(spec, sub, d_out),
-            [_posterior(spec, _block_subsystem(sub, block), d_out) for block in part.blocks]):
+        records.append(pk)
+        at_zero *= pk.weights[0]
+        total *= pk.total
+    if gamma and p.weights[0] * total == p.total * at_zero and _is_product(spec, p, records):
         gamma = 0.0
     return EntanglementReport(
         part, gamma, tuple(per_block_ei), ei_whole, ei_whole - sum(per_block_ei))
@@ -94,10 +98,10 @@ def _block_subsystem(sub: Subsystem, block: Sequence[str]) -> Subsystem:
 
 
 def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
-                 d_out: Distribution) -> tuple[float, float]:
-    """(ei of block k's own measurement p_k, sum_x p(x) log2 p_k(x|_k)) for
-    one block of sub's sources, p being sub's measurement. p_k averages the
-    same nonnegative mechanism entries as p, so it has weight wherever p
+                 d_out: Distribution) -> tuple[float, float, _Record]:
+    """(ei of block k's own measurement p_k, sum_x p(x) log2 p_k(x|_k), p_k)
+    for one block of sub's sources, p being sub's measurement. p_k averages
+    the same nonnegative mechanism entries as p, so it has weight wherever p
     does. Both terms read p_k's log table (measure._log_terms); the ei is
     effective_information against the null context. Memoised per output by
     (sub's effective pairs, block)."""
@@ -108,7 +112,7 @@ def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
         block_sub = _block_subsystem(sub, block)
         pk, logs, _ = _log_terms(spec, block_sub, d_out)
         terms = memo[key] = (effective_information(spec, block_sub, None, d_out),
-                             _cross(spec, _posterior(spec, sub, d_out), pk, logs))
+                             _cross(spec, _posterior(spec, sub, d_out), pk, logs), pk)
     return terms
 
 

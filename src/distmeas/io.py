@@ -150,6 +150,8 @@ def _parse_rational(value: Any, where: str) -> Fraction:
     str() may print (sys.get_int_max_str_digits; "1e5000" has them) is
     refused here, not in the message or the output that would print it."""
     try:
+        if type(value) is bool:  # Fraction reads True and False as 1 and 0
+            raise TypeError("a boolean is not a rational")
         if type(value) is str and (plain := _PLAIN_RATIONAL.fullmatch(value)):
             n, d = plain.groups()  # int() refuses too many digits itself
             if d is None:

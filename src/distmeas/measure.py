@@ -21,8 +21,8 @@ at it are memoised on the spec per output; the maps restricting one space's
 states to another's are lattice's memoised ones. Every ei, the lattice
 command's arrows and entangle's block terms included, is one formula (_ei) of
 sums sum_x p(x) log2 q(x|_Q) that read q's log table (_cross), and one
-integer test (_is_product) decides whether a sum within rounding of 0 is
-exactly 0. A log table (_log_table) holds 0.0 where q has no weight. Every
+integer test (_is_product) decides whether each is exactly 0, whatever its
+float. A log table (_log_table) holds 0.0 where q has no weight. Every
 measurement is finite by construction, a zero of q being a zero of p, so a
 cross term sums every state of p's space through C-level iterators, and the
 terms at p's zeros are +-0.0, which leave the bits of the sum unchanged. A
@@ -273,23 +273,17 @@ def _cross(spec: SystemSpec, p: _Record, q: _Record, logs: Sequence[float]) -> f
 
 def _is_product(spec: SystemSpec, p: _Record, factors: Sequence[_Record]) -> bool:
     """Whether a posterior p on S_C is exactly the product of factors (on
-    disjoint subspaces of S_C) times the uniform distribution on the rest."""
-    dim = p.space.dim
-    qw = [1] * dim  # q(x) = qw[x] / qd, over p's states
-    qd = dim // math.prod(f.space.dim for f in factors)
+    disjoint subspaces of S_C) times the uniform distribution on the rest.
+
+    p and the product are compared in integers, state by state, up to the
+    first state where they differ."""
+    qd = p.space.dim // math.prod(f.space.dim for f in factors)
+    qw = repeat(1)  # q(x) = qw[x] / qd, over p's states, computed as compared
     for f in factors:
-        fw = f.weights
-        restrict = _restriction(spec, p.space, f.space)
-        qw = [v * fw[j] for v, j in zip(qw, restrict)]
         qd *= f.total
+        qw = map(mul, qw, map(f.weights.__getitem__, _restriction(spec, p.space, f.space)))
     pt = p.total
     return all(a * qd == pt * n for a, n in zip(p.weights, qw))
-
-
-# a nonzero float sum within this of 0 may be rounding error around an exact
-# zero. It only gates _is_product: testing every partition took gamma
-# --all-partitions of hopfield_document(1, 8, 4) from 0.32-0.54 s to 2.2-3.1 s
-_ROUNDING = 1e-9
 
 
 def _ei(spec: SystemSpec, p: _Record, neg_entropy: float, q: _Record,
@@ -297,10 +291,16 @@ def _ei(spec: SystemSpec, p: _Record, neg_entropy: float, q: _Record,
     """ei(B / D) = sum_x p log2 p - sum_x p(x) log2 q(x|_D) + log2(|S_B| / |S_D|)
     in bits, for the posteriors p of B and q of D within B, given the first
     sum and q's log table (unread when S_D has one state, where the second
-    sum is 0.0); exactly 0.0 when p is q spread over S_B."""
+    sum is 0.0).
+
+    It is exactly 0.0 when p is q spread over S_B, however the float sums
+    round: state 0 of S_B, which restricts to state 0 of S_D, is compared
+    first, and _is_product compares the rest."""
+    k = p.space.dim // q.space.dim
     cross = _cross(spec, p, q, logs) if q.space.dim > 1 else 0.0
-    ei = neg_entropy - cross + math.log2(p.space.dim // q.space.dim)
-    if ei and abs(ei) < _ROUNDING and _is_product(spec, p, (q,)):
+    ei = neg_entropy - cross + math.log2(k)
+    if (ei and p.weights[0] * k * q.total == p.total * q.weights[0]
+            and _is_product(spec, p, (q,))):
         return 0.0
     return ei
 

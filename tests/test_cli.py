@@ -200,6 +200,18 @@ def test_non_stochastic_error_names_occasion_and_listed_column(capsys, tmp_path,
     assert (code, out, err) == (1, "", f"error: NonStochastic: {message}\n")
 
 
+@pytest.mark.parametrize("mutate, where", [
+    (lambda d: d["mechanisms"]["vZ"]["table"].__setitem__(0, [True, False]),
+     "mechanism 'vZ' column 0"),
+    (lambda d: d["sources"].update(vX=[True, False]), "source 'vX'"),
+], ids=["column", "source"])
+def test_json_boolean_is_not_a_rational(capsys, tmp_path, mutate, where):
+    # Fraction reads true and false as 1 and 0, so both would sum to 1
+    code, out, err = _validate_mutated_xor(capsys, tmp_path, mutate)
+    assert (code, out, err) == (
+        2, "", f"error: bad rational True in {where}: a boolean is not a rational\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["validate"],
     ["ei", "--subsystem", "all", "--output", "vZ=1"],
@@ -407,6 +419,24 @@ def test_directory_destination_is_refused_before_any_subsystem_is_measured(
     code, out, err = run(capsys, *argv(str(tmp_path)))
     assert (code, out, err) == (2, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    lambda p: ["quale", AND, "--out", ""],
+    lambda p: ["lattice", AND, "--output", "vZ=0", "--dot", ""],
+    lambda p: ["unroll", _life_pair(p), "--out", ""],
+], ids=["quale", "lattice", "unroll"])
+def test_empty_destination_is_refused_before_any_subsystem_is_measured(
+        capsys, monkeypatch, tmp_path, argv):
+    # "" names no file, as open("", "w") says: it is not standard output
+    def walk(*args, **kwargs):
+        raise AssertionError("a subsystem was measured")
+        yield
+
+    monkeypatch.setattr("distmeas.lattice._walk", walk)
+    monkeypatch.setattr("distmeas.cli._walk", walk)
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out, err) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
 
 
 def test_quale_budget_exceeded_creates_no_out_file(capsys, tmp_path):

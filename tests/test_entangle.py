@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from distmeas import lattice
+from distmeas import entangle, lattice
 from distmeas.cli import main
 from distmeas.entangle import (
     Partition,
@@ -30,10 +30,14 @@ from distmeas.errors import (
     NotSurjective,
     UnsupportedOutput,
 )
-from distmeas.fixtures import and_table, two_input_system, xor_table
+from distmeas.fixtures import and_system, and_table, two_input_system, xor_system, xor_table
 from distmeas.io import save_system
-from distmeas.lattice import Subsystem, enumerate_subsystems, source_space, subsystem, top
+from distmeas.lattice import Subsystem, bottom, enumerate_subsystems, source_space, subsystem, top
 from distmeas.measure import (
+    _ei,
+    _is_product,
+    _log_terms,
+    _posterior,
     effective_information,
     extend,
     measure,
@@ -571,6 +575,52 @@ def test_report_ei_is_effective_information(spec, data):
             for block, ei in zip(part.blocks, rep.per_block_ei):
                 pairs = [p for p in sub.effective if p[0] in block]
                 assert ei == effective_information(spec, subsystem(spec, pairs), None, d_out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=sparse_hosts())
+def test_ei_and_gamma_are_zero_exactly_on_products(spec):
+    # every ei and gamma is 0.0 exactly when the integer test finds the
+    # measurement to be the product it is compared with, whatever the floats
+    out = system_output_space(spec)
+    subs = list(enumerate_subsystems(spec))
+    whole = top(spec)
+    for i in _attained(spec, out):
+        d_out = dirac(out, out.symbols_at(i))
+        for b in subs:
+            p = _posterior(spec, b, d_out)
+            for d in subs:
+                if d.pairs < b.pairs and len(b.pairs - d.pairs) == 1:
+                    assert (effective_information(spec, b, d, d_out) == 0.0) == _is_product(
+                        spec, p, (_posterior(spec, d, d_out),))
+        p = _posterior(spec, whole, d_out)
+        for part in enumerate_partitions(whole.source_ids()):
+            blocks = [_posterior(spec, subsystem(spec, [e for e in whole.pairs if e[0] in block]),
+                                 d_out) for block in part.blocks]
+            rep = entanglement(spec, whole, part, d_out)
+            assert (rep.gamma_bits == 0.0) == _is_product(spec, p, blocks), part.label()
+
+
+def test_exact_product_ei_is_zero_however_far_its_float_is():
+    # the edge vX-vZ alone reads nothing of XOR: its posterior is the null
+    # one spread over vX, so ei is 0.0 even if the sum is off by far more
+    # than rounding
+    spec = xor_system()
+    d_out = d_out_for(spec, "0")
+    p, _, neg_entropy = _log_terms(spec, subsystem(spec, [("vX", "vZ")]), d_out)
+    q, logs, _ = _log_terms(spec, bottom(spec), d_out)
+    assert _ei(spec, p, neg_entropy + 1e-6, q, logs) == 0.0
+
+
+def test_exact_product_gamma_is_zero_however_far_its_float_is(monkeypatch):
+    # AND at vZ=1 is the point mass on (1, 1), the product of its blocks'
+    # point masses, so gamma is 0.0 even if every cross term is off by 1e-6
+    cross = entangle._cross
+    monkeypatch.setattr(entangle, "_cross", lambda *args: cross(*args) + 1e-6)
+    spec = and_system()
+    rep = entanglement(spec, top(spec), XY_PARTITION, d_out_for(spec, "1"))
+    assert rep.gamma_bits == 0.0
+
 
 # -- the additivity identity ------------------------------------------------------
 
