@@ -200,8 +200,9 @@ def _write_quale(fh, spec, edges, ranges: list[range]) -> None:
 
 
 def _write_ranges(fh, ranges: list[range], write_range) -> None:
-    """Write to fh what write_range(f, masks) writes to a file f for each of
-    ranges in turn.
+    """Write to fh, a UTF-8 text file with a binary buffer as _publish opens
+    it, what write_range(f, masks) writes to a file f for each of ranges in
+    turn.
 
     This process writes the first range to fh. Each later range is written
     by a worker forked for it into an anonymous temporary file, which is
@@ -249,16 +250,12 @@ def _write_ranges(fh, ranges: list[range], write_range) -> None:
 
 
 def _copy_part(part, fh) -> None:
-    """Append the whole of a worker's text file part to fh: as bytes, from
-    buffer to buffer, where fh is a text file in part's encoding (flushed
-    first, so the bytes land after its text), and through text otherwise,
-    as for an io.StringIO."""
+    """Append the whole of a worker's text file part to fh, a text file in
+    part's encoding (UTF-8, as _publish opens it), as bytes from buffer to
+    buffer; fh is flushed first, so the bytes land after its text."""
     part.seek(0)
-    if getattr(fh, "encoding", None) != part.encoding:
-        shutil.copyfileobj(part, fh)
-    else:
-        fh.flush()
-        shutil.copyfileobj(part.buffer, fh.buffer)
+    fh.flush()
+    shutil.copyfileobj(part.buffer, fh.buffer)
 
 
 def _range_worker(part, write_range, masks: range, parent: int, sigmask):
@@ -351,7 +348,7 @@ def cmd_lattice(args) -> int:
     d_out = _parse_output(spec, args.output)
     edges = _budgeted_edges(spec, args.max_edges)
     _refuse_directory(args.dot)
-    # each subsystem is measured once, so the posteriors skip _posterior's memo
+    # each subsystem is measured once, so the posteriors skip _log_terms' memo
     posteriors = [_glued_posterior(spec, parts, domain, d_out)
                   for _, parts, domain in _walk(spec, edges)]
     neg_entropy = array("d", (_cross(spec, p, p, _log_table(p)) for p in posteriors))

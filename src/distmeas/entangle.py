@@ -18,8 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, NotAPartition, NotSurjective
 from .lattice import Subsystem
-from .measure import (
-    _cross, _is_product, _log_terms, _measurements, _posterior, _Record, effective_information)
+from .measure import _cross, _is_product, _log_terms, _measurements, _Record, effective_information
 from .oracle import FunctionTable, _preimage
 from .stoch import Distribution
 from .system import SystemSpec
@@ -102,9 +101,9 @@ def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
     """(ei of block k's own measurement p_k, sum_x p(x) log2 p_k(x|_k), p_k)
     for one block of sub's sources, p being sub's measurement. p_k averages
     the same nonnegative mechanism entries as p, so it has weight wherever p
-    does. Both terms read p_k's log table (measure._log_terms); the ei is
-    effective_information against the null context. Memoised per output by
-    (sub's effective pairs, block)."""
+    does. Both terms read p_k's log table, and the cross term p, from
+    measure._log_terms; the ei is effective_information against the null
+    context. Memoised per output by (sub's effective pairs, block)."""
     memo = _measurements(spec, d_out).memo
     key = (sub.effective, block)
     terms = memo.get(key)
@@ -112,7 +111,7 @@ def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
         block_sub = _block_subsystem(sub, block)
         pk, logs, _ = _log_terms(spec, block_sub, d_out)
         terms = memo[key] = (effective_information(spec, block_sub, None, d_out),
-                             _cross(spec, _posterior(spec, sub, d_out), pk, logs), pk)
+                             _cross(spec, _log_terms(spec, sub, d_out)[0], pk, logs), pk)
     return terms
 
 

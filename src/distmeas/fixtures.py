@@ -5,21 +5,20 @@ from __future__ import annotations
 from pathlib import Path
 
 from .oracle import FunctionTable
-from .stoch import BINARY, canonical_space, lift_function, uniform
+from .stoch import BINARY, _deterministic, canonical_space, uniform
 from .system import Occasion, SystemSpec
 
 
 def _function_system(table: FunctionTable, inputs: tuple[str, ...], output: str) -> SystemSpec:
     """The system computing table at output from the uniform sources inputs,
-    which sort in the order the table takes its inputs."""
+    which sort in table order, so its outputs are in the domain's state order."""
     alphabets = dict(zip(inputs, table.factors))
-    domain = canonical_space(alphabets)
-    codomain = canonical_space({output: table.codomain})
-    mapping = {joint: table.value(joint) for joint in domain.iter_symbols()}
+    images = [table.codomain.index(v) for v in table.outputs]
     return SystemSpec(
         (*(Occasion(k, a) for k, a in alphabets.items()), Occasion(output, table.codomain)),
         frozenset((k, output) for k in inputs),
-        {output: lift_function(domain, codomain, mapping)},
+        {output: _deterministic(canonical_space(alphabets),
+                                canonical_space({output: table.codomain}), images)},
         {k: uniform(canonical_space({k: a})) for k, a in alphabets.items()},
     )
 

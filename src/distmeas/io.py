@@ -18,7 +18,10 @@ the j-th joint input, where inputs run in mixed-radix order over the listed
 sources with the FIRST listed source most significant. Sources may be listed
 in any order; the loader permutes columns into the canonical id-sorted order.
 Rationals are written "num/den" strings; integers and exact decimal strings
-are accepted on input.
+are accepted on input. Ids and symbols are JSON strings, and every list shown
+is a JSON array. An occasion or cell id is nonempty, has no whitespace at
+either end and holds none of the characters of _RESERVED, which the CLI
+splits its text forms on or DOT would need to escape.
 
 Automaton documents::
 
@@ -189,12 +192,58 @@ def system_to_document(spec: SystemSpec) -> dict:
     }
 
 
-def _reject_dashed_ids(ids, what: str) -> None:
-    # subsystem keys such as vX-vZ join a pair's ids with '-'
+# what each character an id may not hold stands for in the CLI's text forms
+# and the DOT it writes, where ids are quoted without escapes
+_RESERVED = {
+    "-": "joins the ids of a pair",
+    ",": "separates pairs, partition members and lattice keys",
+    "|": "separates partition blocks",
+    "=": "separates an occasion from its symbol in --output",
+    '"': "quotes ids in DOT",
+    "\\": "escapes in DOT",
+}
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    """The JSON type of a decoded value, as errors name it."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _array(value, where: str) -> list:
+    """value, which a document must give as a JSON array at where."""
+    if type(value) is not list:
+        raise DocumentError(f"{where} must be an array, not {_json_type(value)}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    """value, which a document must give as a JSON string at where."""
+    if type(value) is not str:
+        raise DocumentError(f"{where} must be a string, not {_json_type(value)}")
+    return value
+
+
+def _strings(value, where: str) -> list[str]:
+    """value, which a document must give as a JSON array of strings at where."""
+    for item in _array(value, where):
+        _string(item, f"each entry of {where}")
+    return value
+
+
+def _check_ids(ids, what: str) -> None:
+    """Refuse an id the CLI cannot address: an empty one, one with
+    whitespace at either end (the CLI strips it), or one holding a
+    character of _RESERVED."""
     for i in ids:
-        if "-" in i:
+        if not i or i != i.strip():
             raise DocumentError(
-                f"{what} id {i!r} must not contain '-', which separates the ids of a pair")
+                f"{what} id {i!r} must be nonempty, without whitespace at either end")
+        for c, role in _RESERVED.items():
+            if c in i:
+                raise DocumentError(f"{what} id {i!r} must not contain {c!r}, which {role}")
 
 
 def system_from_document(doc: dict) -> SystemSpec:
@@ -203,15 +252,21 @@ def system_from_document(doc: dict) -> SystemSpec:
     if doc.get("format_version") != FORMAT_VERSION:
         raise DocumentError(f"unsupported format_version {doc.get('format_version')!r}")
     try:
-        occasions = tuple(
-            Occasion(str(o["id"]), alphabet(o["alphabet"]))
-            for o in doc["occasions"])
-        edge_list = [(str(a), str(b)) for a, b in doc["edges"]]
+        occasions = []
+        for o in _array(doc["occasions"], "'occasions'"):
+            o_id = _string(o["id"], "an occasion id")
+            occasions.append(
+                Occasion(o_id, alphabet(_strings(o["alphabet"], f"the alphabet of {o_id!r}"))))
+        edge_list = [tuple(_strings(e, "an edge"))
+                     for e in _array(doc["edges"], "'edges'")]
         mech_docs = doc.get("mechanisms", {})
         source_docs = doc.get("sources", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed system document: {exc}") from None
-    _reject_dashed_ids((o.id for o in occasions), "occasion")
+    _check_ids((o.id for o in occasions), "occasion")
+    for e in edge_list:
+        if len(e) != 2:
+            raise DocumentError(f"an edge must be two occasion ids, not {len(e)}: {list(e)}")
     for key, value in (("mechanisms", mech_docs), ("sources", source_docs)):
         if not isinstance(value, dict):
             raise DocumentError(f"{key!r} must be a JSON object keyed by occasion id")
@@ -223,7 +278,7 @@ def system_from_document(doc: dict) -> SystemSpec:
     mechanisms = {}
     for occ_id, mdoc in mech_docs.items():
         try:
-            listed = [str(s) for s in mdoc["sources"]]
+            listed = _strings(mdoc["sources"], f"the sources of the mechanism for {occ_id!r}")
             table = mdoc["table"]
         except (KeyError, TypeError) as exc:
             raise DocumentError(f"malformed mechanism for {occ_id!r}: {exc}") from None
@@ -286,7 +341,7 @@ def system_from_document(doc: dict) -> SystemSpec:
                         "source {1!r} weights sum to {0}, not 1", occ_id)
         sources[occ_id] = Distribution(canonical_space({occ_id: alpha[occ_id]}), values)
 
-    return SystemSpec(occasions, frozenset(edge_list), mechanisms, sources)
+    return SystemSpec(tuple(occasions), frozenset(edge_list), mechanisms, sources)
 
 
 def _read_json(path: str) -> Any:
@@ -317,22 +372,24 @@ def automaton_from_document(doc: dict) -> AutomatonSpec:
         if not isinstance(doc.get(key, {}), dict):
             raise DocumentError(f"{key!r} must be a JSON object keyed by cell")
     try:
-        cells = [str(c) for c in doc["cells"]]
-        shared = alphabet(doc.get("alphabet", ["0", "1"]))
+        cells = _strings(doc["cells"], "'cells'")
+        shared = alphabet(_strings(doc.get("alphabet", ["0", "1"]), "'alphabet'"))
         alphabets = {c: shared for c in cells}
         for c, symbols in doc.get("alphabets", {}).items():
-            alphabets[str(c)] = alphabet(symbols)
+            alphabets[c] = alphabet(_strings(symbols, f"the alphabet of cell {c!r}"))
         neighborhoods = {
-            str(c): [(str(n[0]), _integer(n[1], f"lag of {n[0]!r} for cell {c!r}", DocumentError))
-                     if isinstance(n, list) else str(n) for n in nbrs]
+            c: [_neighbor(n, c) for n in _array(nbrs, f"the neighborhood of cell {c!r}")]
             for c, nbrs in doc["neighborhoods"].items()}
-        window = (_integer(doc["window"][0], "window start", DocumentError),
-                  _integer(doc["window"][1], "window end", DocumentError))
+        window = _array(doc["window"], "'window'")
+        if len(window) != 2:
+            raise DocumentError(f"'window' must be [start, end], not {window!r}")
+        window = (_integer(window[0], "window start", DocumentError),
+                  _integer(window[1], "window end", DocumentError))
         rule_docs = doc["rules"]
         init_docs = doc["initial"]
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"malformed automaton document: {exc}") from None
-    _reject_dashed_ids(cells, "cell")
+    _check_ids(cells, "cell")
 
     rules = {}
     for cell, rdoc in rule_docs.items():
@@ -352,9 +409,20 @@ def automaton_from_document(doc: dict) -> AutomatonSpec:
             initial[str(cell)] = Distribution(
                 space, tuple(_parse_rational(w, f"initial {cell!r}") for w in weights))
         else:
-            initial[str(cell)] = str(idoc)
+            initial[str(cell)] = _string(idoc, f"the initial symbol of cell {cell!r}")
 
     return automaton(cells, neighborhoods, rules, window, initial, alphabets)
+
+
+def _neighbor(n, cell: str):
+    """A neighbor of cell as the document gives it: an id, or an array of an
+    id and an integer lag."""
+    if type(n) is not list:
+        return _string(n, f"a neighbor of cell {cell!r}")
+    if len(n) != 2:
+        raise DocumentError(f"a lagged neighbor of cell {cell!r} must be [id, lag], not {n!r}")
+    return (_string(n[0], f"a neighbor of cell {cell!r}"),
+            _integer(n[1], f"lag of {n[0]!r} for cell {cell!r}", DocumentError))
 
 
 # a time of a rule by time, in ASCII digits: str.isdigit also accepts
@@ -396,7 +464,8 @@ def _rule_from_document(cell, rdoc, nbrs):
         # neighbors has one joint input, the empty key ""
         try:
             return {
-                tuple(str(k).split(",")) if nbrs or k != "" else (): str(v)
+                tuple(k.split(",")) if nbrs or k != "" else ():
+                    _string(v, f"the table rule value at {k!r} for {cell!r}")
                 for k, v in rdoc["table"].items()}
         except (AttributeError, KeyError, TypeError) as exc:
             raise DocumentError(f"malformed table rule for {cell!r}: {exc}") from None

@@ -16,8 +16,7 @@ total, reduced by their common gcd so that equal posteriors have equal
 records. The extended measurement is that posterior times the uniform
 distribution on the inputs outside C, a factor both sides of every divergence
 share, so each divergence is computed on S_C alone, with a context D within C
-contributing m_D(x|_D) / |S_C - S_D|. An output's support and the posteriors
-at it are memoised on the spec per output; the maps restricting one space's
+contributing m_D(x|_D) / |S_C - S_D|. The maps restricting one space's
 states to another's are lattice's memoised ones. Every ei, the lattice
 command's arrows and entangle's block terms included, is one formula (_ei) of
 sums sum_x p(x) log2 q(x|_Q) that read q's log table (_cross), and one
@@ -25,11 +24,13 @@ integer test (_is_product) decides whether each is exactly 0, whatever its
 float. A log table (_log_table) holds 0.0 where q has no weight. Every
 measurement is finite by construction, a zero of q being a zero of p, so a
 cross term sums every state of p's space through C-level iterators, and the
-terms at p's zeros are +-0.0, which leave the bits of the sum unchanged. A
-record's log table and sum_x p log2 p are memoised per output beside its
-posterior (_log_terms). No report builds a Fraction distribution on the
-whole system: _spread does, for tests that pin the posterior times the
-uniform factor to measure(extend(...)) with exact equality.
+terms at p's zeros are +-0.0, which leave the bits of the sum unchanged.
+An output's support is memoised on the spec per output, and so is each
+measured subsystem's record with its log table and sum_x p log2 p, in one
+entry (_log_terms); _posterior builds a record without a memo. No report
+builds a Fraction distribution on the whole system: _spread does, for tests
+that pin the posterior times the uniform factor to measure(extend(...))
+with exact equality.
 """
 
 from __future__ import annotations
@@ -144,8 +145,9 @@ class _Output(NamedTuple):
 
     support lists the outputs d_out gives weight, in state order, as pairs
     of (weight, symbol index by system target id, in id order). memo holds
-    posteriors by effective pairs (_posterior), their log tables and
-    sums sum_x p log2 p (_log_terms), and entangle's block terms."""
+    each measured subsystem's posterior, log table and sum_x p log2 p in
+    one entry by its effective pairs (_log_terms), and entangle's block
+    terms by (effective pairs, block)."""
 
     d_out: Distribution
     support: list[tuple[Fraction, dict[str, int]]]
@@ -172,44 +174,35 @@ def _measurements(spec: SystemSpec, d_out: Distribution) -> _Output:
 
 
 def _posterior(spec: SystemSpec, sub: Subsystem, d_out: Distribution) -> _Record:
-    """The subsystem's measurement at d_out, on its own input space S_C.
+    """The subsystem's measurement at d_out, on its own input space S_C:
+    _glued_posterior at the subsystem's glue kernel parts and S_C.
 
     measure(extend(spec, sub), d_out) is this posterior times the uniform
-    distribution on the system inputs outside S_C. Each output in d_out's
-    support selects one glued row from lattice's integer glue kernel, which
-    is normalized (the per-target scales cancel) and weighted. The null
-    subsystem's posterior is the point mass on the scalar space. Memoised
-    per output (_measurements).
+    distribution on the system inputs outside S_C. The null subsystem's
+    posterior is the point mass on the scalar space. It is not memoised
+    here: _log_terms memoises it with its log terms.
     """
-    memo = _measurements(spec, d_out).memo
-    posterior = memo.get(sub.effective)
-    if posterior is None:
-        posterior = memo[sub.effective] = _glued_posterior(
-            spec, _parts(sub), source_space(spec, sub), d_out)
-    return posterior
+    return _glued_posterior(spec, _parts(sub), source_space(spec, sub), d_out)
 
 
 def _log_terms(spec: SystemSpec, sub: Subsystem,
                d_out: Distribution) -> tuple[_Record, list[float], float]:
     """The subsystem's posterior p at d_out (_posterior), its log table
     (_log_table) and sum_x p log2 p: what every ei and block term reads of a
-    record. Memoised per output beside the posterior, by (sub's effective
-    pairs, "logs")."""
+    record. Memoised per output, in one entry by sub's effective pairs."""
     memo = _measurements(spec, d_out).memo
-    key = (sub.effective, "logs")
-    terms = memo.get(key)
+    terms = memo.get(sub.effective)
     if terms is None:
         p = _posterior(spec, sub, d_out)
         logs = _log_table(p)
-        terms = memo[key] = (p, logs, _cross(spec, p, p, logs))
+        terms = memo[sub.effective] = (p, logs, _cross(spec, p, p, logs))
     return terms
 
 
 def _glued_posterior(spec: SystemSpec, parts: Parts, domain: ProductSpace,
                      d_out: Distribution) -> _Record:
-    """_posterior of the subsystem whose glue kernel parts (lattice._parts)
-    and input space S_C are given, without the memo of posteriors, for
-    callers that measure each subsystem once.
+    """The measurement at d_out, on its input space S_C, of the subsystem
+    whose glue kernel parts (lattice._parts) and S_C are given.
 
     Each output in d_out's support (_measurements) selects the glued row at
     the subsystem's targets' symbols. The rows of a mixed output are summed
@@ -275,14 +268,19 @@ def _is_product(spec: SystemSpec, p: _Record, factors: Sequence[_Record]) -> boo
     """Whether a posterior p on S_C is exactly the product of factors (on
     disjoint subspaces of S_C) times the uniform distribution on the rest.
 
-    p and the product are compared in integers, state by state, up to the
-    first state where they differ."""
+    p and the product are compared in integers: first at the last state of
+    S_C, then state by state, up to the first state where they differ."""
+    # q(x) = qw[x] / qd over p's states, qw computed as compared
     qd = p.space.dim // math.prod(f.space.dim for f in factors)
-    qw = repeat(1)  # q(x) = qw[x] / qd, over p's states, computed as compared
-    for f in factors:
-        qd *= f.total
-        qw = map(mul, qw, map(f.weights.__getitem__, _restriction(spec, p.space, f.space)))
+    qd *= math.prod(f.total for f in factors)
+    # the last state of S_C restricts to every factor's last state, so it is
+    # compared before any restriction map is read
     pt = p.total
+    if p.weights[-1] * qd != pt * math.prod(f.weights[-1] for f in factors):
+        return False
+    qw = repeat(1)
+    for f in factors:
+        qw = map(mul, qw, map(f.weights.__getitem__, _restriction(spec, p.space, f.space)))
     return all(a * qd == pt * n for a, n in zip(p.weights, qw))
 
 

@@ -80,8 +80,9 @@ class SystemSpec:
         # among them, those rows read through the restriction onto a domain
         # by (target, inside source ids, domain ids), and its restriction
         # maps by (domain ids, subspace ids), which every target, measure and
-        # entangle share; and measure's output supports, posteriors, their
-        # log terms and entangle's block terms per output.
+        # entangle share; and per output, measure's output support, each
+        # measured subsystem's posterior with its log terms in one entry, and
+        # entangle's block terms.
         # It lives as long as the spec, which is never changed after it is
         # built
         return {}

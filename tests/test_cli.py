@@ -230,17 +230,30 @@ def test_invalid_system_is_one_error_line(capsys, tmp_path, argv):
                    "MissingSource: sourceless occasion 'vY' needs a distribution\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["validate"],
-    ["ei", "--subsystem", "all", "--output", "vZ=1"],
-], ids=["validate", "ei"])
-def test_dashed_occasion_id_is_a_document_error(capsys, tmp_path, argv):
-    # subsystem keys join a pair's ids with '-', so v-X-vZ would be ambiguous
+# ids the CLI could not address, by the character or the whitespace in them
+_UNADDRESSABLE_IDS = {"comma": "v,X", "bar": "v|X", "equals": "v=X", "quote": 'v"X',
+                      "backslash": "v\\X", "empty": "", "leading-space": " vX",
+                      "trailing-space": "vX "}
+_VALIDATE = ["validate"]
+_EI = ["ei", "--subsystem", "all", "--output", "vZ=1"]
+
+
+@pytest.mark.parametrize("argv, occasion_id", [
+    pytest.param(_VALIDATE, "v-X", id="validate"),
+    pytest.param(_EI, "v-X", id="ei"),
+    *(pytest.param(argv, i, id=f"{argv[0]}-{name}")
+      for argv in (_VALIDATE, _EI) for name, i in _UNADDRESSABLE_IDS.items()),
+])
+def test_dashed_occasion_id_is_a_document_error(capsys, tmp_path, argv, occasion_id):
+    # subsystem keys join a pair's ids with '-', so v-X-vZ would be ambiguous;
+    # the CLI splits its other text forms on , | and =, strips whitespace,
+    # and writes ids into DOT between unescaped quotes
     path = tmp_path / "dashed.json"
-    path.write_text(open(XOR, encoding="utf-8").read().replace('"vX"', '"v-X"'))
+    path.write_text(
+        open(XOR, encoding="utf-8").read().replace('"vX"', json.dumps(occasion_id)))
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "'v-X'" in err
+    assert err.startswith("error:") and repr(occasion_id) in err
 
 
 # -- quale -------------------------------------------------------------------------
@@ -1051,6 +1064,115 @@ def test_unroll_dashed_cell_id_is_a_document_error(tmp_path, capsys):
     assert err.startswith("error:") and "'a-1'" in err
 
 
+@pytest.mark.parametrize("cell", [
+    pytest.param(i, id=name) for name, i in _UNADDRESSABLE_IDS.items()])
+def test_unroll_unaddressable_cell_id_is_a_document_error(tmp_path, capsys, cell):
+    auto = {
+        "format_version": 1,
+        "cells": [cell, "b"],
+        "neighborhoods": {cell: [cell, "b"], "b": [cell, "b"]},
+        "rules": {c: {"kind": "life"} for c in (cell, "b")},
+        "window": [0, 1],
+        "initial": {cell: "1", "b": "0"},
+    }
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps(auto))
+    code, out, err = run(capsys, "unroll", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cell id {cell!r} must ")
+
+
+def _renamed_xor(renames):
+    """xor.json with each id renamed as renames says, as a JSON object."""
+    text = open(XOR, encoding="utf-8").read()
+    for old, new in renames.items():
+        text = text.replace(json.dumps(old), json.dumps(new))
+    return json.loads(text)
+
+
+def _short_xor():
+    return _renamed_xor({"vX": "X", "vY": "Y", "vZ": "Z"})
+
+
+def _occasion(doc, occ_id):
+    return next(o for o in doc["occasions"] if o["id"] == occ_id)
+
+
+def _set_edges(doc):
+    doc["edges"] = ["XZ", "YZ"]
+
+
+def _set_sources(doc):
+    doc["mechanisms"]["Z"]["sources"] = "XY"
+
+
+def _set_alphabet(value):
+    def change(doc):
+        _occasion(doc, "X")["alphabet"] = value
+    return change
+
+
+def _set_listed_id(doc):
+    # the id ['vX'] everywhere else, given as an array where it is an occasion's id
+    _occasion(doc, "['vX']")["id"] = ["vX"]
+
+
+def _set_numbered_id(doc):
+    _occasion(doc, "7")["id"] = 7
+
+
+@pytest.mark.parametrize("renames, change", [
+    ({}, _set_edges),
+    ({}, _set_sources),
+    ({}, _set_alphabet("01")),
+    ({}, _set_alphabet({"0": 1, "1": 2})),
+    ({}, _set_alphabet([None, True])),
+    ({"vX": "['vX']"}, _set_listed_id),
+    ({"vZ": "7"}, _set_numbered_id),
+], ids=["edges-strings", "sources-a-string", "alphabet-a-string", "alphabet-an-object",
+        "alphabet-null-and-boolean", "id-an-array", "id-a-number"])
+def test_system_document_arrays_and_strings_are_typed(capsys, tmp_path, renames, change):
+    doc = _renamed_xor(renames) if renames else _short_xor()
+    change(doc)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    (target,) = doc["mechanisms"]
+    for argv in (["validate"], ["ei", "--subsystem", "all", "--output", f"{target}=1"]):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and out == "", (argv, err)
+        assert re.fullmatch(r"error: .* must be (an array|a string), not [a-z ]+\n", err), err
+
+
+@pytest.mark.parametrize("change", [
+    {"cells": "ab"},
+    {"alphabet": "01"},
+    {"alphabets": {"a": "01"}},
+    {"neighborhoods": {"a": "ab", "b": ["a", "b"]}},
+    {"neighborhoods": {"a": [["a", 1, 2], "b"], "b": ["a", "b"]}},
+    {"window": [0, 1, 7]},
+    {"initial": {"a": 1, "b": "0"}},
+    {"rules": {"a": {"kind": "table", "table": {"0,0": 0, "0,1": 1, "1,0": 1, "1,1": 0}},
+               "b": {"kind": "life"}}},
+], ids=["cells-a-string", "alphabet-a-string", "alphabets-entry-a-string",
+        "neighborhood-a-string", "lagged-neighbor-of-three", "window-of-three",
+        "initial-symbol-a-number",
+        "table-values-numbers"])
+def test_automaton_document_arrays_and_strings_are_typed(tmp_path, capsys, change):
+    auto = {
+        "format_version": 1,
+        "cells": ["a", "b"],
+        "neighborhoods": {"a": ["a", "b"], "b": ["a", "b"]},
+        "rules": {c: {"kind": "life"} for c in "ab"},
+        "window": [0, 1],
+        "initial": {"a": "1", "b": "0"},
+        **change,
+    }
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps(auto))
+    code, out, err = run(capsys, "unroll", str(path))
+    assert code == 2 and out == "" and err.startswith("error:"), err
+
+
 @pytest.mark.parametrize("change", [
     {"rules": [1]},
     {"initial": [1]},
@@ -1407,10 +1529,11 @@ def _split(count, n):
 
 
 def _quale_text(spec, ranges):
-    fh = io.StringIO()
+    fh = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     _write_quale(fh, spec, sorted(spec.edges), ranges)
     _assert_no_child_process()
-    return fh.getvalue()
+    fh.flush()
+    return fh.buffer.getvalue().decode("utf-8")
 
 
 def _quale_11_system(monkeypatch):
@@ -1549,7 +1672,8 @@ def _late_non_surjective_system():
 
 def _serial_error(spec, ranges):
     with pytest.raises(NotSurjective) as info:
-        _write_quale(io.StringIO(), spec, sorted(spec.edges), ranges)
+        _write_quale(io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), spec,
+                     sorted(spec.edges), ranges)
     _assert_no_child_process()
     return str(info.value)
 

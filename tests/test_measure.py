@@ -16,6 +16,8 @@ from distmeas.fixtures import (
 )
 from distmeas.lattice import bottom, enumerate_subsystems, source_space, subsystem, top
 from distmeas.measure import (
+    _is_product,
+    _measurements,
     _posterior,
     _Record,
     _spread,
@@ -37,6 +39,7 @@ from distmeas.oracle import (
 from distmeas.stoch import (
     BINARY,
     alphabet,
+    canonical_space,
     dirac,
     distribution,
     kl_divergence,
@@ -466,9 +469,8 @@ def test_reports_equal_reference_built_reports(monkeypatch):
             measured[key] = d_out, _posterior_by_reference(spec, sub, d_out)
         return measured[key][1]
 
-    # the package re-exports a function named measure, so fetch the modules
-    for name in ("distmeas.entangle", "distmeas.measure"):
-        monkeypatch.setattr(importlib.import_module(name), "_posterior", by_reference)
+    # the package re-exports a function named measure, so fetch the module
+    monkeypatch.setattr(importlib.import_module("distmeas.measure"), "_posterior", by_reference)
     reference = reports()
     assert fast == reference
     # both passes share the divergence on S_C; the reference pass's fine and
@@ -503,3 +505,28 @@ def test_measurements_read_their_own_specs_submechanisms():
             assert abs(rep.gamma_bits - gamma_counts(g, z).bits) <= TOL
             assert abs(rep.ei_whole - whole) <= TOL
             assert all(abs(got - want) <= TOL for got, want in zip(rep.per_block_ei, partial))
+
+
+def test_an_output_memoises_each_measured_subsystem_in_one_entry():
+    spec = xor_system()
+    d_out = d_out_for(spec, "0")
+    assert effective_information(spec, top(spec), None, d_out) == 1.0
+    memo = _measurements(spec, d_out).memo
+    assert len(memo) == 2
+    assert set(memo) == {top(spec).effective, bottom(spec).effective}
+
+
+def test_is_product_compares_the_last_state_before_any_restriction(monkeypatch):
+    # state 0 agrees (1/3 against 2/3 spread over vY's two states) and the
+    # last state differs (0 against 1/6), so no restriction map is needed
+    spec = xor_system()
+    space = source_space(spec, top(spec))
+    vx = canonical_space({"vX": BINARY})
+    p = _Record(space, (1, 1, 1, 0), 3)
+    q = _Record(vx, (2, 1), 3)
+
+    def refuse(*args):
+        raise AssertionError("a restriction map was read")
+
+    monkeypatch.setattr(importlib.import_module("distmeas.measure"), "_restriction", refuse)
+    assert not _is_product(spec, p, (q,))

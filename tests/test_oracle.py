@@ -5,7 +5,7 @@ import pytest
 
 from distmeas.entangle import is_rectangular, product_decomposition
 from distmeas.errors import NotAPartition, NotInImage, UnknownSymbol
-from distmeas.fixtures import and_table, xor_table
+from distmeas.fixtures import and_table, single_function_system, two_input_system, xor_table
 from distmeas.oracle import (
     ExactBits,
     FunctionTable,
@@ -20,7 +20,7 @@ from distmeas.oracle import (
     single_function_tables,
     slice_count,
 )
-from distmeas.stoch import BINARY, alphabet
+from distmeas.stoch import BINARY, alphabet, canonical_space, lift_function
 
 TOL = 1e-9
 
@@ -200,6 +200,22 @@ def test_random_tables_are_seeded():
     a = [g.outputs for g in random_tables(3, 3, 3, 5, seed=7)]
     b = [g.outputs for g in random_tables(3, 3, 3, 5, seed=7)]
     assert a == b
+
+
+def _lifted(table, inputs, output):
+    """lift_function of the table, as a map from the inputs' canonical space
+    to the output's, keyed by joint symbols."""
+    domain = canonical_space(dict(zip(inputs, table.factors)))
+    codomain = canonical_space({output: table.codomain})
+    return lift_function(domain, codomain,
+                         {joint: table.value(joint) for joint in domain.iter_symbols()})
+
+
+def test_fixture_mechanisms_are_the_lifted_tables():
+    for g in [*exhaustive_tables(2, 2, 2), *random_tables(3, 3, 3, 30, 7)]:
+        assert two_input_system(g).mechanisms["vZ"] == _lifted(g, ("vX", "vY"), "vZ"), g
+    for f in single_function_tables(3, 2):
+        assert single_function_system(f).mechanisms["vY"] == _lifted(f, ("vX",), "vY"), f
 
 
 # -- crosscheck ----------------------------------------------------------------------
