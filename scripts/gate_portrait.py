@@ -50,7 +50,9 @@ def portrait(name, g):
               f"{rel:11.5f} {gamma:10.5f} {gamma_counts(g, z).bits:10.5f}")
         assert abs(ei_top - ei_classical(g, z).bits) < 1e-9
         assert abs(ei_x - ei_partial(g, z, 0).bits) < 1e-9
+        assert abs(ei_y - ei_partial(g, z, 1).bits) < 1e-9
         assert abs(rel - ei_relative(g, z, 0).bits) < 1e-9
+        assert abs(gamma - gamma_counts(g, z).bits) < 1e-9
 
 
 def main(argv):

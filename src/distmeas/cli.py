@@ -408,6 +408,9 @@ _EXHAUSTIVE_LOG2_BUDGET = 16
 # crosschecking one table takes time steeply growing in its nx*ny inputs: on a
 # 2-vCPU VM, 32x32x2 takes 0.4 s, 45x45x2 4 s and 64x64x2 25 s
 _TABLE_INPUTS_BUDGET = 2 ** 10
+# a table's system holds NX*NY*NZ matrix entries, so its output alphabet is
+# priced too
+_TABLE_ENTRIES_BUDGET = 2 ** 16
 
 
 def cmd_oracle_check(args) -> int:
@@ -429,6 +432,11 @@ def cmd_oracle_check(args) -> int:
             raise BudgetExceeded(
                 f"a {nx}x{ny}x{nz} table has {nx * ny} inputs, over the budget of "
                 f"{_TABLE_INPUTS_BUDGET}")
+    for nx, ny, nz in sweeps + random_dims:
+        if nx * ny * nz > _TABLE_ENTRIES_BUDGET:
+            raise BudgetExceeded(
+                f"a {nx}x{ny}x{nz} table has {nx * ny * nz} matrix entries, over the budget "
+                f"of {_TABLE_ENTRIES_BUDGET}")
     reports = [crosscheck(exhaustive_tables(nx, ny, nz), label=f"exhaustive {nx}x{ny}x{nz}")
                for nx, ny, nz in sweeps]
     for nx, ny, nz in random_dims:

@@ -12,14 +12,13 @@ ei is effective_information; measure._is_product alone decides a zero gamma.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, NotAPartition, NotSurjective
 from .lattice import Subsystem
 from .measure import _cross, _is_product, _log_terms, _measurements, _Record, effective_information
-from .oracle import FunctionTable, _preimage
+from .oracle import FunctionTable, _counts, _rectangular
 from .stoch import Distribution
 from .system import SystemSpec
 
@@ -124,10 +123,11 @@ def is_rectangular(g: FunctionTable, z: str) -> tuple[bool, tuple | None]:
     """
     if len(g.factors) != 2:
         raise NotAPartition("rectangularity needs a two-input function")
-    pre = _preimage(g, z)
-    if len(pre) == math.prod(len(set(axis)) for axis in zip(*pre)):
+    counts = _counts(g, z)
+    if _rectangular(counts):
         return True, None
     # some (x1, y2) of the projections' product is missing, so the scan returns
+    pre = counts.pre
     members = set(pre)
     for (x1, y1) in pre:
         for (x2, y2) in pre:

@@ -92,8 +92,12 @@ def top(spec: SystemSpec) -> Subsystem:
     return Subsystem(frozenset(spec.edges), frozenset(spec.edges))
 
 
+_NULL = Subsystem(frozenset(), frozenset())
+
+
 def bottom(spec: SystemSpec) -> Subsystem:
-    return Subsystem(frozenset(), frozenset())
+    """The null subsystem, one shared instance (it is frozen)."""
+    return _NULL
 
 
 def _occasion_space(spec: SystemSpec, ids: tuple[str, ...]) -> ProductSpace:

@@ -3,6 +3,11 @@ preimage and slice counting on deterministic function tables, with no
 stochastic-matrix machinery involved. crosscheck() is the only function here
 that touches the matrix pipeline, and only to compare against it.
 
+Every closed form reads one count record of an output z (_counts: z's
+preimage, its size n and its per-axis slice counts), built in one pass over
+the table; crosscheck builds one record per (table, attained output) and
+reads every closed form, the relative-ei identity and rectangularity from it.
+
 Quantities are returned as ExactBits, a formal log2(K)/N with rational K, so
 identities between them can be checked exactly before any float conversion.
 """
@@ -15,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log2, prod
+from typing import NamedTuple
 
 from .errors import NotInImage, UnknownSymbol
 from .stoch import Alphabet, alphabet
@@ -29,7 +35,7 @@ class ExactBits:
     root: int = 1
 
     def __post_init__(self):
-        if self.radicand <= 0 or self.root <= 0:
+        if self.radicand.numerator <= 0 or self.root <= 0:
             raise ValueError("radicand and root must be positive")
 
     def __float__(self) -> float:
@@ -121,41 +127,73 @@ def _preimage(g: FunctionTable, z: str) -> list[tuple[str, ...]]:
     return pre
 
 
-def _counts(g: FunctionTable, z: str) -> tuple[int, list[Counter]]:
-    """(n, [c_k for each axis k]): the size of z's preimage and its slice
-    counts c_k(s), for the symbols s that occur in it."""
+class _Counts(NamedTuple):
+    """One output's count record: its preimage in table order, the size n of
+    the preimage, and the slice counts c_k(s) of each axis k, for the symbols
+    s that occur in the preimage."""
+
+    pre: list[tuple[str, ...]]
+    n: int
+    slices: list[Counter]
+
+
+def _counts(g: FunctionTable, z: str) -> _Counts:
     pre = _preimage(g, z)
-    return len(pre), [Counter(axis) for axis in zip(*pre)]
+    return _Counts(pre, len(pre), [Counter(axis) for axis in zip(*pre)])
 
 
 def _self_powers(counts: Counter) -> int:
     return prod(c ** c for c in counts.values())
 
 
+# -- the closed forms, each read from one count record ----------------------
+
+
+def _classical(g: FunctionTable, c: _Counts) -> ExactBits:
+    return ExactBits(Fraction(g.total_inputs, c.n))
+
+
+def _partial(g: FunctionTable, c: _Counts, axis: int) -> ExactBits:
+    n = c.n
+    return ExactBits(Fraction(len(g.factors[axis]) ** n * _self_powers(c.slices[axis]), n ** n), n)
+
+
+def _relative(g: FunctionTable, c: _Counts, axis: int) -> ExactBits:
+    others = g.total_inputs // len(g.factors[axis])
+    return ExactBits(Fraction(others ** c.n, _self_powers(c.slices[axis])), c.n)
+
+
+def _gamma(c: _Counts) -> ExactBits:
+    n = c.n
+    return ExactBits(Fraction(n ** ((len(c.slices) - 1) * n), prod(map(_self_powers, c.slices))), n)
+
+
+def _rectangular(c: _Counts) -> bool:
+    """Whether the preimage is the product of its projections: its size is
+    the product of the numbers of symbols its axes take."""
+    return c.n == prod(map(len, c.slices))
+
+
 def ei_classical(f: FunctionTable, y: str) -> ExactBits:
     """Precision of a deterministic reading: log2(|inputs| / |preimage|)."""
-    return ExactBits(Fraction(f.total_inputs, len(_preimage(f, y))))
+    return _classical(f, _counts(f, y))
 
 
 def ei_partial(g: FunctionTable, z: str, axis: int = 0) -> ExactBits:
     """Precision about one input axis when the others are unobserved noise."""
-    n, slices = _counts(g, z)
-    return ExactBits(Fraction(len(g.factors[axis]) ** n * _self_powers(slices[axis]), n ** n), n)
+    return _partial(g, _counts(g, z), axis)
 
 
 def ei_relative(g: FunctionTable, z: str, axis: int = 0) -> ExactBits:
     """Precision of the joint reading in the context of the partial one."""
-    n, slices = _counts(g, z)
-    others = g.total_inputs // len(g.factors[axis])
-    return ExactBits(Fraction(others ** n, _self_powers(slices[axis])), n)
+    return _relative(g, _counts(g, z), axis)
 
 
 def gamma_counts(g: FunctionTable, z: str) -> ExactBits:
     """Indecomposability from counts over the K single-input blocks: how far
     the preimage size exceeds the product of its K slice sizes, averaged over
     the preimage, n^((K-1)n) / prod_k prod_s c_k(s)^c_k(s)."""
-    n, slices = _counts(g, z)
-    return ExactBits(Fraction(n ** ((len(slices) - 1) * n), prod(map(_self_powers, slices))), n)
+    return _gamma(_counts(g, z))
 
 
 # -- families of test functions ---------------------------------------------
@@ -214,8 +252,10 @@ _TOLERANCE = 1e-9
 
 def crosscheck(tables, label: str = "crosscheck") -> CrosscheckReport:
     """Run the matrix pipeline on each two-input table and compare every
-    closed-form quantity against the counting oracles above."""
-    from .entangle import Partition, entanglement, is_rectangular
+    closed-form quantity against the counting oracles above. Each (table,
+    attained output) is counted once: its six closed forms, the relative-ei
+    identity and its rectangularity all read one count record."""
+    from .entangle import Partition, entanglement
     from .fixtures import two_input_system
     from .lattice import subsystem, top
     from .measure import effective_information
@@ -245,9 +285,10 @@ def crosscheck(tables, label: str = "crosscheck") -> CrosscheckReport:
             rel_y = effective_information(spec, whole, y_edge, d_out)
             gamma = entanglement(spec, whole, part, d_out).gamma_bits
             tag = f"{g.outputs}@z={z}"
-            top_o, gamma_o = ei_classical(g, z), gamma_counts(g, z)
-            x_o, y_o = ei_partial(g, z, 0), ei_partial(g, z, 1)
-            rel_x_o, rel_y_o = ei_relative(g, z, 0), ei_relative(g, z, 1)
+            c = _counts(g, z)
+            top_o, gamma_o = _classical(g, c), _gamma(c)
+            x_o, y_o = _partial(g, c, 0), _partial(g, c, 1)
+            rel_x_o, rel_y_o = _relative(g, c, 0), _relative(g, c, 1)
 
             check(f"{tag} ei(top)", ei_top, top_o.bits)
             check(f"{tag} ei(X.)", ei_x, x_o.bits)
@@ -264,7 +305,7 @@ def crosscheck(tables, label: str = "crosscheck") -> CrosscheckReport:
 
             # rectangular preimage iff exactly zero entanglement
             report.checks += 1
-            rect, _ = is_rectangular(g, z)
+            rect = _rectangular(c)
             if rect != gamma_o.is_zero() or rect != (gamma == 0.0):
                 report.mismatches.append(f"{tag} rectangularity/entanglement disagree")
     return report

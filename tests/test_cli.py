@@ -1399,6 +1399,38 @@ def test_oracle_check_runs_a_table_at_the_input_budget(capsys, monkeypatch):
     assert out.startswith("random 1 of 32x32x2 (seed 0): 0 functions")
 
 
+@pytest.mark.parametrize("argv, dims, entries", [
+    (["--random", "2", "--dims", "3x3x99999999999999999999"], "3x3x99999999999999999999",
+     899999999999999999991),
+    (["--random", "1", "--dims", "2x2x4000000"], "2x2x4000000", 16000000),
+    (["--random", "1", "--dims", "32x32x65"], "32x32x65", 66560),
+    (["--exhaustive", "2x2x2", "--random", "1", "--dims", "1x1x65537"], "1x1x65537", 65537),
+])
+def test_oracle_check_refuses_tables_over_the_entries_budget(capsys, monkeypatch, argv, dims, entries):
+    # the output alphabet is priced before any table is built
+    monkeypatch.setattr("distmeas.cli.exhaustive_tables", _no_tables)
+    monkeypatch.setattr("distmeas.cli.random_tables", lambda nx, ny, nz, *_: _no_tables(nx, ny, nz))
+    code, out, err = run(capsys, "oracle-check", *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: BudgetExceeded: a {dims} table has {entries} matrix entries, "
+                   "over the budget of 65536\n")
+
+
+def test_oracle_check_prices_inputs_before_entries(capsys, monkeypatch):
+    monkeypatch.setattr("distmeas.cli.random_tables", lambda nx, ny, nz, *_: _no_tables(nx, ny, nz))
+    code, out, err = run(capsys, "oracle-check", "--random", "1", "--dims", "33x32x100")
+    assert (code, out) == (1, "")
+    assert err == "error: BudgetExceeded: a 33x32x100 table has 1056 inputs, over the budget of 1024\n"
+
+
+@pytest.mark.parametrize("dims", ["1x1x65536", "32x32x64"])
+def test_oracle_check_runs_a_table_at_the_entries_budget(capsys, monkeypatch, dims):
+    monkeypatch.setattr("distmeas.cli.random_tables", lambda *_: [])
+    code, out, _ = run(capsys, "oracle-check", "--random", "1", "--dims", dims)
+    assert code == 0
+    assert out.startswith(f"random 1 of {dims} (seed 0): 0 functions")
+
+
 @pytest.mark.parametrize("count", ["-1", "0"])
 def test_oracle_check_random_count_must_be_positive(capsys, count):
     code, out, err = run(capsys, "oracle-check", "--random", count)

@@ -135,6 +135,12 @@ def joint_table_oracle(spec, sub, averaged=None):
 
 # -- enumeration --------------------------------------------------------------
 
+def test_bottom_is_one_shared_null_subsystem(xor_spec, and_spec):
+    assert bottom(xor_spec) is bottom(xor_spec) is bottom(and_spec)
+    assert bottom(xor_spec) == Subsystem(frozenset(), frozenset())
+    assert bottom(xor_spec).is_null
+
+
 def test_enumerate_xor_subsystems(xor_spec):
     subs = list(enumerate_subsystems(xor_spec))
     assert len(subs) == 4

@@ -6,6 +6,7 @@ import pytest
 from distmeas.entangle import is_rectangular, product_decomposition
 from distmeas.errors import NotAPartition, NotInImage, UnknownSymbol
 from distmeas.fixtures import and_table, single_function_system, two_input_system, xor_table
+from distmeas import oracle
 from distmeas.oracle import (
     ExactBits,
     FunctionTable,
@@ -188,6 +189,21 @@ def test_count_pass_matches_brute_force():
             assert is_rectangular(g, z) == _pairwise_scan(pre)
 
 
+def test_record_readers_equal_the_public_closed_forms():
+    # compared with == on ExactBits: the readers crosscheck uses are the
+    # public closed forms, read from one count record
+    for g in [*exhaustive_tables(2, 2, 3), *random_tables(3, 3, 3, 30, 7)]:
+        for z in g.attained():
+            c = oracle._counts(g, z)
+            assert c.n == len(c.pre) == preimage_count(g, z)
+            assert oracle._classical(g, c) == ei_classical(g, z)
+            assert oracle._gamma(c) == gamma_counts(g, z)
+            for axis in (0, 1):
+                assert oracle._partial(g, c, axis) == ei_partial(g, z, axis)
+                assert oracle._relative(g, c, axis) == ei_relative(g, z, axis)
+            assert oracle._rectangular(c) == is_rectangular(g, z)[0]
+
+
 # -- families ----------------------------------------------------------------------
 
 def test_exhaustive_family_sizes():
@@ -237,3 +253,15 @@ def test_crosscheck_random_500_seeded():
     report = crosscheck(random_tables(3, 3, 3, 500, seed=7), label="random")
     assert report.functions == 500
     assert report.ok, report.mismatches
+
+
+def test_crosscheck_counts_each_table_output_once(monkeypatch):
+    calls = []
+    preimage = oracle._preimage
+    monkeypatch.setattr(oracle, "_preimage", lambda g, z: calls.append((g.outputs, z)) or preimage(g, z))
+    tables = list(random_tables(3, 3, 3, 30, 7))
+    report = crosscheck(tables)
+    assert (report.functions, report.checks, report.ok) == (30, 783, True)
+    want = [(g.outputs, z) for g in tables for z in g.attained()]
+    assert len(want) == 87
+    assert calls == want
