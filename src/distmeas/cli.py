@@ -348,9 +348,13 @@ def cmd_lattice(args) -> int:
     d_out = _parse_output(spec, args.output)
     edges = _budgeted_edges(spec, args.max_edges)
     _refuse_directory(args.dot)
-    # each subsystem is measured once, so the posteriors skip _log_terms' memo
-    posteriors = [_glued_posterior(spec, parts, domain, d_out)
+    # each subsystem is measured once, so the posteriors skip _log_terms'
+    # per-output memo; blocks, the restricted row blocks that subsystems with
+    # one S_C share, lives for this walk only
+    blocks: dict = {}
+    posteriors = [_glued_posterior(spec, parts, domain, d_out, blocks)
                   for _, parts, domain in _walk(spec, edges)]
+    del blocks
     neg_entropy = array("d", (_cross(spec, p, p, _log_table(p)) for p in posteriors))
     names = [f"{a}-{b}" for a, b in edges]
     # the key of a mask is the key of the mask without its highest edge, plus

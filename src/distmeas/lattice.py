@@ -10,11 +10,16 @@ stochastic map from A_C back to S_C; the quale assigns to each subsystem the
 dual of its glued mechanism. Glued mechanisms are computed on integers by one
 kernel (_glued_rows), which multiplies each target's submechanism rows, kept
 as integer numerators over the submechanism's own inputs, read through the
-restriction map from S_C and memoised per S_C; no other module reads those
-rows. The kernel reads a subsystem as its parts, (target, inside sources)
-per target (_parts); the lattice of subsystems is enumerated with its parts
-and input spaces by one walk over edge bitmasks (_walk), which the quale
-stream and the lattice command share.
+restriction map from S_C; no other module reads those rows. The kernel reads
+a subsystem as its parts, (target, inside sources) per target (_parts); the
+lattice of subsystems is enumerated with its parts and input spaces by one
+walk over edge bitmasks (_walk), which the quale stream and the lattice
+command share. Each memo lives as long as what it reads: the spec's
+(SystemSpec._glue_memo) keeps occasion spaces, restriction maps and
+submechanism rows; a walk (_quale_rows, the lattice command) owns the rows
+read through the restriction onto each S_C, which its subsystems share; a
+single record (glue_mechanism, a measurement) keeps no row, and at one
+output reads one row per target.
 """
 
 from __future__ import annotations
@@ -279,7 +284,8 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
 
 
 def _glued_rows(spec: SystemSpec, parts: Parts, domain: ProductSpace,
-                at: Mapping[str, int] | None = None) -> Sequence[Sequence[int]]:
+                at: Mapping[str, int] | None = None,
+                blocks: dict | None = None) -> Sequence[Sequence[int]]:
     """The glue kernel: integer numerators of a glued mechanism's rows.
 
     parts is the subsystem's (target, inside sources) pairs in target id
@@ -292,22 +298,26 @@ def _glued_rows(spec: SystemSpec, parts: Parts, domain: ProductSpace,
     of the result. The null subsystem, with no parts, is the empty product:
     the one row [1] over the scalar space.
 
-    Each target's rows read through the restriction onto domain are
-    memoised in spec._glue_memo by (target, inside, domain ids), the
-    submechanism's own rows themselves where its space is domain.
+    blocks is a walk's memo (_quale_rows, the lattice command): each
+    target's rows read through the restriction onto domain are kept there by
+    (target, inside, domain ids) for the walk's subsystems to share. Without
+    it nothing is kept, and with at only the row at that output is read
+    through the restriction.
     """
-    memo = spec._glue_memo
     rows = None
     for l, inside in parts:
         key = (l, inside, domain.factor_ids)
-        vecs = memo.get(key)
+        vecs = None if blocks is None else blocks.get(key)
         if vecs is None:
             own, vecs = _submechanism_numerators(spec, l, inside)
+            if at is not None and blocks is None:
+                vecs = (vecs[at[l]],)
             if own.factor_ids != domain.factor_ids:
                 restrict = _restriction(spec, domain, own)
                 vecs = tuple(tuple(map(v.__getitem__, restrict)) for v in vecs)
-            memo[key] = vecs
-        if at is not None:
+            if blocks is not None:
+                blocks[key] = vecs
+        if at is not None and blocks is not None:
             vecs = (vecs[at[l]],)
         # later targets are less significant in the output space
         rows = vecs if rows is None else [
@@ -364,11 +374,13 @@ def _quale_rows(spec: SystemSpec, edges: Sequence[tuple[str, str]],
     per-target scales cancel in that division. The null subsystem is no
     special case: its rows are the empty product [[1]] over the scalar
     spaces. Raises NotSurjective, when it reaches it, for a subsystem whose
-    glued mechanism misses an output.
+    glued mechanism misses an output. The restricted row blocks the walk's
+    subsystems share live as long as the walk.
     """
+    blocks: dict = {}
     for mask, parts, domain in _walk(spec, edges, masks):
         codomain = _occasion_space(spec, tuple(l for l, _ in parts))
-        rows = _glued_rows(spec, parts, domain)
+        rows = _glued_rows(spec, parts, domain, blocks=blocks)
         row_sums = [sum(r) for r in rows]
         zero = [codomain.symbols_at(i) for i, t in enumerate(row_sums) if t == 0]
         if zero:

@@ -25,17 +25,23 @@ float. A log table (_log_table) holds 0.0 where q has no weight. Every
 measurement is finite by construction, a zero of q being a zero of p, so a
 cross term sums every state of p's space through C-level iterators, and the
 terms at p's zeros are +-0.0, which leave the bits of the sum unchanged.
-An output's support is memoised on the spec per output, and so is each
-measured subsystem's record with its log table and sum_x p log2 p, in one
-entry (_log_terms); _posterior builds a record without a memo. No report
-builds a Fraction distribution on the whole system: _spread does, for tests
-that pin the posterior times the uniform factor to measure(extend(...))
-with exact equality.
+
+Each memo lives as long as what it reads. What is measured at one output
+(_measurements) lives as long as that output does: its support, each
+measured subsystem's record with its log table and sum_x p log2 p in one
+entry (_log_terms), and entangle's block terms, which gamma's partitions
+share. A record reads one glued row per target at each output and keeps no
+row (_posterior); the lattice command's walk shares its restricted rows
+through the dict it passes to _glued_posterior. No report builds a Fraction
+distribution on the whole system: _spread does, for tests that pin the
+posterior times the uniform factor to measure(extend(...)) with exact
+equality.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -149,27 +155,30 @@ class _Output(NamedTuple):
     one entry by its effective pairs (_log_terms), and entangle's block
     terms by (effective pairs, block)."""
 
-    d_out: Distribution
     support: list[tuple[Fraction, dict[str, int]]]
     memo: dict
 
 
 def _measurements(spec: SystemSpec, d_out: Distribution) -> _Output:
-    """The spec's entry for what is measured at d_out.
+    """The spec's entry for what is measured at d_out, which lives as long
+    as d_out does.
 
     It is keyed by d_out's identity, not its value, so that a lookup never
-    hashes the distribution's Fractions. The entry keeps d_out alive, so the
-    identity cannot be reused while the entry exists. Raises SpaceMismatch,
-    and makes no entry, unless d_out is over the system's outputs.
+    hashes the distribution's Fractions. The entry does not keep d_out
+    alive: it is dropped when d_out is collected, before the identity can
+    be reused. Raises SpaceMismatch, and makes no entry, unless d_out is
+    over the system's outputs.
     """
-    entry = spec._glue_memo.get(id(d_out))
+    memo = spec._glue_memo
+    entry = memo.get(id(d_out))
     if entry is None:
         out_space = system_output_space(spec)
         if d_out.space != out_space:
             raise SpaceMismatch("output distribution is not over the system's outputs")
         support = [(w, dict(zip(out_space.factor_ids, out_space.digits_at(i))))
                    for i, w in enumerate(d_out.weights) if w]
-        entry = spec._glue_memo[id(d_out)] = _Output(d_out, support, {})
+        entry = memo[id(d_out)] = _Output(support, {})
+        weakref.finalize(d_out, memo.pop, id(d_out), None)
     return entry
 
 
@@ -200,17 +209,18 @@ def _log_terms(spec: SystemSpec, sub: Subsystem,
 
 
 def _glued_posterior(spec: SystemSpec, parts: Parts, domain: ProductSpace,
-                     d_out: Distribution) -> _Record:
+                     d_out: Distribution, blocks: dict | None = None) -> _Record:
     """The measurement at d_out, on its input space S_C, of the subsystem
     whose glue kernel parts (lattice._parts) and S_C are given.
 
     Each output in d_out's support (_measurements) selects the glued row at
-    the subsystem's targets' symbols. The rows of a mixed output are summed
-    over one common denominator, the record's total, which is reduced with
-    the weights by their one gcd."""
+    the subsystem's targets' symbols, read by the glue kernel with blocks,
+    a walk's memo, or with none for a single record. The rows of a mixed
+    output are summed over one common denominator, the record's total,
+    which is reduced with the weights by their one gcd."""
     rows = []
     for w, at in _measurements(spec, d_out).support:
-        (glued,) = _glued_rows(spec, parts, domain, at)
+        (glued,) = _glued_rows(spec, parts, domain, at, blocks)
         total = sum(glued)
         if total == 0:
             symbols = tuple(a.symbols[k] for (_, a), k in zip(d_out.space.factors, at.values()))

@@ -75,16 +75,16 @@ class SystemSpec:
 
     @cached_property
     def _glue_memo(self) -> dict:
-        # lattice's source and target spaces, its submechanisms' integer rows
-        # by (target, inside source ids), each target's scaled full mechanism
-        # among them, those rows read through the restriction onto a domain
-        # by (target, inside source ids, domain ids), and its restriction
-        # maps by (domain ids, subspace ids), which every target, measure and
-        # entangle share; and per output, measure's output support, each
-        # measured subsystem's posterior with its log terms in one entry, and
-        # entangle's block terms.
-        # It lives as long as the spec, which is never changed after it is
-        # built
+        # what depends on the spec alone, kept as long as the spec, which is
+        # never changed after it is built: lattice's source and target
+        # spaces, its submechanisms' integer rows by (target, inside source
+        # ids), each target's scaled full mechanism among them, and its
+        # restriction maps by (domain ids, subspace ids), which every target,
+        # measure and entangle share. And by id(d_out), what measure keeps
+        # of an output while the output lives: its support, each measured
+        # subsystem's posterior with its log terms in one entry, and
+        # entangle's block terms. Rows read through the restriction onto a
+        # domain are not kept here but by the walk that reads them
         return {}
 
 

@@ -1597,23 +1597,29 @@ def test_quale_written_in_ranges_has_the_serial_bytes(monkeypatch, host):
             assert fh.read() == serial, n
 
 
-@pytest.mark.parametrize("host", [_quale_11_system, _mixed_radix_system],
-                         ids=["quale-11", "mixed-radix"])
+@pytest.mark.parametrize("host, walk", [
+    pytest.param(_quale_11_system, False, id="quale-11"),
+    pytest.param(_mixed_radix_system, False, id="mixed-radix"),
+    pytest.param(_quale_11_system, True, id="quale-11-walk"),
+    pytest.param(_mixed_radix_system, True, id="mixed-radix-walk"),
+])
 def test_glued_rows_read_each_block_through_every_domain_as_the_joint_table(
-        monkeypatch, host):
+        monkeypatch, host, walk):
     # one (target, inside sources) block is read through the restriction onto
-    # several domains, and memoised per domain: on one spec, every mask's
-    # rows, whole and at every output, are the joint table's
+    # several domains: on one spec, every mask's rows, whole and at every
+    # output, are the joint table's, whether a walk's dict keeps each block
+    # per domain for the walk or every call reads its rows afresh
     spec = host(monkeypatch)
     edges = sorted(spec.edges)
     averaged = {}
+    blocks = {} if walk else None
     for mask, parts, domain in _walk(spec, edges):
         sub = _masked(edges, mask)
         codomain = target_space(spec, sub)
         single = [_glued_rows(spec, parts, domain,
-                              dict(zip(codomain.factor_ids, codomain.digits_at(i))))
+                              dict(zip(codomain.factor_ids, codomain.digits_at(i))), blocks)
                   for i in range(codomain.dim)]
-        rows = [list(r) for r in _glued_rows(spec, parts, domain)]
+        rows = [list(r) for r in _glued_rows(spec, parts, domain, blocks=blocks)]
         assert [[list(r) for r in one] for one in single] == [[r] for r in rows]
         cols = [[Fraction(v, sum(col)) for v in col] for col in zip(*rows)]
         assert matrix_from_columns(domain, codomain, cols) == joint_table_oracle(

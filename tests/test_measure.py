@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from distmeas.fixtures import (
     two_input_system,
     xor_system,
 )
+from distmeas.io import automaton_from_document, system_from_document
 from distmeas.lattice import bottom, enumerate_subsystems, source_space, subsystem, top
 from distmeas.measure import (
     _is_product,
@@ -47,11 +49,13 @@ from distmeas.stoch import (
     uniform,
     with_spaces,
 )
+from distmeas.system import unroll
 from test_acceptance import _positive_random_system
 from test_lattice import chain_system, copy_source_system, positive_system, three_target_system
 
 F = Fraction
 TOL = 1e-9
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
 
 
 def d_out_for(spec, symbol):
@@ -514,6 +518,52 @@ def test_an_output_memoises_each_measured_subsystem_in_one_entry():
     memo = _measurements(spec, d_out).memo
     assert len(memo) == 2
     assert set(memo) == {top(spec).effective, bottom(spec).effective}
+
+
+def test_a_dropped_output_leaves_no_entry_on_the_spec(monkeypatch):
+    # whole-system ei at every output of a 6-cell Hopfield ring, each output
+    # dropped once it is measured: the spec's memo keeps only what depends
+    # on the spec, so it stops growing at the first output. Each ei equals a
+    # fresh spec's, so no entry outlives its output to serve a later output
+    # given the same id
+    monkeypatch.syspath_prepend(BENCH)
+    from workloads import hopfield_document
+    doc = hopfield_document(1, 6, 3)
+    spec = system_from_document(doc)
+    out = system_output_space(spec)
+    sizes = []
+    for i in range(out.dim):
+        got = effective_information(spec, top(spec), None, dirac(out, out.symbols_at(i)))
+        sizes.append(len(spec._glue_memo))
+        fresh = system_from_document(doc)
+        want = effective_information(fresh, top(fresh), None, dirac(out, out.symbols_at(i)))
+        assert got == want, out.symbols_at(i)
+    assert sizes == [sizes[0]] * out.dim
+
+
+def rule_110_ring(cells):
+    """A ring of binary cells, each reading its two neighbours and itself
+    through rule 110, unrolled over one step from uniform initial states."""
+    ids = [f"c{k}" for k in range(cells)]
+    table = {f"{a},{b},{c}": str(110 >> (4 * a + 2 * b + c) & 1)
+             for a, b, c in itertools.product((0, 1), repeat=3)}
+    return unroll(automaton_from_document({
+        "format_version": 1, "cells": ids, "alphabet": ["0", "1"],
+        "neighborhoods": {c: [ids[k - 1], c, ids[(k + 1) % cells]] for k, c in enumerate(ids)},
+        "rules": {c: {"kind": "table", "table": table} for c in ids},
+        "window": [0, 1],
+        "initial": {c: {"distribution": ["1/2", "1/2"]} for c in ids}}))
+
+
+def test_one_ei_keeps_no_restricted_row_block_on_the_spec():
+    # a single record reads one row per target at its output and keeps none:
+    # no (target, inside sources, domain ids) entry is left on the spec
+    spec = rule_110_ring(6)
+    out = system_output_space(spec)
+    d_out = dirac(out, ("1", "1", "0", "1", "0", "0"))
+    assert effective_information(spec, top(spec), None, d_out) > 0
+    assert not [key for key in spec._glue_memo if isinstance(key, tuple) and len(key) == 3
+                and isinstance(key[1], frozenset)]
 
 
 def test_is_product_compares_the_last_state_before_any_restriction(monkeypatch):
