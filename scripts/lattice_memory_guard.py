@@ -13,11 +13,12 @@ sources fully feeding four targets, where S_C has at most 16 states, and
 eight feeding two, where it has up to 256, so that the records `lattice`
 holds grow with the sum of |S_C| as well as the edges.
 
-The single-record host `unroll`s a ring of 18 binary cells, each reading its
+The single-record host `unroll`s a ring of 20 binary cells, each reading its
 neighbours and itself through rule 110 over one step from uniform initial
-states, and runs `ei --subsystem all` at the image of a random.Random(18)
-state. Its S_C has 2^18 states, and one record reads one glued row per
-target, so the limit bounds what a measurement keeps beyond that row.
+states, and runs `ei --subsystem all` at the image of a random.Random(20)
+state. Its S_C has 2^20 states, and one record reads one glued row per
+target, so the limit bounds what a measurement keeps beyond that row: the
+restriction maps from S_C onto each target's inputs among it.
 
     python scripts/lattice_memory_guard.py
 """
@@ -45,7 +46,7 @@ HOSTS = [
     (8, 2, "t0=0,t1=1", 325),
 ]
 # (cells, peak RSS limit in MB) of the single-record host
-RING = (18, 100)
+RING = (20, 100)
 
 
 def run_child(label: str, argv: list[str], limit_mb: int) -> bool:

@@ -66,8 +66,8 @@ def entanglement(spec: SystemSpec, sub: Subsystem, part: Partition,
     gamma = sum_x p log2 p - sum_k sum_x p(x) log2 p_k(x|_k): one memoised
     term per block (_block_terms), the whole source set being the block
     whose term is sum_x p log2 p. gamma is exactly 0.0, however the sum
-    rounds, when p is the product of the p_k: first at state 0 of S_C, which
-    restricts to every block's state 0, then by measure._is_product.
+    rounds, when p is the product of the p_k, which measure._is_product
+    decides.
     """
     sources = sub.source_ids()
     if part.members() != set(sources):
@@ -76,15 +76,12 @@ def entanglement(spec: SystemSpec, sub: Subsystem, part: Partition,
     ei_whole, gamma, p = _block_terms(spec, sub, sources, d_out)
     per_block_ei = []
     records = []
-    at_zero, total = 1, 1  # prod_k p_k(state 0) = at_zero / total
     for block in part.blocks:
         ei, cross, pk = _block_terms(spec, sub, block, d_out)
         per_block_ei.append(ei)
         gamma -= cross
         records.append(pk)
-        at_zero *= pk.weights[0]
-        total *= pk.total
-    if gamma and p.weights[0] * total == p.total * at_zero and _is_product(spec, p, records):
+    if gamma and _is_product(spec, p, records):
         gamma = 0.0
     return EntanglementReport(
         part, gamma, tuple(per_block_ei), ei_whole, ei_whole - sum(per_block_ei))
@@ -102,8 +99,9 @@ def _block_terms(spec: SystemSpec, sub: Subsystem, block: tuple[str, ...],
     the same nonnegative mechanism entries as p, so it has weight wherever p
     does. Both terms read p_k's log table, and the cross term p, from
     measure._log_terms; the ei is effective_information against the null
-    context. Memoised per output by (sub's effective pairs, block)."""
-    memo = _measurements(spec, d_out).memo
+    context. Memoised in the output's blocks by (sub's effective pairs,
+    block)."""
+    memo = _measurements(spec, d_out).blocks
     key = (sub.effective, block)
     terms = memo.get(key)
     if terms is None:

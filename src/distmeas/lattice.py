@@ -14,12 +14,12 @@ restriction map from S_C; no other module reads those rows. The kernel reads
 a subsystem as its parts, (target, inside sources) per target (_parts); the
 lattice of subsystems is enumerated with its parts and input spaces by one
 walk over edge bitmasks (_walk), which the quale stream and the lattice
-command share. Each memo lives as long as what it reads: the spec's
-(SystemSpec._glue_memo) keeps occasion spaces, restriction maps and
-submechanism rows; a walk (_quale_rows, the lattice command) owns the rows
-read through the restriction onto each S_C, which its subsystems share; a
-single record (glue_mechanism, a measurement) keeps no row, and at one
-output reads one row per target.
+command share. Each memo holds one kind of entry and lives as long as what it
+reads: the spec keeps occasion spaces (_occasion_space), restriction maps
+(_restriction) and submechanism rows (_submechanism_numerators); a walk
+(_quale_rows, the lattice command) keeps the rows it selects, restricted onto
+each S_C, for its subsystems to share; a single record (glue_mechanism, a
+measurement) keeps none, and at one output reads one row per target.
 """
 
 from __future__ import annotations
@@ -107,11 +107,11 @@ def bottom(spec: SystemSpec) -> Subsystem:
 
 def _occasion_space(spec: SystemSpec, ids: tuple[str, ...]) -> ProductSpace:
     """The canonical space over the occasions ids, one shared space per id
-    tuple: memoised in spec._glue_memo by the ids (a spec gives each id one
+    tuple: memoised in spec._spaces by the ids (a spec gives each id one
     alphabet)."""
-    space = spec._glue_memo.get(ids)
+    space = spec._spaces.get(ids)
     if space is None:
-        space = spec._glue_memo[ids] = canonical_space({k: spec.alphabet_of(k) for k in ids})
+        space = spec._spaces[ids] = canonical_space({k: spec.alphabet_of(k) for k in ids})
     return space
 
 
@@ -229,13 +229,14 @@ def glue_mechanism(spec: SystemSpec, sub: Subsystem) -> StochasticMatrix:
     return _trusted_matrix(domain, target_space(spec, sub), tuple(cols))
 
 
-def _restriction(spec: SystemSpec, src: ProductSpace, dst: ProductSpace) -> list[int]:
-    """_restriction_table(src, dst), memoised on the spec by the two spaces'
-    factor ids (a spec gives each id one alphabet)."""
+def _restriction(spec: SystemSpec, src: ProductSpace, dst: ProductSpace) -> Sequence[int]:
+    """_restriction_table(src, dst), memoised in spec._restrictions by the
+    two spaces' factor ids, (src ids, dst ids) (a spec gives each id one
+    alphabet), so targets whose domains have equal ids share it."""
     key = (src.factor_ids, dst.factor_ids)
-    table = spec._glue_memo.get(key)
+    table = spec._restrictions.get(key)
     if table is None:
-        table = spec._glue_memo[key] = _restriction_table(src, dst)
+        table = spec._restrictions[key] = _restriction_table(src, dst)
     return table
 
 
@@ -251,10 +252,10 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
     common denominator left out is LCM x |outside inputs|, which cancels
     wherever a glued row or column is normalized. occasion_submechanism is
     the reference they are pinned to. Memoised for the spec's lifetime in
-    spec._glue_memo by (target, inside), the scaled full mechanism being the
-    entry with every source inside.
+    spec._submechanisms by (target, inside), the scaled full mechanism being
+    the entry with every source inside.
     """
-    memo = spec._glue_memo
+    memo = spec._submechanisms
     entry = memo.get((target, inside))
     if entry is None:
         mech = spec.mechanisms[target]
@@ -285,7 +286,7 @@ def _submechanism_numerators(spec: SystemSpec, target: str, inside: frozenset[st
 
 def _glued_rows(spec: SystemSpec, parts: Parts, domain: ProductSpace,
                 at: Mapping[str, int] | None = None,
-                blocks: dict | None = None) -> Sequence[Sequence[int]]:
+                walk: dict | None = None) -> Sequence[Sequence[int]]:
     """The glue kernel: integer numerators of a glued mechanism's rows.
 
     parts is the subsystem's (target, inside sources) pairs in target id
@@ -298,27 +299,26 @@ def _glued_rows(spec: SystemSpec, parts: Parts, domain: ProductSpace,
     of the result. The null subsystem, with no parts, is the empty product:
     the one row [1] over the scalar space.
 
-    blocks is a walk's memo (_quale_rows, the lattice command): each
-    target's rows read through the restriction onto domain are kept there by
-    (target, inside, domain ids) for the walk's subsystems to share. Without
-    it nothing is kept, and with at only the row at that output is read
-    through the restriction.
+    Each target's rows are selected first, the one row at at[target] or
+    every row without at, and only those are read through the restriction.
+    walk is a walk's memo (_quale_rows, the lattice command): the rows read
+    through the restriction onto domain are kept there by (target, inside,
+    domain ids, at[target]), the last None when every row is read, for the
+    walk's subsystems to share. Without it nothing is kept.
     """
     rows = None
     for l, inside in parts:
-        key = (l, inside, domain.factor_ids)
-        vecs = None if blocks is None else blocks.get(key)
+        symbol = None if at is None else at[l]
+        vecs = None if walk is None else walk.get(key := (l, inside, domain.factor_ids, symbol))
         if vecs is None:
             own, vecs = _submechanism_numerators(spec, l, inside)
-            if at is not None and blocks is None:
-                vecs = (vecs[at[l]],)
+            if symbol is not None:
+                vecs = (vecs[symbol],)
             if own.factor_ids != domain.factor_ids:
                 restrict = _restriction(spec, domain, own)
                 vecs = tuple(tuple(map(v.__getitem__, restrict)) for v in vecs)
-            if blocks is not None:
-                blocks[key] = vecs
-        if at is not None and blocks is not None:
-            vecs = (vecs[at[l]],)
+            if walk is not None:
+                walk[key] = vecs
         # later targets are less significant in the output space
         rows = vecs if rows is None else [
             list(map(mul, r, v)) for r in rows for v in vecs]
@@ -374,13 +374,13 @@ def _quale_rows(spec: SystemSpec, edges: Sequence[tuple[str, str]],
     per-target scales cancel in that division. The null subsystem is no
     special case: its rows are the empty product [[1]] over the scalar
     spaces. Raises NotSurjective, when it reaches it, for a subsystem whose
-    glued mechanism misses an output. The restricted row blocks the walk's
-    subsystems share live as long as the walk.
+    glued mechanism misses an output. The restricted rows the walk's
+    subsystems share (_glued_rows' walk) live as long as the walk.
     """
-    blocks: dict = {}
+    walk: dict = {}
     for mask, parts, domain in _walk(spec, edges, masks):
         codomain = _occasion_space(spec, tuple(l for l, _ in parts))
-        rows = _glued_rows(spec, parts, domain, blocks=blocks)
+        rows = _glued_rows(spec, parts, domain, walk=walk)
         row_sums = [sum(r) for r in rows]
         zero = [codomain.symbols_at(i) for i, t in enumerate(row_sums) if t == 0]
         if zero:

@@ -26,12 +26,13 @@ measurement is finite by construction, a zero of q being a zero of p, so a
 cross term sums every state of p's space through C-level iterators, and the
 terms at p's zeros are +-0.0, which leave the bits of the sum unchanged.
 
-Each memo lives as long as what it reads. What is measured at one output
-(_measurements) lives as long as that output does: its support, each
-measured subsystem's record with its log table and sum_x p log2 p in one
-entry (_log_terms), and entangle's block terms, which gamma's partitions
-share. A record reads one glued row per target at each output and keeps no
-row (_posterior); the lattice command's walk shares its restricted rows
+Each memo holds one kind of entry and lives as long as what it reads. What
+is measured at one output (_measurements) lives as long as that output does:
+its support; its records, one entry per measured subsystem holding the
+record, its log table and sum_x p log2 p (_log_terms); and its blocks,
+entangle's block terms, which gamma's partitions share. A record reads one
+glued row per target at each output and keeps no row (_posterior); the
+lattice command's walk shares the rows it selects, restricted onto each S_C,
 through the dict it passes to _glued_posterior. No report builds a Fraction
 distribution on the whole system: _spread does, for tests that pin the
 posterior times the uniform factor to measure(extend(...)) with exact
@@ -150,18 +151,19 @@ class _Output(NamedTuple):
     """What is measured at one output distribution d_out.
 
     support lists the outputs d_out gives weight, in state order, as pairs
-    of (weight, symbol index by system target id, in id order). memo holds
-    each measured subsystem's posterior, log table and sum_x p log2 p in
-    one entry by its effective pairs (_log_terms), and entangle's block
-    terms by (effective pairs, block)."""
+    of (weight, symbol index by system target id, in id order). records
+    holds each measured subsystem's posterior, log table and sum_x p log2 p
+    in one entry by its effective pairs (_log_terms), and blocks entangle's
+    block terms by (effective pairs, block) (entangle._block_terms)."""
 
     support: list[tuple[Fraction, dict[str, int]]]
-    memo: dict
+    records: dict
+    blocks: dict
 
 
 def _measurements(spec: SystemSpec, d_out: Distribution) -> _Output:
-    """The spec's entry for what is measured at d_out, which lives as long
-    as d_out does.
+    """What is measured at d_out, which lives as long as d_out does:
+    memoised in spec._outputs by id(d_out).
 
     It is keyed by d_out's identity, not its value, so that a lookup never
     hashes the distribution's Fractions. The entry does not keep d_out
@@ -169,7 +171,7 @@ def _measurements(spec: SystemSpec, d_out: Distribution) -> _Output:
     be reused. Raises SpaceMismatch, and makes no entry, unless d_out is
     over the system's outputs.
     """
-    memo = spec._glue_memo
+    memo = spec._outputs
     entry = memo.get(id(d_out))
     if entry is None:
         out_space = system_output_space(spec)
@@ -177,7 +179,7 @@ def _measurements(spec: SystemSpec, d_out: Distribution) -> _Output:
             raise SpaceMismatch("output distribution is not over the system's outputs")
         support = [(w, dict(zip(out_space.factor_ids, out_space.digits_at(i))))
                    for i, w in enumerate(d_out.weights) if w]
-        entry = memo[id(d_out)] = _Output(support, {})
+        entry = memo[id(d_out)] = _Output(support, {}, {})
         weakref.finalize(d_out, memo.pop, id(d_out), None)
     return entry
 
@@ -198,8 +200,8 @@ def _log_terms(spec: SystemSpec, sub: Subsystem,
                d_out: Distribution) -> tuple[_Record, list[float], float]:
     """The subsystem's posterior p at d_out (_posterior), its log table
     (_log_table) and sum_x p log2 p: what every ei and block term reads of a
-    record. Memoised per output, in one entry by sub's effective pairs."""
-    memo = _measurements(spec, d_out).memo
+    record. Memoised in the output's records by sub's effective pairs."""
+    memo = _measurements(spec, d_out).records
     terms = memo.get(sub.effective)
     if terms is None:
         p = _posterior(spec, sub, d_out)
@@ -209,18 +211,18 @@ def _log_terms(spec: SystemSpec, sub: Subsystem,
 
 
 def _glued_posterior(spec: SystemSpec, parts: Parts, domain: ProductSpace,
-                     d_out: Distribution, blocks: dict | None = None) -> _Record:
+                     d_out: Distribution, walk: dict | None = None) -> _Record:
     """The measurement at d_out, on its input space S_C, of the subsystem
     whose glue kernel parts (lattice._parts) and S_C are given.
 
     Each output in d_out's support (_measurements) selects the glued row at
-    the subsystem's targets' symbols, read by the glue kernel with blocks,
-    a walk's memo, or with none for a single record. The rows of a mixed
+    the subsystem's targets' symbols, read by the glue kernel with walk, a
+    walk's memo, or with none for a single record. The rows of a mixed
     output are summed over one common denominator, the record's total,
     which is reduced with the weights by their one gcd."""
     rows = []
     for w, at in _measurements(spec, d_out).support:
-        (glued,) = _glued_rows(spec, parts, domain, at, blocks)
+        (glued,) = _glued_rows(spec, parts, domain, at, walk)
         total = sum(glued)
         if total == 0:
             symbols = tuple(a.symbols[k] for (_, a), k in zip(d_out.space.factors, at.values()))
@@ -278,16 +280,18 @@ def _is_product(spec: SystemSpec, p: _Record, factors: Sequence[_Record]) -> boo
     """Whether a posterior p on S_C is exactly the product of factors (on
     disjoint subspaces of S_C) times the uniform distribution on the rest.
 
-    p and the product are compared in integers: first at the last state of
-    S_C, then state by state, up to the first state where they differ."""
+    p and the product are compared in integers: first at state 0 and at the
+    last state of S_C, then state by state, up to the first state where they
+    differ."""
     # q(x) = qw[x] / qd over p's states, qw computed as compared
     qd = p.space.dim // math.prod(f.space.dim for f in factors)
     qd *= math.prod(f.total for f in factors)
-    # the last state of S_C restricts to every factor's last state, so it is
-    # compared before any restriction map is read
+    # state 0 and the last state of S_C restrict to every factor's state 0
+    # and last state, so they are compared before any restriction map is read
     pt = p.total
-    if p.weights[-1] * qd != pt * math.prod(f.weights[-1] for f in factors):
-        return False
+    for x in (0, -1):
+        if p.weights[x] * qd != pt * math.prod(f.weights[x] for f in factors):
+            return False
     qw = repeat(1)
     for f in factors:
         qw = map(mul, qw, map(f.weights.__getitem__, _restriction(spec, p.space, f.space)))
@@ -303,7 +307,7 @@ def _ei(spec: SystemSpec, p: _Record, neg_entropy: float, q: _Record,
 
     It is exactly 0.0 when p is q spread over S_B, however the float sums
     round: state 0 of S_B, which restricts to state 0 of S_D, is compared
-    first, and _is_product compares the rest."""
+    first, inline on this hot path, and _is_product compares the rest."""
     k = p.space.dim // q.space.dim
     cross = _cross(spec, p, q, logs) if q.space.dim > 1 else 0.0
     ei = neg_entropy - cross + math.log2(k)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -145,8 +146,10 @@ def canonical_space(factors: Mapping[str, Alphabet] | Iterable[tuple[str, Alphab
     return ProductSpace(tuple(sorted(items, key=lambda f: f[0])))
 
 
-def _restriction_table(src: ProductSpace, dst: ProductSpace) -> list[int]:
-    """For each joint index of src, the joint index of its restriction to dst.
+def _restriction_table(src: ProductSpace, dst: ProductSpace) -> bytes | array:
+    """For each joint index of src, the joint index of its restriction to dst,
+    as bytes when dst has at most 256 states and as an array('I') otherwise:
+    one or four bytes per entry where a list would take eight.
 
     dst's factors must all occur in src (same alphabets); dst's own order wins.
     """
@@ -162,7 +165,7 @@ def _restriction_table(src: ProductSpace, dst: ProductSpace) -> list[int]:
         s = strides.get(fid, 0)
         offsets = [d * s for d in range(len(a))]
         table = [t + o for t in table for o in offsets]
-    return table
+    return bytes(table) if dst.dim <= 256 else array("I", table)
 
 
 def _check_unit_sum(values: Sequence[Fraction], negative: str, bad_sum: str, *where) -> None:

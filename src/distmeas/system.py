@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -54,6 +53,13 @@ class SystemSpec:
     edges: frozenset[tuple[str, str]]
     mechanisms: Mapping[str, StochasticMatrix]
     sources: Mapping[str, Distribution] = field(default_factory=dict)
+    # memos, one dict per kind of entry, each filled by the one function
+    # whose docstring gives its keys; the spec is never changed after it is
+    # built, so no entry goes stale
+    _spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _restrictions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _submechanisms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _outputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def occasion(self, occ_id: str) -> Occasion:
         for o in self.occasions:
@@ -72,20 +78,6 @@ class SystemSpec:
 
     def output_space(self, occ_id: str) -> ProductSpace:
         return canonical_space({occ_id: self.alphabet_of(occ_id)})
-
-    @cached_property
-    def _glue_memo(self) -> dict:
-        # what depends on the spec alone, kept as long as the spec, which is
-        # never changed after it is built: lattice's source and target
-        # spaces, its submechanisms' integer rows by (target, inside source
-        # ids), each target's scaled full mechanism among them, and its
-        # restriction maps by (domain ids, subspace ids), which every target,
-        # measure and entangle share. And by id(d_out), what measure keeps
-        # of an output while the output lives: its support, each measured
-        # subsystem's posterior with its log terms in one entry, and
-        # entangle's block terms. Rows read through the restriction onto a
-        # domain are not kept here but by the walk that reads them
-        return {}
 
 
 @dataclass(frozen=True)

@@ -1612,14 +1612,14 @@ def test_glued_rows_read_each_block_through_every_domain_as_the_joint_table(
     spec = host(monkeypatch)
     edges = sorted(spec.edges)
     averaged = {}
-    blocks = {} if walk else None
+    rows_memo = {} if walk else None
     for mask, parts, domain in _walk(spec, edges):
         sub = _masked(edges, mask)
         codomain = target_space(spec, sub)
         single = [_glued_rows(spec, parts, domain,
-                              dict(zip(codomain.factor_ids, codomain.digits_at(i))), blocks)
+                              dict(zip(codomain.factor_ids, codomain.digits_at(i))), rows_memo)
                   for i in range(codomain.dim)]
-        rows = [list(r) for r in _glued_rows(spec, parts, domain, blocks=blocks)]
+        rows = [list(r) for r in _glued_rows(spec, parts, domain, walk=rows_memo)]
         assert [[list(r) for r in one] for one in single] == [[r] for r in rows]
         cols = [[Fraction(v, sum(col)) for v in col] for col in zip(*rows)]
         assert matrix_from_columns(domain, codomain, cols) == joint_table_oracle(

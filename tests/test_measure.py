@@ -16,8 +16,17 @@ from distmeas.fixtures import (
     xor_system,
 )
 from distmeas.io import automaton_from_document, system_from_document
-from distmeas.lattice import bottom, enumerate_subsystems, source_space, subsystem, top
+from distmeas.lattice import (
+    _glued_rows,
+    _walk,
+    bottom,
+    enumerate_subsystems,
+    source_space,
+    subsystem,
+    top,
+)
 from distmeas.measure import (
+    _glued_posterior,
     _is_product,
     _measurements,
     _posterior,
@@ -515,30 +524,27 @@ def test_an_output_memoises_each_measured_subsystem_in_one_entry():
     spec = xor_system()
     d_out = d_out_for(spec, "0")
     assert effective_information(spec, top(spec), None, d_out) == 1.0
-    memo = _measurements(spec, d_out).memo
-    assert len(memo) == 2
-    assert set(memo) == {top(spec).effective, bottom(spec).effective}
+    records = _measurements(spec, d_out).records
+    assert len(records) == 2
+    assert set(records) == {top(spec).effective, bottom(spec).effective}
 
 
 def test_a_dropped_output_leaves_no_entry_on_the_spec(monkeypatch):
     # whole-system ei at every output of a 6-cell Hopfield ring, each output
-    # dropped once it is measured: the spec's memo keeps only what depends
-    # on the spec, so it stops growing at the first output. Each ei equals a
-    # fresh spec's, so no entry outlives its output to serve a later output
-    # given the same id
+    # dropped once it is measured: the spec's memo of outputs is empty after
+    # each. Each ei equals a fresh spec's, so no entry outlives its output to
+    # serve a later output given the same id
     monkeypatch.syspath_prepend(BENCH)
     from workloads import hopfield_document
     doc = hopfield_document(1, 6, 3)
     spec = system_from_document(doc)
     out = system_output_space(spec)
-    sizes = []
     for i in range(out.dim):
         got = effective_information(spec, top(spec), None, dirac(out, out.symbols_at(i)))
-        sizes.append(len(spec._glue_memo))
+        assert not spec._outputs, out.symbols_at(i)
         fresh = system_from_document(doc)
         want = effective_information(fresh, top(fresh), None, dirac(out, out.symbols_at(i)))
         assert got == want, out.symbols_at(i)
-    assert sizes == [sizes[0]] * out.dim
 
 
 def rule_110_ring(cells):
@@ -557,18 +563,52 @@ def rule_110_ring(cells):
 
 def test_one_ei_keeps_no_restricted_row_block_on_the_spec():
     # a single record reads one row per target at its output and keeps none:
-    # no (target, inside sources, domain ids) entry is left on the spec
+    # the spec's submechanism memo holds only (target, inside) rows over the
+    # target's own inputs, one row per output symbol, none restricted onto S_C
     spec = rule_110_ring(6)
     out = system_output_space(spec)
     d_out = dirac(out, ("1", "1", "0", "1", "0", "0"))
     assert effective_information(spec, top(spec), None, d_out) > 0
-    assert not [key for key in spec._glue_memo if isinstance(key, tuple) and len(key) == 3
-                and isinstance(key[1], frozenset)]
+    assert spec._submechanisms
+    for (target, inside), (domain, rows) in spec._submechanisms.items():
+        assert set(domain.factor_ids) == inside == set(spec.sources_of(target))
+        assert len(rows) == len(spec.alphabet_of(target))
+        assert all(len(row) == domain.dim for row in rows)
+
+
+@pytest.mark.parametrize("outputs", [
+    pytest.param([("0", "1")], id="dirac"),
+    pytest.param([("0", "1"), ("1", "1")], id="mixed"),
+])
+def test_a_walk_keeps_only_the_rows_its_output_selects(outputs):
+    # a walk's dict keeps each target's rows at the symbols the output's
+    # support selects, one row per entry, keyed by (target, inside, S_C ids,
+    # symbol): at a Dirac output one entry per (target, inside, S_C), at a
+    # mixed one an entry per selected symbol. Reading every row keeps them
+    # all under the symbol None
+    spec = _positive_random_system(random.Random(5), ["s0", "s1", "s2"], ["t0", "t1"])
+    out = system_output_space(spec)
+    d_out = distribution(out, [Fraction(out.symbols_at(i) in outputs, len(outputs))
+                               for i in range(out.dim)])
+    selected = {l: {out.alphabet_of(l).index(o[k]) for o in outputs}
+                for k, l in enumerate(out.factor_ids)}
+    walk, whole = {}, {}
+    for _, parts, domain in _walk(spec, sorted(spec.edges)):
+        _glued_posterior(spec, parts, domain, d_out, walk)
+        _glued_rows(spec, parts, domain, walk=whole)
+        for l, inside in parts:
+            symbols = {key[3] for key in walk if key[:3] == (l, inside, domain.factor_ids)}
+            assert symbols == selected[l]
+            assert (l, inside, domain.factor_ids, None) not in walk
+            assert len(whole[l, inside, domain.factor_ids, None]) == len(out.alphabet_of(l))
+    assert all(len(rows) == 1 for rows in walk.values())
+    assert all(key[3] is None for key in whole)
 
 
 def test_is_product_compares_the_last_state_before_any_restriction(monkeypatch):
     # state 0 agrees (1/3 against 2/3 spread over vY's two states) and the
-    # last state differs (0 against 1/6), so no restriction map is needed
+    # last state differs (0 against 1/6), so no restriction map is needed;
+    # nor where state 0 differs (0 against 1/3) and the last agrees (1/6)
     spec = xor_system()
     space = source_space(spec, top(spec))
     vx = canonical_space({"vX": BINARY})
@@ -580,3 +620,4 @@ def test_is_product_compares_the_last_state_before_any_restriction(monkeypatch):
 
     monkeypatch.setattr(importlib.import_module("distmeas.measure"), "_restriction", refuse)
     assert not _is_product(spec, p, (q,))
+    assert not _is_product(spec, _Record(space, (0, 2, 3, 1), 6), (q,))

@@ -1,4 +1,5 @@
 import math
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from distmeas.stoch import (
     Distribution,
     ProductSpace,
     StochasticMatrix,
+    _restriction_table,
     alphabet,
     compose,
     diagonal,
@@ -464,3 +466,16 @@ def test_kl_nonnegative_and_zero_iff_equal(data):
 def test_marginal_sums_out_dropped_factors():
     d = distribution(XY, ["1/2", 0, 0, "1/2"])
     assert marginal(d, ["x"]).weights == (frac("1/2"), frac("1/2"))
+
+
+@pytest.mark.parametrize("states, kind", [(256, bytes), (257, array)])
+def test_restriction_table_is_narrow_and_equals_a_symbol_scan(states, kind):
+    # a target space of at most 256 states is indexed by one byte per source
+    # state, a larger one by an array('I'); either way entry i is the index,
+    # found symbol by symbol, of source state i's restriction
+    many = alphabet(range(states))
+    src = space(("a", BINARY), ("b", many), ("c", alphabet(range(3))))
+    dst = space(("b", many))
+    table = _restriction_table(src, dst)
+    assert type(table) is kind
+    assert list(table) == [dst.index_of((syms[1],)) for syms in src.iter_symbols()]
