@@ -7,8 +7,9 @@ writes (if any), and one `sha256 name` line is printed per run. The runs are
 the four argvs of bench/baseline.json, plus quale, lattice, gamma and ei on
 the bundled xor and and systems, gamma and ei on the hopfield-6 document,
 lattice on the quale-11 document, quale of the quale-11 document to standard
-output (through the CLI's anonymous temporary file), four oracle-check runs
-(two of them the README's examples), gamma and ei on a proper multi-target subsystem of the
+output (through the CLI's anonymous temporary file), five oracle-check runs
+(two of them the README's examples, and one of 31 tables, which two
+processes split unevenly), gamma and ei on a proper multi-target subsystem of the
 lattice-8 document (its blocks and its context read fewer sources than it
 does, and it reads fewer than the system), gamma over every partition of a
 5-cell and of an 8-cell Hopfield ring (the 8-cell one computes all 255 block
@@ -111,6 +112,8 @@ def runs() -> list[tuple[str, list[str], str | None]]:
          ["oracle-check", "--exhaustive", "2x2x2", "--exhaustive", "2x2x4"], None),
         ("oracle-check:readme-random",
          ["oracle-check", "--random", "500", "--seed", "7", "--dims", "3x3x3"], None),
+        ("oracle-check:random-uneven",
+         ["oracle-check", "--random", "31", "--seed", "5", "--dims", "3x3x3"], None),
     ]
 
     lat = works["lattice-8"]
