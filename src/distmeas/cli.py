@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import itertools
 import json
 import math
 import os
@@ -40,7 +41,7 @@ from .measure import (
     effective_information,
     system_output_space,
 )
-from .oracle import crosscheck, exhaustive_tables, random_tables
+from .oracle import CrosscheckReport, crosscheck, exhaustive_tables, random_tables
 from .stoch import dirac
 from .system import unroll, validate
 
@@ -165,7 +166,7 @@ def _publish(out: str | None, write) -> None:
         raise
 
 
-# the fewest subsystems per process, so that nothing forks below
+# the fewest subsystems per process, so that quale forks nothing below
 # twice this many. On a 2-vCPU VM a worker costs 4-7 ms beyond its sections
 # (fork, a cold submechanism memo, reaping and copying its file; measured as
 # a one-section worker against none) and a section 40-80 us, so a worker's
@@ -173,17 +174,18 @@ def _publish(out: str | None, write) -> None:
 _SUBSYSTEMS_PER_WORKER = 2 ** 10
 
 
-def _quale_ranges(count: int) -> list[range]:
-    """The masks 0, ..., count - 1 split into contiguous ranges of equal
-    length (to one mask), one per process that writes them: one per CPU
-    this process may run on, as long as each range holds
-    _SUBSYSTEMS_PER_WORKER subsystems. One range, nothing being forked,
-    where os.fork is missing or another thread is alive (a forked child
-    would hold only the calling thread). The sections differ in size; a cut
-    at equal entries would cost a walk over every subsystem, about as long
-    as the imbalance it removes (README)."""
+def _ranges(count: int, paying: int) -> list[range]:
+    """The indices 0, ..., count - 1 split into contiguous ranges of equal
+    length (to one), one per process that works them: one per CPU this
+    process may run on, and at most paying, the number of processes whose
+    shares of the work each pay for forking one. One range, nothing being
+    forked, where os.fork is missing or another thread is alive (a forked
+    child would hold only the calling thread). Each command prices its own
+    work: quale by subsystems, whose sections differ in size, as a cut at
+    equal entries would cost a walk over every subsystem, about as long as
+    the imbalance it removes (README); oracle-check by table inputs."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = min(cpus, count // _SUBSYSTEMS_PER_WORKER)
+    n = min(cpus, paying)
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [range(count)]
     return [range(k * count // n, (k + 1) * count // n) for k in range(n)]
@@ -285,7 +287,8 @@ def _range_worker(part, write_range, masks: range, parent: int, sigmask):
 def cmd_quale(args) -> int:
     spec = _valid(docio.load_system(args.path))
     edges = _budgeted_edges(spec, args.max_edges)
-    ranges = _quale_ranges(1 << len(edges))
+    count = 1 << len(edges)
+    ranges = _ranges(count, count // _SUBSYSTEMS_PER_WORKER)
     _publish(args.out, lambda fh: _write_quale(fh, spec, edges, ranges))
     return 0
 
@@ -417,6 +420,55 @@ _TABLE_INPUTS_BUDGET = 2 ** 10
 _TABLE_ENTRIES_BUDGET = 2 ** 16
 
 
+# the fewest table inputs (tables times NX*NY) per process, so that
+# oracle-check forks nothing below twice this many. On a 2-vCPU VM, two
+# ranges against one break even at 90 to 128 inputs (3x3x3: 10 tables;
+# 4x4x4: 8; 2x2x2: between 16 and 24) in alternating in-process runs, a
+# worker costing 4-5 ms beyond its tables (README)
+_TABLE_INPUTS_PER_WORKER = 64
+
+
+def _tables_at(tables, indices):
+    """The items of the iterable tables at indices, which increase, each
+    index taken just before its item is. Every item before an index is
+    built and dropped: random_tables draws each table from one seeded
+    generator, so a range of its tables is read by replaying it. One item
+    past the last index is read too, so that a range which ends where
+    tables do runs them to their end, as crosscheck does in one process,
+    rather than leaving a generator to be closed."""
+    tables = iter(tables)
+    at = 0
+    for i in indices:
+        yield from itertools.islice(tables, i - at, i - at + 1)
+        at = i + 1
+    next(tables, None)
+
+
+def _crosscheck_in_ranges(tables, ranges: list[range], label: str) -> CrosscheckReport:
+    """crosscheck(tables(), label), the tables of each of ranges, contiguous
+    ranges of table indices that cover them all in order, checked by
+    _write_ranges. Each range writes its report as a line of its function,
+    check and mismatch counts, then its mismatches, one a line in table
+    order; the reports are summed in range order, so the report is the
+    serial one."""
+
+    def write_range(f, indices):
+        rep = crosscheck(_tables_at(tables(), indices))
+        f.write(f"{rep.functions} {rep.checks} {len(rep.mismatches)}\n")
+        f.writelines(line + "\n" for line in rep.mismatches)
+
+    report = CrosscheckReport(label)
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
+        _write_ranges(fh, ranges, write_range)
+        fh.seek(0)
+        for line in fh:
+            functions, checks, mismatches = map(int, line.split())
+            report.functions += functions
+            report.checks += checks
+            report.mismatches += [next(fh).rstrip("\n") for _ in range(mismatches)]
+    return report
+
+
 def cmd_oracle_check(args) -> int:
     if args.random is not None and args.random < 1:
         raise DocumentError("--random must be >= 1")
@@ -441,14 +493,17 @@ def cmd_oracle_check(args) -> int:
             raise BudgetExceeded(
                 f"a {nx}x{ny}x{nz} table has {nx * ny * nz} matrix entries, over the budget "
                 f"of {_TABLE_ENTRIES_BUDGET}")
-    reports = [crosscheck(exhaustive_tables(nx, ny, nz), label=f"exhaustive {nx}x{ny}x{nz}")
-               for nx, ny, nz in sweeps]
-    for nx, ny, nz in random_dims:
-        reports.append(crosscheck(
-            random_tables(nx, ny, nz, args.random, args.seed),
-            label=f"random {args.random} of {nx}x{ny}x{nz} (seed {args.seed})"))
-    if not reports:
+    # (tables, how many, inputs of each, label) per sweep
+    checks = [(functools.partial(exhaustive_tables, nx, ny, nz), nz ** (nx * ny), nx * ny,
+               f"exhaustive {nx}x{ny}x{nz}") for nx, ny, nz in sweeps]
+    checks += [(functools.partial(random_tables, nx, ny, nz, args.random, args.seed), args.random,
+                nx * ny, f"random {args.random} of {nx}x{ny}x{nz} (seed {args.seed})")
+               for nx, ny, nz in random_dims]
+    if not checks:
         raise DocumentError("need --exhaustive and/or --random")
+    reports = [_crosscheck_in_ranges(
+        tables, _ranges(count, count * inputs // _TABLE_INPUTS_PER_WORKER), label)
+        for tables, count, inputs, label in checks]
     failed = False
     for rep in reports:
         print(rep.summary())

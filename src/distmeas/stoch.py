@@ -15,6 +15,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -160,12 +162,20 @@ def _restriction_table(src: ProductSpace, dst: ProductSpace) -> bytes | array:
             raise SpaceMismatch(f"factor {fid!r} has different alphabets")
         strides[fid] = stride
         stride *= len(a)
-    table = [0]
-    for fid, a in src.factors:  # the first factor is the most significant
+    # from src's last factor, the least significant, to its first: each
+    # factor repeats the table of the factors after it once per symbol d,
+    # shifted by d times its stride in dst, so that the table is only ever
+    # held in its narrow form, never as a list of ints
+    table = bytearray(1) if dst.dim <= 256 else array("I", [0])
+    for fid, a in reversed(src.factors):
         s = strides.get(fid, 0)
-        offsets = [d * s for d in range(len(a))]
-        table = [t + o for t in table for o in offsets]
-    return bytes(table) if dst.dim <= 256 else array("I", table)
+        if s:
+            block = table[:]
+            for d in range(1, len(a)):
+                table.extend(map(add, block, repeat(d * s)))
+        else:
+            table *= len(a)
+    return bytes(table) if dst.dim <= 256 else table
 
 
 def _check_unit_sum(values: Sequence[Fraction], negative: str, bad_sum: str, *where) -> None:

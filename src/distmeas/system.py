@@ -12,6 +12,7 @@ one-factor space. Occasions without sources carry a Distribution instead
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -92,9 +93,9 @@ class Violation:
 def validate(spec: SystemSpec) -> list[Violation]:
     """Structural diagnostics; an empty list means every invariant holds."""
     out: list[Violation] = []
-    ids = [o.id for o in spec.occasions]
-    known = set(ids)
-    for i in sorted({x for x in ids if ids.count(x) > 1}):
+    counts = Counter(o.id for o in spec.occasions)
+    known = counts.keys()
+    for i in sorted(x for x, n in counts.items() if n > 1):
         out.append(Violation("DuplicateOccasion", f"occasion id {i!r} repeats"))
     for (a, b) in sorted(spec.edges):
         for end in (a, b):
@@ -107,14 +108,24 @@ def validate(spec: SystemSpec) -> list[Violation]:
         if occ_id not in known:
             out.append(Violation("UnknownOccasion", f"source distribution for unknown occasion {occ_id!r}"))
 
+    # each id's first occasion's alphabet, as spec.alphabet_of reads it, and
+    # each target's known sources, sorted as spec.sources_of lists them
+    alphabets: dict[str, Alphabet] = {}
+    for o in spec.occasions:
+        alphabets.setdefault(o.id, o.alphabet)
+    sources: dict[str, list[str]] = {}
+    for k, l in sorted(spec.edges):
+        if k in known:
+            sources.setdefault(l, []).append(k)
+
     for occ in spec.occasions:
-        srcs = tuple(k for k in spec.sources_of(occ.id) if k in known)
+        srcs = tuple(sources.get(occ.id, ()))
         if srcs:
             m = spec.mechanisms.get(occ.id)
             if m is None:
                 out.append(Violation("MissingMechanism", f"occasion {occ.id!r} has sources {srcs} but no mechanism"))
                 continue
-            want = canonical_space({k: spec.alphabet_of(k) for k in srcs})
+            want = canonical_space({k: alphabets[k] for k in srcs})
             if m.domain != want:
                 if set(m.domain.factor_ids) == set(want.factor_ids) and all(
                         m.domain.alphabet_of(f) == want.alphabet_of(f) for f in want.factor_ids):
@@ -125,7 +136,7 @@ def validate(spec: SystemSpec) -> list[Violation]:
                     out.append(Violation(
                         "DomainMismatch",
                         f"mechanism of {occ.id!r} has domain {m.domain.factor_ids}, expected {want.factor_ids}"))
-            if m.codomain != spec.output_space(occ.id):
+            if m.codomain != canonical_space({occ.id: alphabets[occ.id]}):
                 out.append(Violation(
                     "CodomainMismatch",
                     f"mechanism of {occ.id!r} must output over its own alphabet"))
@@ -143,7 +154,7 @@ def validate(spec: SystemSpec) -> list[Violation]:
                 out.append(Violation(
                     "MissingSource",
                     f"sourceless occasion {occ.id!r} needs a distribution"))
-            elif d.space != spec.output_space(occ.id):
+            elif d.space != canonical_space({occ.id: alphabets[occ.id]}):
                 out.append(Violation(
                     "SourceSpaceMismatch",
                     f"distribution of {occ.id!r} is over the wrong space"))

@@ -1,4 +1,5 @@
 import errno
+import functools
 import io
 import json
 import os
@@ -18,11 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distmeas import cli, oracle
 from distmeas.cli import (
     _SUBSYSTEMS_PER_WORKER,
+    _TABLE_INPUTS_PER_WORKER,
     _bits,
-    _quale_ranges,
+    _crosscheck_in_ranges,
     _range_worker,
+    _ranges,
+    _tables_at,
     _write_quale,
     build_parser,
     main,
@@ -37,7 +42,7 @@ from distmeas.io import (
     write_sections,
 )
 from distmeas.entangle import entanglement, partition_of
-from distmeas.errors import NotSurjective, UnsupportedOutput
+from distmeas.errors import NotSurjective, UnknownSymbol, UnsupportedOutput
 from distmeas.lattice import (
     _glued_rows,
     _masked,
@@ -60,7 +65,7 @@ from distmeas.measure import (
     measure,
     system_output_space,
 )
-from distmeas.oracle import FunctionTable
+from distmeas.oracle import ExactBits, FunctionTable, crosscheck, exhaustive_tables, random_tables
 from distmeas.stoch import (
     BINARY,
     _restriction_table,
@@ -1636,6 +1641,10 @@ def test_walk_over_a_mask_range_is_that_slice_of_the_full_walk(host):
             assert list(_walk(spec, edges, range(start, stop))) == walked[start:stop]
 
 
+def _quale_ranges(count):
+    return _ranges(count, count // _SUBSYSTEMS_PER_WORKER)
+
+
 def test_quale_ranges_split_the_masks_only_when_forking_pays(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     # three CPUs, but each range takes _SUBSYSTEMS_PER_WORKER subsystems or more
@@ -1824,3 +1833,186 @@ def test_quale_range_that_cannot_be_forked_is_written_by_this_process(monkeypatc
         monkeypatch.setattr(os, "fork", fork_under_a_process_limit)
         assert _quale_text(spec, _split(2048, 3)) == serial
         assert len(calls) == 2
+
+
+# -- oracle-check in forked workers ---------------------------------------------------
+
+# (tables, how many) of a sweep that two processes split unevenly, and of one
+# whose tables are each crosschecked in fewer checks
+ORACLE_SWEEPS = {
+    "random-31": (functools.partial(random_tables, 3, 3, 3, 31, 5), 31),
+    "exhaustive-2x2x3": (functools.partial(exhaustive_tables, 2, 2, 3), 81),
+}
+
+
+def _oracle_report(sweep, ranges):
+    tables, _ = ORACLE_SWEEPS[sweep]
+    report = _crosscheck_in_ranges(tables, ranges, sweep)
+    _assert_no_child_process()
+    return report
+
+
+def _serial_report(sweep):
+    return crosscheck(ORACLE_SWEEPS[sweep][0](), sweep)
+
+
+def _misread_partial_ei(monkeypatch):
+    """Make the oracle of ei(X.) read one bit too many on the tables whose
+    first output is 0, so that their checks of it and of the relative-ei
+    identity fail."""
+    partial = oracle._partial
+
+    def misread(g, c, axis):
+        bits = partial(g, c, axis)
+        if axis == 0 and g.outputs[0] == "0":
+            return ExactBits(bits.radicand * 2 ** bits.root, bits.root)
+        return bits
+
+    monkeypatch.setattr(oracle, "_partial", misread)
+
+
+def test_tables_of_a_range_are_the_generator_replayed_and_the_last_runs_to_its_end():
+    ended = []
+
+    def tables():
+        yield from "abcde"
+        ended.append(True)
+
+    assert list(_tables_at(tables(), range(1, 3))) == ["b", "c"] and not ended
+    assert list(_tables_at(tables(), range(3, 5))) == ["d", "e"] and ended
+
+
+@pytest.mark.parametrize("mismatching", [False, True], ids=["agreeing", "mismatching"])
+@pytest.mark.parametrize("sweep", sorted(ORACLE_SWEEPS))
+def test_oracle_check_in_ranges_is_the_serial_report(monkeypatch, sweep, mismatching):
+    if mismatching:
+        _misread_partial_ei(monkeypatch)
+    serial = _serial_report(sweep)
+    assert serial.ok != mismatching
+    count = ORACLE_SWEEPS[sweep][1]
+    for n in (1, 2, 3):
+        assert _oracle_report(sweep, _split(count, n)) == serial, n
+
+
+@pytest.mark.parametrize("worker", [_worker_killed_by_a_signal, _worker_writing_junk],
+                         ids=["killed", "junk"])
+def test_oracle_check_range_of_a_failed_worker_is_written_by_this_process(monkeypatch, worker):
+    _misread_partial_ei(monkeypatch)
+    serial = _serial_report("random-31")
+    monkeypatch.setattr("distmeas.cli._range_worker", worker)
+    assert _oracle_report("random-31", _split(31, 3)) == serial
+
+
+def test_oracle_check_range_that_cannot_be_forked_is_written_by_this_process(monkeypatch):
+    serial = _serial_report("random-31")
+    fork = os.fork
+    for refused in ({1}, {1, 2}):
+        calls = []
+
+        def fork_under_a_process_limit():
+            calls.append(None)
+            if len(calls) in refused:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_under_a_process_limit)
+        assert _oracle_report("random-31", _split(31, 3)) == serial
+        assert len(calls) == 2
+
+
+def test_oracle_check_raises_the_error_of_the_first_failing_range(monkeypatch):
+    # the oracle fails on the tables whose first two outputs are 2: the
+    # serial run raises at the first of them, and so does a run whose
+    # workers each meet one
+    classical = oracle._classical
+
+    def failing(g, c):
+        if g.outputs[:2] == ("2", "2"):
+            raise UnknownSymbol(f"table {g.outputs}")
+        return classical(g, c)
+
+    monkeypatch.setattr(oracle, "_classical", failing)
+    tables, _ = ORACLE_SWEEPS["random-31"]
+    failing_at = [i for i, g in enumerate(tables()) if g.outputs[:2] == ("2", "2")]
+    assert len(failing_at) >= 2 and failing_at[0] >= 10
+    with pytest.raises(UnknownSymbol) as serial:
+        crosscheck(tables())
+    for ranges in (_split(31, 3), [range(failing_at[1]), range(failing_at[1], 31)]):
+        with pytest.raises(UnknownSymbol) as ranged:
+            _crosscheck_in_ranges(tables, ranges, "random-31")
+        _assert_no_child_process()
+        assert str(ranged.value) == str(serial.value)
+
+
+def test_oracle_check_interrupted_in_its_own_range_leaves_no_worker(monkeypatch):
+    parent = os.getpid()
+    classical = oracle._classical
+
+    def interrupted(g, c):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return classical(g, c)
+
+    monkeypatch.setattr(oracle, "_classical", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _crosscheck_in_ranges(ORACLE_SWEEPS["random-31"][0], _split(31, 3), "random-31")
+    _assert_no_child_process()
+
+
+def _recording_cuts(monkeypatch):
+    """The ranges of each _write_ranges call the commands make, in order."""
+    cuts = []
+    write_ranges = cli._write_ranges
+
+    def recorded(fh, ranges, write_range):
+        cuts.append(ranges)
+        write_ranges(fh, ranges, write_range)
+
+    monkeypatch.setattr(cli, "_write_ranges", recorded)
+    return cuts
+
+
+def test_oracle_check_forked_prints_the_serial_mismatches(capsys, monkeypatch):
+    _misread_partial_ei(monkeypatch)
+    cuts = _recording_cuts(monkeypatch)
+    argv = ["oracle-check", "--exhaustive", "2x2x3", "--random", "31", "--seed", "5"]
+    runs = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        runs[len(cpus)] = run(capsys, *argv)
+        _assert_no_child_process()
+    assert cuts == [[range(81)], [range(31)],
+                    [range(40), range(40, 81)], [range(15), range(15, 31)]]
+    code, out, err = runs[1]
+    assert runs[2] == runs[1]
+    assert code == 1 and out.count("MISMATCHES") == 2
+    assert err.count("\n") > 20 and "exact relative-ei identity broke" in err
+
+
+def test_commands_cut_their_work_where_forking_pays(capsys, monkeypatch, tmp_path):
+    # quale prices a range by its subsystems, oracle-check by its table
+    # inputs, tables times NX*NY: both fork nothing below twice their
+    # minimum per process
+    assert (_SUBSYSTEMS_PER_WORKER, _TABLE_INPUTS_PER_WORKER) == (1024, 64)
+    cuts = _recording_cuts(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    doc = tmp_path / "quale-11.json"
+    save_system(_quale_11_system(monkeypatch), str(doc))
+    for argv in (["quale", str(doc), "--out", str(tmp_path / "quale.json")],
+                 ["quale", XOR],
+                 ["oracle-check", "--random", "14"],
+                 ["oracle-check", "--random", "15"],
+                 ["oracle-check", "--random", "31", "--seed", "5"],
+                 ["oracle-check", "--exhaustive", "2x2x2", "--random", "32", "--dims", "2x2x2"],
+                 ["oracle-check", "--exhaustive", "2x2x3"]):
+        assert run(capsys, *argv)[0] == 0
+        _assert_no_child_process()
+    assert cuts == [
+        [range(1024), range(1024, 2048)],  # 2,048 subsystems
+        [range(4)],
+        [range(14)],  # 126 inputs
+        [range(7), range(7, 15)],  # 135
+        [range(10), range(10, 20), range(20, 31)],  # 279: one range per CPU
+        [range(16)], [range(16), range(16, 32)],  # 64 and 128
+        [range(27), range(27, 54), range(54, 81)],  # 324
+    ]

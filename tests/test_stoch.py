@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -479,3 +480,26 @@ def test_restriction_table_is_narrow_and_equals_a_symbol_scan(states, kind):
     table = _restriction_table(src, dst)
     assert type(table) is kind
     assert list(table) == [dst.index_of((syms[1],)) for syms in src.iter_symbols()]
+
+
+@pytest.mark.parametrize("kept, kind", [((3, 11, 19), bytes), (range(0, 20, 2), array)])
+def test_restriction_table_of_a_large_space_holds_only_narrow_tables(kept, kind):
+    # 2^20 source states onto 8 states (one byte each) or 1,024 (four bytes):
+    # the table is built in its narrow form, never as a list of 2^20 ints,
+    # which would take eight bytes a pointer
+    src = space(*((f"f{i:02d}", BINARY) for i in range(20)))
+    dst = space(*((f"f{i:02d}", BINARY) for i in kept))
+    tracemalloc.start()
+    try:
+        table = _restriction_table(src, dst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(table) is kind and len(table) == 2 ** 20
+    size = len(table) * (1 if kind is bytes else table.itemsize)
+    assert peak < 3 * size
+    # entry i is the index of source state i's restriction: its digits at
+    # the kept factors, the first one most significant
+    for i in (0, 1, 2 ** 19 + 5, 2 ** 20 - 1, 123_457):
+        digits = [i >> (19 - k) & 1 for k in kept]
+        assert table[i] == sum(b << (len(digits) - 1 - j) for j, b in enumerate(digits))

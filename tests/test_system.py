@@ -107,6 +107,45 @@ def test_validate_reports_the_one_violation_of_a_mutated_xor(xor_spec, kind, cha
     assert kinds(validate(bad)) == [kind]
 
 
+def test_validate_reports_every_violation_in_order():
+    # duplicate ids read their first occasion's alphabet (vX ternary, vZ
+    # binary); targets read their known sources in id order
+    ternary = alphabet(range(3))
+    occasions = (Occasion("vZ", BINARY), Occasion("vX", ternary), Occasion("vY", BINARY),
+                 Occasion("vX", BINARY), Occasion("vW", BINARY), Occasion("vV", BINARY),
+                 Occasion("vZ", ternary))
+    edges = frozenset({("vX", "vZ"), ("vY", "vZ"), ("ghost", "vZ"), ("vY", "vW"),
+                       ("vX", "ghost"), ("vY", "vV"), ("vX", "vV")})
+    identity = [[1, 0], [0, 1]]
+    x, y = canonical_space({"vX": BINARY}), canonical_space({"vY": BINARY})
+    mechanisms = {
+        "vZ": make_matrix(canonical_space({"vX": BINARY, "vY": BINARY}), Z,
+                          [[1, 0, 0, 1], [0, 1, 1, 0]]),
+        "vW": make_matrix(y, canonical_space({"vQ": BINARY}), identity),
+        "vY": make_matrix(x, y, identity),
+        "ghost2": make_matrix(x, canonical_space({"ghost2": BINARY}), identity),
+    }
+    sources = {"vX": uniform(x), "vW": uniform(canonical_space({"vW": BINARY})),
+               "nobody": uniform(canonical_space({"nobody": BINARY}))}
+    assert [str(v) for v in validate(SystemSpec(occasions, edges, mechanisms, sources))] == [
+        "DuplicateOccasion: occasion id 'vX' repeats",
+        "DuplicateOccasion: occasion id 'vZ' repeats",
+        "UnknownOccasion: edge (ghost,vZ) references 'ghost'",
+        "UnknownOccasion: edge (vX,ghost) references 'ghost'",
+        "UnknownOccasion: mechanism for unknown occasion 'ghost2'",
+        "UnknownOccasion: source distribution for unknown occasion 'nobody'",
+        "DomainMismatch: mechanism of 'vZ' has domain ('vX', 'vY'), expected ('vX', 'vY')",
+        "SourceSpaceMismatch: distribution of 'vX' is over the wrong space",
+        "UnexpectedMechanism: sourceless occasion 'vY' carries a mechanism",
+        "MissingSource: sourceless occasion 'vY' needs a distribution",
+        "SourceSpaceMismatch: distribution of 'vX' is over the wrong space",
+        "CodomainMismatch: mechanism of 'vW' must output over its own alphabet",
+        "UnexpectedSource: occasion 'vW' has sources but also a source distribution",
+        "MissingMechanism: occasion 'vV' has sources ('vX', 'vY') but no mechanism",
+        "DomainMismatch: mechanism of 'vZ' has domain ('vX', 'vY'), expected ('vX', 'vY')",
+    ]
+
+
 # -- unroll -------------------------------------------------------------------
 
 def identity_rule():
